@@ -13,14 +13,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from selfverify.evaluation import (
-    aggregate_variants,
-    evaluate_doc,
-    macro_average,
-    render_dsv,
-    render_text_table,
-)
-from selfverify.pipeline import ABLATION_PRESETS, PipelineConfig, run_batch
+from selfverify.evaluation import render_dsv, render_text_table
+from selfverify.pipeline import PipelineConfig, run_ablation
 from selfverify.synthetic import directional_backend, directional_corpus
 
 
@@ -33,30 +27,15 @@ def main() -> int:
     seeds = [int(s) for s in args.seeds.split(",")]
 
     documents, gold = directional_corpus()
-    variants: dict[str, tuple[str, ...] | None] = dict(ABLATION_PRESETS)
-    variants["Megaprompt"] = None
-
-    per_variant = {}
-    for name, steps in variants.items():
-        macros = []
-        for seed in seeds:
-            config = PipelineConfig(steps=steps or (), demonstrations_k=0)
-            results = run_batch(
-                directional_backend(),
-                config,
-                documents,
-                seeds=[seed],
-                workers=args.workers,
-                megaprompt=steps is None,
-            )
-            per_doc = [
-                evaluate_doc(r.doc_id, [i.value for i in r.final], gold[r.doc_id])
-                for r in results
-            ]
-            macros.append(macro_average(per_doc))
-        per_variant[name] = macros
-
-    rows = aggregate_variants(per_variant)
+    rows = run_ablation(
+        directional_backend,
+        PipelineConfig(demonstrations_k=0),
+        documents,
+        gold,
+        seeds,
+        workers=args.workers,
+        with_megaprompt=True,
+    )
     print(render_text_table(rows))
     if args.dsv:
         Path(args.dsv).write_text(render_dsv(rows), encoding="utf-8")

@@ -546,10 +546,6 @@ class CachingBackend(Backend):
         return response
 
 
-class RecordBackend(CachingBackend):
-    """CachingBackend under its capture-for-replay name."""
-
-
 class ReplayBackend(Backend):
     """Answers only from a store; unknown requests raise ReplayMiss."""
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -21,7 +23,6 @@ from .backend import (
     HttpBackend,
     HttpConfig,
     MockBackend,
-    RecordBackend,
     ReplayBackend,
     ResponseStore,
     StoreCorrupt,
@@ -53,9 +54,9 @@ from .evaluation import (
     top_k_codes,
 )
 from .pipeline import (
-    ABLATION_PRESETS,
     OPTIONAL_STEPS,
     PipelineConfig,
+    run_ablation,
     run_batch,
 )
 from .prompts import catalog_version
@@ -67,17 +68,7 @@ EXIT_MISMATCH = 4
 EXIT_BACKEND = 5
 
 # PipelineConfig fields a YAML config file may set; flags win over these.
-_CONFIG_KEYS = (
-    "model_id",
-    "steps",
-    "demonstrations_k",
-    "omission_min_iters",
-    "omission_max_iters",
-    "icd_mapping",
-    "temperature",
-    "max_output_tokens_extract",
-    "max_output_tokens_prune",
-)
+_CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig) if f.name != "catalog_root")
 
 
 class CliError(Exception):
@@ -193,32 +184,24 @@ def _mock_backend(args) -> MockBackend:
 def make_backend(args) -> Backend:
     """Build the backend named by --backend from the relevant flags."""
     kind = args.backend
-    if kind == "mock":
-        backend: Backend = _mock_backend(args)
-        if getattr(args, "cache", None):
-            backend = CachingBackend(backend, _store(args))
-        return backend
     if kind == "replay":
         return ReplayBackend(_store(args))
-    if kind in ("http", "record"):
-        base: Backend
-        if getattr(args, "script", None):
-            base = _mock_backend(args)
-        else:
-            if not getattr(args, "endpoint", None):
-                raise CliError(
-                    EXIT_USAGE, f"--endpoint (or --script) is required for backend {kind!r}"
-                )
-            base = HttpBackend(HttpConfig(base_url=args.endpoint))
-        if kind == "record":
-            return RecordBackend(base, _store(args))
-        if getattr(args, "cache", None):
-            return CachingBackend(base, _store(args))
-        return base
-    raise CliError(EXIT_USAGE, f"unknown backend {kind!r}")
+    if kind not in ("mock", "http", "record"):
+        raise CliError(EXIT_USAGE, f"unknown backend {kind!r}")
+    base: Backend
+    if kind == "mock" or getattr(args, "script", None):
+        base = _mock_backend(args)
+    elif getattr(args, "endpoint", None):
+        base = HttpBackend(HttpConfig(base_url=args.endpoint))
+    else:
+        raise CliError(EXIT_USAGE, f"--endpoint (or --script) is required for backend {kind!r}")
+    if kind == "record" or getattr(args, "cache", None):
+        return CachingBackend(base, _store(args))
+    return base
 
 
-def _run_over_dataset(args, config, task, records, backend, seeds, megaprompt):
+def _documents_and_pool(config, task, records):
+    """The eval documents and the demo pool, checked before any model call."""
     documents = records_to_documents(records, task)
     if not documents:
         raise CliError(EXIT_DATA, "dataset has no eval-split documents")
@@ -230,15 +213,7 @@ def _run_over_dataset(args, config, task, records, backend, seeds, megaprompt):
             f"{needed} demonstrations requested but the demo-pool split has "
             f"only {len(demo_pool)} documents",
         )
-    return run_batch(
-        backend,
-        config,
-        documents,
-        seeds=seeds,
-        demo_pool=demo_pool or None,
-        workers=args.workers,
-        megaprompt=megaprompt,
-    )
+    return documents, demo_pool or None
 
 
 def cmd_extract(args) -> int:
@@ -247,7 +222,18 @@ def cmd_extract(args) -> int:
     records, _ = _load_records(args)
     backend = make_backend(args)
     seeds = _parse_seeds(args.seeds)
-    results = _run_over_dataset(args, config, task, records, backend, seeds, args.megaprompt)
+    documents, demo_pool = _documents_and_pool(config, task, records)
+    started = time.perf_counter()
+    results = run_batch(
+        backend,
+        config,
+        documents,
+        seeds=seeds,
+        demo_pool=demo_pool,
+        workers=args.workers,
+        megaprompt=args.megaprompt,
+    )
+    wall_seconds = time.perf_counter() - started
     out_dir = Path(args.out)
     manifest = make_manifest(
         run_id=out_dir.name,
@@ -261,6 +247,7 @@ def cmd_extract(args) -> int:
         n_documents=len({r.doc_id for r in results}),
         megaprompt=args.megaprompt,
     )
+    manifest.wall_seconds = wall_seconds
     try:
         write_run(out_dir, manifest, results, include_traces=not args.no_traces)
     except RunExists:
@@ -347,30 +334,21 @@ def cmd_ablate(args) -> int:
     records, _ = _load_records(args)
     gold_values, _ = _gold_maps(records)
     seeds = _parse_seeds(args.seeds)
-    base_config = _pipeline_config(args)
-
-    variants: dict[str, tuple[str, ...] | None] = dict(ABLATION_PRESETS)
-    if args.with_megaprompt:
-        variants["Megaprompt"] = None
-
+    config = _pipeline_config(args)
+    # A mock backend gets a fresh script per run, since runs consume its
+    # `once` steps; the others share one backend (and store).
     shared_backend = None if args.backend == "mock" else make_backend(args)
-    per_variant = {}
-    for name, steps in variants.items():
-        macros = []
-        for seed in seeds:
-            config = base_config if steps is None else _replace_steps(base_config, steps)
-            backend = shared_backend or make_backend(args)
-            results = _run_over_dataset(
-                args, config, task, records, backend, [seed], megaprompt=steps is None
-            )
-            per_doc = [
-                evaluate_doc(r.doc_id, [i.value for i in r.final], gold_values[r.doc_id])
-                for r in results
-            ]
-            macros.append(macro_average(per_doc))
-        per_variant[name] = macros
-
-    rows = aggregate_variants(per_variant)
+    documents, demo_pool = _documents_and_pool(config, task, records)
+    rows = run_ablation(
+        lambda: shared_backend or make_backend(args),
+        config,
+        documents,
+        gold_values,
+        seeds,
+        demo_pool=demo_pool,
+        workers=args.workers,
+        with_megaprompt=args.with_megaprompt,
+    )
     print(render_text_table(rows))
     if args.dsv:
         Path(args.dsv).write_text(render_dsv(rows), encoding="utf-8")
@@ -380,12 +358,6 @@ def cmd_ablate(args) -> int:
             encoding="utf-8",
         )
     return EXIT_OK
-
-
-def _replace_steps(config: PipelineConfig, steps: tuple[str, ...]) -> PipelineConfig:
-    from dataclasses import replace
-
-    return replace(config, steps=steps)
 
 
 def cmd_report(args) -> int:

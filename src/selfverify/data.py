@@ -304,10 +304,6 @@ def load_run(run_dir: str | Path) -> tuple[dict, list[dict]]:
     return manifest, records
 
 
-def _loose(s: str) -> str:
-    return " ".join(s.split()).casefold()
-
-
 def _usable_span(text: str, item: dict) -> tuple[int, int] | None:
     """Re-check a stored span against the text before highlighting it.
 
@@ -324,11 +320,10 @@ def _usable_span(text: str, item: dict) -> tuple[int, int] | None:
     if not (0 <= start < end <= len(text)):
         return None
     kind = ev.get("match_kind")
-    quote = ev.get("quote", "")
-    if kind == MatchKind.EXACT.value and text[start:end] != quote:
-        return None
-    if kind == MatchKind.CASE_INSENSITIVE.value and _loose(text[start:end]) != _loose(quote):
-        return None
+    if kind in (MatchKind.EXACT.value, MatchKind.CASE_INSENSITIVE.value):
+        span = EvidenceSpan(ev.get("quote", ""), start, end, MatchKind(kind))
+        if not span.verify_against(text):
+            return None
     return (start, end)
 
 

@@ -188,15 +188,28 @@ def _unwrap_quote(s: str) -> str:
     return s
 
 
+def align_key(key: str, expected: list[str] | tuple[str, ...]) -> str | None:
+    """Match a normalized key from a reply line to one of `expected`.
+
+    An exact match wins; otherwise the one expected key that contains it
+    or is contained in it (keys of 3+ characters only). None when there is
+    no such key, or more than one.
+    """
+    if key in expected:
+        return key
+    contains = [v for v in expected if len(key) >= 3 and (key in v or v in key)]
+    return contains[0] if len(contains) == 1 else None
+
+
 def parse_evidence(
     text: str, expected_values: list[str] | tuple[str, ...]
 ) -> tuple[dict[str, str], list[str]]:
     """Parse `item: "quote"` lines, aligning items to expected value keys.
 
-    `expected_values` are normalized item values. Alignment is by exact
-    normalized match first, then by unique substring containment. Quote text
-    is unwrapped from surrounding straight or smart quotes but otherwise
-    preserved verbatim, since it must be located in the source later.
+    `expected_values` are normalized item values, aligned by `align_key`.
+    Quote text is unwrapped from surrounding straight or smart quotes but
+    otherwise preserved verbatim, since it must be located in the source
+    later.
     Returns ({expected_value: quote}, warnings); values with no usable line
     are simply absent.
     """
@@ -208,14 +221,10 @@ def parse_evidence(
         if not sep:
             warnings.append(f"evidence line without separator: {line[:60]!r}")
             continue
-        key = normalize(left)
-        if key not in expected:
-            contains = [v for v in expected if len(key) >= 3 and (key in v or v in key)]
-            if len(contains) == 1:
-                key = contains[0]
-            else:
-                warnings.append(f"evidence line for unknown item {left.strip()!r}")
-                continue
+        key = align_key(normalize(left), expected)
+        if key is None:
+            warnings.append(f"evidence line for unknown item {left.strip()!r}")
+            continue
         quote = _unwrap_quote(right)
         if not quote:
             warnings.append(f"empty quote for {key!r}")

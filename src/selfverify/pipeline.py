@@ -18,7 +18,9 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
+from . import evaluation
 from .backend import Backend, LlmRequest
 from .core import (
     Document,
@@ -33,6 +35,7 @@ from .core import (
 )
 from .parsing import (
     AmbiguousVerdict,
+    align_key,
     locate_quote,
     parse_bulleted_list,
     parse_evidence,
@@ -180,16 +183,36 @@ class ExtractionPipeline:
         )
         return self.backend.complete(request).text
 
-    def _parse_items(self, task: TaskKind, text: str, origin: Origin) -> tuple[list[ExtractedItem], list[str]]:
+    def _trace(
+        self, traces: list[StepTrace], step: str, prompt: str, response: str, summary: str, warnings=()
+    ) -> None:
+        traces.append(StepTrace(step, prompt, response, self.config.temperature, summary, tuple(warnings)))
+
+    def _skipped_without_items(self, step: str, current: ExtractionSet, traces: list[StepTrace]) -> bool:
+        """Trace `step` as skipped, and say so, when there are no items to send."""
+        if len(current):
+            return False
+        self._trace(traces, step, "", "", "skipped: no items")
+        return True
+
+    def _extract(
+        self, task: TaskKind, prompt: str, origin: Origin, base: ExtractionSet, traces: list[StepTrace]
+    ) -> tuple[ExtractionSet, int]:
+        """One extraction call: parse the listed items and merge them into `base`.
+
+        Serves the original pass, each omission pass and the megaprompt;
+        the trace step is named after the origin.
+        """
+        response = self._call(prompt, self.config.max_output_tokens_extract)
         if task.wants_status:
-            pairs, warnings = parse_status_pairs(text)
-            items = [
-                ExtractedItem.from_raw(raw, status=status, origin=origin)
-                for raw, status in pairs
-            ]
-            return items, warnings
-        raws = parse_bulleted_list(text)
-        return [ExtractedItem.from_raw(raw, origin=origin) for raw in raws], []
+            pairs, warnings = parse_status_pairs(response)
+        else:
+            pairs, warnings = [(raw, None) for raw in parse_bulleted_list(response)], []
+        items = [ExtractedItem.from_raw(raw, status=status, origin=origin) for raw, status in pairs]
+        current, new_count, merge_warnings = merge(base, items)
+        summary = f"added {new_count} new" if origin.step == "omission" else f"{new_count} items"
+        self._trace(traces, str(origin), prompt, response, summary, warnings + merge_warnings)
+        return current, new_count
 
     def _demos_for(self, task: TaskKind, seed: int, demo_pool: list[DemoExample] | None) -> list[DemoExample]:
         k = self.config.resolved_k(task)
@@ -209,229 +232,146 @@ class ExtractionPipeline:
     ) -> PipelineResult:
         task = document.task
         cfg = self.config
-        root = cfg.catalog_root
         traces: list[StepTrace] = []
-        warnings: list[str] = []
-
         demos = self._demos_for(task, seed, demo_pool)
-        prompt = build_original_prompt(task, document.text, demos, root)
-        response = self._call(prompt, cfg.max_output_tokens_extract)
-        items, parse_warnings = self._parse_items(task, response, Origin.original())
-        current, _, merge_warnings = merge(ExtractionSet.empty(), items)
-        step_warnings = tuple(parse_warnings + merge_warnings)
-        traces.append(
-            StepTrace(
-                step="original",
-                prompt=prompt,
-                response=response,
-                temperature=cfg.temperature,
-                summary=f"{len(current)} items",
-                warnings=step_warnings,
-            )
-        )
-        warnings.extend(step_warnings)
+        prompt = build_original_prompt(task, document.text, demos, cfg.catalog_root)
+        current, _ = self._extract(task, prompt, Origin.original(), ExtractionSet.empty(), traces)
 
         omission_iters = 0
         if "omission" in cfg.steps:
-            current, omission_iters = self._omission_loop(document, current, traces, warnings)
+            min_iters = cfg.resolved_min_iters(task)
+            for omission_iters in range(1, cfg.omission_max_iters + 1):
+                prompt = build_omission_prompt(task, document.text, current, cfg.catalog_root)
+                origin = Origin.omission(omission_iters)
+                current, new_count = self._extract(task, prompt, origin, current, traces)
+                if omission_iters >= min_iters and new_count == 0:
+                    break
 
         if "evidence" in cfg.steps:
-            current = self._evidence_step(document, current, traces, warnings)
+            current = self._evidence_step(document, current, traces)
 
         pre_prune = current
         pruned: tuple[ExtractedItem, ...] = ()
         if "prune" in cfg.steps:
-            current, pruned = self._prune_step(document, current, traces, warnings)
+            current, pruned = self._prune_step(document, current, traces)
 
-        if cfg.resolved_icd_mapping(task) and task.family is TaskFamily.ICD_CODE:
-            current = self._icd_map_step(document, current, traces, warnings)
+        return self._finish(
+            document, seed, current, traces, pruned=pruned, pre_prune=pre_prune, omission_iters=omission_iters
+        )
 
+    def run_megaprompt(
+        self,
+        document: Document,
+        seed: int = 0,
+        demo_pool: list[DemoExample] | None = None,
+    ) -> PipelineResult:
+        """Single-call baseline: verification folded into one prompt."""
+        task = document.task
+        traces: list[StepTrace] = []
+        demos = self._demos_for(task, seed, demo_pool)
+        prompt = build_megaprompt(task, document.text, demos, self.config.catalog_root)
+        current, _ = self._extract(task, prompt, Origin.megaprompt(), ExtractionSet.empty(), traces)
+        return self._finish(document, seed, current, traces, megaprompt=True)
+
+    def _finish(
+        self, document: Document, seed: int, current: ExtractionSet, traces: list[StepTrace], **fields
+    ) -> PipelineResult:
+        """Map diagnoses to codes (ICD tasks) and assemble the result.
+
+        A result's warnings are its traces' warnings in call order. Without
+        an explicit `pre_prune` (the megaprompt), it is the final set after
+        code mapping.
+        """
+        task = document.task
+        if self.config.resolved_icd_mapping(task) and task.family is TaskFamily.ICD_CODE:
+            current = self._icd_map_step(document, current, traces)
+        fields.setdefault("pre_prune", current)
         return PipelineResult(
             doc_id=document.id,
             text=document.text,
             task_name=task.name,
             seed=seed,
             final=current,
-            pruned=pruned,
-            pre_prune=pre_prune,
             traces=tuple(traces),
-            warnings=tuple(warnings),
-            omission_iters=omission_iters,
+            warnings=tuple(w for trace in traces for w in trace.warnings),
+            **fields,
         )
 
-    def _omission_loop(
-        self,
-        document: Document,
-        current: ExtractionSet,
-        traces: list[StepTrace],
-        warnings: list[str],
-    ) -> tuple[ExtractionSet, int]:
-        task = document.task
-        cfg = self.config
-        min_iters = cfg.resolved_min_iters(task)
-        iters = 0
-        while True:
-            iters += 1
-            prompt = build_omission_prompt(task, document.text, current, cfg.catalog_root)
-            response = self._call(prompt, cfg.max_output_tokens_extract)
-            items, parse_warnings = self._parse_items(task, response, Origin.omission(iters))
-            current, new_count, merge_warnings = merge(current, items)
-            step_warnings = tuple(parse_warnings + merge_warnings)
-            traces.append(
-                StepTrace(
-                    step=f"omission[{iters}]",
-                    prompt=prompt,
-                    response=response,
-                    temperature=cfg.temperature,
-                    summary=f"added {new_count} new",
-                    warnings=step_warnings,
-                )
-            )
-            warnings.extend(step_warnings)
-            if (iters >= min_iters and new_count == 0) or iters >= cfg.omission_max_iters:
-                return current, iters
-
     def _evidence_step(
-        self,
-        document: Document,
-        current: ExtractionSet,
-        traces: list[StepTrace],
-        warnings: list[str],
+        self, document: Document, current: ExtractionSet, traces: list[StepTrace]
     ) -> ExtractionSet:
-        task = document.task
-        cfg = self.config
-        if len(current) == 0:
-            traces.append(
-                StepTrace(
-                    step="evidence",
-                    prompt="",
-                    response="",
-                    temperature=cfg.temperature,
-                    summary="skipped: no items",
-                )
-            )
+        if self._skipped_without_items("evidence", current, traces):
             return current
-        prompt = build_evidence_prompt(task, document.text, current, cfg.catalog_root)
+        cfg = self.config
+        prompt = build_evidence_prompt(document.task, document.text, current, cfg.catalog_root)
         response = self._call(prompt, cfg.max_output_tokens_extract)
-        mapping, parse_warnings = parse_evidence(response, list(current.keys()))
-        located = 0
+        mapping, warnings = parse_evidence(response, list(current.keys()))
         updated: list[ExtractedItem] = []
         for item in current:
             quote = mapping.get(item.key)
             if quote is None:
-                updated.append(
-                    replace(item, evidence=EvidenceSpan.not_found(""), flags=item.flags + ("no_evidence_line",))
-                )
-                continue
-            span = locate_quote(document.text, quote)
-            if span.located:
-                located += 1
-                updated.append(replace(item, evidence=span))
+                span, flags = EvidenceSpan.not_found(""), ("no_evidence_line",)
             else:
-                updated.append(replace(item, evidence=span, flags=item.flags + ("quote_not_found",)))
-        current = ExtractionSet(tuple(updated))
-        step_warnings = tuple(parse_warnings)
-        traces.append(
-            StepTrace(
-                step="evidence",
-                prompt=prompt,
-                response=response,
-                temperature=cfg.temperature,
-                summary=f"{located} of {len(current)} quotes located",
-                warnings=step_warnings,
-            )
-        )
-        warnings.extend(step_warnings)
-        return current
+                span = locate_quote(document.text, quote)
+                flags = () if span.located else ("quote_not_found",)
+            updated.append(replace(item, evidence=span, flags=item.flags + flags))
+        summary = f"{sum(item.evidence.located for item in updated)} of {len(updated)} quotes located"
+        self._trace(traces, "evidence", prompt, response, summary, warnings)
+        return ExtractionSet(tuple(updated))
 
     def _prune_step(
-        self,
-        document: Document,
-        current: ExtractionSet,
-        traces: list[StepTrace],
-        warnings: list[str],
+        self, document: Document, current: ExtractionSet, traces: list[StepTrace]
     ) -> tuple[ExtractionSet, tuple[ExtractedItem, ...]]:
-        task = document.task
         cfg = self.config
         kept: list[ExtractedItem] = []
         pruned: list[ExtractedItem] = []
         for item in current:
             quote = item.evidence.quote if item.evidence and item.evidence.quote else None
-            prompt = build_prune_prompt(task, document.text, item.value, quote, cfg.catalog_root)
+            prompt = build_prune_prompt(document.task, document.text, item.value, quote, cfg.catalog_root)
             response = self._call(prompt, cfg.max_output_tokens_prune)
-            step_warnings: tuple[str, ...] = ()
+            warnings: list[str] = []
             try:
                 keep = parse_verdict(response)
                 summary = "keep" if keep else "remove"
             except AmbiguousVerdict:
                 keep = True
                 summary = "ambiguous, kept"
-                step_warnings = (f"ambiguous verdict for {item.key!r}; keeping",)
+                warnings.append(f"ambiguous verdict for {item.key!r}; keeping")
                 item = replace(item, flags=item.flags + ("ambiguous_verdict",))
             if keep:
                 kept.append(item)
             else:
                 reason = response.strip().splitlines()[0][:200] if response.strip() else "removed"
                 pruned.append(replace(item, pruned=True, prune_reason=reason))
-            traces.append(
-                StepTrace(
-                    step=f"prune[{item.key}]",
-                    prompt=prompt,
-                    response=response,
-                    temperature=cfg.temperature,
-                    summary=summary,
-                    warnings=step_warnings,
-                )
-            )
-            warnings.extend(step_warnings)
+            self._trace(traces, f"prune[{item.key}]", prompt, response, summary, warnings)
         return ExtractionSet(tuple(kept)), tuple(pruned)
 
     def _icd_map_step(
-        self,
-        document: Document,
-        current: ExtractionSet,
-        traces: list[StepTrace],
-        warnings: list[str],
+        self, document: Document, current: ExtractionSet, traces: list[StepTrace]
     ) -> ExtractionSet:
-        task = document.task
-        cfg = self.config
-        if len(current) == 0:
-            traces.append(
-                StepTrace(
-                    step="icd_map",
-                    prompt="",
-                    response="",
-                    temperature=cfg.temperature,
-                    summary="skipped: no items",
-                )
-            )
+        if self._skipped_without_items("icd_map", current, traces):
             return current
-        prompt = build_icd_map_prompt(task, current, cfg.catalog_root)
-        response = self._call(prompt, cfg.max_output_tokens_extract)
-        step_warnings: list[str] = []
+        task = document.task
+        prompt = build_icd_map_prompt(task, current, self.config.catalog_root)
+        response = self._call(prompt, self.config.max_output_tokens_extract)
+        warnings: list[str] = []
         code_by_key: dict[str, str | None] = {}
         for line in parse_bulleted_list(response):
             left, sep, right = line.partition(":")
-            key = normalize(left if sep else line)
-            if key not in current.key_set():
-                contains = [
-                    k for k in current.keys() if len(key) >= 3 and (key in k or k in key)
-                ]
-                if len(contains) == 1:
-                    key = contains[0]
-                else:
-                    step_warnings.append(f"code line for unknown diagnosis {left.strip()!r}")
-                    continue
+            key = align_key(normalize(left), current.keys())
+            if key is None:
+                warnings.append(f"code line for unknown diagnosis {left.strip()!r}")
+                continue
             codes = parse_icd_codes(right if sep else line, task.icd_version or 10)
             if key in code_by_key:
-                step_warnings.append(f"duplicate code line for {key!r}; keeping the first")
+                warnings.append(f"duplicate code line for {key!r}; keeping the first")
                 continue
             if codes:
                 code_by_key[key] = codes[0]
             elif normalize(right) in ("none", "n/a", "na", "no code"):
                 code_by_key[key] = None
             else:
-                step_warnings.append(f"no code found on line for {key!r}")
+                warnings.append(f"no code found on line for {key!r}")
 
         mapped: list[ExtractedItem] = []
         dropped = 0
@@ -442,72 +382,13 @@ class ExtractionPipeline:
             code = code_by_key[item.key]
             if code is None:
                 dropped += 1
-                step_warnings.append(f"diagnosis {item.key!r} reported uncodable; dropped")
+                warnings.append(f"diagnosis {item.key!r} reported uncodable; dropped")
                 continue
-            mapped.append(
-                ExtractedItem(
-                    raw_value=code,
-                    value=normalize(code),
-                    status=item.status,
-                    evidence=item.evidence,
-                    origin=item.origin,
-                    icd_code=code,
-                    flags=item.flags,
-                )
-            )
+            mapped.append(replace(item, raw_value=code, value=normalize(code), icd_code=code))
         current, _, merge_warnings = merge(ExtractionSet.empty(), mapped)
-        all_warnings = tuple(step_warnings + merge_warnings)
-        traces.append(
-            StepTrace(
-                step="icd_map",
-                prompt=prompt,
-                response=response,
-                temperature=cfg.temperature,
-                summary=f"{len(current)} codes, {dropped} uncodable",
-                warnings=all_warnings,
-            )
-        )
-        warnings.extend(all_warnings)
+        summary = f"{len(current)} codes, {dropped} uncodable"
+        self._trace(traces, "icd_map", prompt, response, summary, warnings + merge_warnings)
         return current
-
-    def run_megaprompt(
-        self,
-        document: Document,
-        seed: int = 0,
-        demo_pool: list[DemoExample] | None = None,
-    ) -> PipelineResult:
-        """Single-call baseline: verification folded into one prompt."""
-        task = document.task
-        cfg = self.config
-        demos = self._demos_for(task, seed, demo_pool)
-        prompt = build_megaprompt(task, document.text, demos, cfg.catalog_root)
-        response = self._call(prompt, cfg.max_output_tokens_extract)
-        items, parse_warnings = self._parse_items(task, response, Origin.megaprompt())
-        current, _, merge_warnings = merge(ExtractionSet.empty(), items)
-        traces = [
-            StepTrace(
-                step="megaprompt",
-                prompt=prompt,
-                response=response,
-                temperature=cfg.temperature,
-                summary=f"{len(current)} items",
-                warnings=tuple(parse_warnings + merge_warnings),
-            )
-        ]
-        warnings = list(parse_warnings + merge_warnings)
-        if cfg.resolved_icd_mapping(task) and task.family is TaskFamily.ICD_CODE:
-            current = self._icd_map_step(document, current, traces, warnings)
-        return PipelineResult(
-            doc_id=document.id,
-            text=document.text,
-            task_name=task.name,
-            seed=seed,
-            final=current,
-            pre_prune=current,
-            traces=tuple(traces),
-            warnings=tuple(warnings),
-            megaprompt=True,
-        )
 
 
 def run_batch(
@@ -537,3 +418,40 @@ def run_batch(
         return [work(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(work, jobs))
+
+
+def run_ablation(
+    make_backend: Callable[[], Backend],
+    config: PipelineConfig,
+    documents: list[Document],
+    gold: dict[str, list[str]],
+    seeds: list[int],
+    demo_pool: list[DemoExample] | None = None,
+    workers: int = 4,
+    with_megaprompt: bool = False,
+) -> list[evaluation.AblationRow]:
+    """Score every ABLATION_PRESETS bundle, and optionally the megaprompt, per seed.
+
+    `gold` maps each document id to its gold values. Each (variant, seed)
+    run gets a backend of its own from `make_backend`, since scripted
+    backends consume their `once` steps. Rows come in preset order, with
+    "Megaprompt" last.
+    """
+    variants: dict[str, tuple[str, ...] | None] = dict(ABLATION_PRESETS)
+    if with_megaprompt:
+        variants["Megaprompt"] = None
+    per_variant = {}
+    for name, steps in variants.items():
+        variant = config if steps is None else replace(config, steps=steps)
+        macros = []
+        for seed in seeds:
+            results = run_batch(
+                make_backend(), variant, documents, [seed], demo_pool, workers, megaprompt=steps is None
+            )
+            per_doc = [
+                evaluation.evaluate_doc(r.doc_id, [i.value for i in r.final], gold[r.doc_id])
+                for r in results
+            ]
+            macros.append(evaluation.macro_average(per_doc))
+        per_variant[name] = macros
+    return evaluation.aggregate_variants(per_variant)

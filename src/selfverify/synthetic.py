@@ -231,7 +231,7 @@ def plan_case(
     pre_prune = set(found_first)
     for batch in batches:
         pre_prune.update(batch)
-    for value in pre_prune:
+    for value in sorted(pre_prune):
         status(value)
 
     final = set()

@@ -18,10 +18,10 @@ from pathlib import Path
 import pytest
 
 from selfverify.backend import (
+    CachingBackend,
     HttpBackend,
     HttpConfig,
     MockBackend,
-    RecordBackend,
     ReplayBackend,
     ResponseStore,
     load_script,
@@ -404,7 +404,7 @@ def test_08_record_then_replay_is_bit_identical(tmp_path):
     task = documents[0].task
 
     store_path = tmp_path / "store.bin"
-    recorder = RecordBackend(backend_for_cases(cases), ResponseStore(store_path))
+    recorder = CachingBackend(backend_for_cases(cases), ResponseStore(store_path))
     recorded = run_batch(recorder, config, documents, seeds=[0], workers=4)
 
     def persist(results, name):

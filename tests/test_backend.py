@@ -24,7 +24,6 @@ from selfverify.backend import (
     MockBackend,
     Mode,
     RateLimited,
-    RecordBackend,
     ReplayBackend,
     ReplayMiss,
     ResponseStore,
@@ -507,7 +506,7 @@ class TestCachingBackend:
 class TestRecordReplay:
     def test_record_then_replay(self, tmp_path):
         store_path = tmp_path / "rec.bin"
-        recorder = RecordBackend(MockBackend([], default="canned"), ResponseStore(store_path))
+        recorder = CachingBackend(MockBackend([], default="canned"), ResponseStore(store_path))
         live = recorder.complete(chat("q"))
         replayer = ReplayBackend(ResponseStore(store_path))
         replayed = replayer.complete(chat("q"))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from selfverify import cli
 from selfverify.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -42,6 +43,7 @@ class TestExtract:
         assert manifest["seeds"] == [0, 1]
         assert manifest["n_results"] == 6
         assert manifest["config"]["demonstrations_k"] == 5
+        assert manifest["wall_seconds"] > 0
         lines = (run_dir / "results.jsonl").read_text().strip().splitlines()
         assert len(lines) == 6
 
@@ -121,6 +123,21 @@ class TestExitCodes:
         config = tmp_path / "config.yaml"
         config.write_text("not_a_setting: 1\n", encoding="utf-8")
         assert main(extract_args(tmp_path, extra=["--config", str(config)])) == 2
+
+    def test_ablate_demo_shortfall_exits_two_before_any_call(self, monkeypatch, capsys):
+        built = []
+        make_backend = cli.make_backend
+
+        def recording(args):
+            built.append(make_backend(args))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "make_backend", recording)
+        args = ["ablate", "--task", "medication_status", "--dataset", MED_DATA,
+                "--script", MED_SCRIPT, "--demos", "9"]
+        assert main(args) == 2
+        assert "9 demonstrations requested" in capsys.readouterr().err
+        assert not any(backend.calls for backend in built)
 
     def test_missing_dataset_exits_three(self, tmp_path):
         args = extract_args(tmp_path)

@@ -284,6 +284,16 @@ class TestReport:
         assert "<mark>" not in html_text
         assert "failed re-checking" in html_text
 
+    def test_case_insensitive_span_rechecked_loosely(self):
+        record = result_to_record(make_result())
+        evidence = record["final"][0]["evidence"]
+        evidence.update(quote="TAKES   Aspirin", match_kind=MatchKind.CASE_INSENSITIVE.value)
+        assert "<mark>takes aspirin</mark>" in render_report_html({"run_id": "r"}, [record])
+        evidence["quote"] = "takes ibuprofen"
+        html_text = render_report_html({"run_id": "r"}, [record])
+        assert "<mark>" not in html_text
+        assert "failed re-checking" in html_text
+
     def test_out_of_bounds_span_not_highlighted(self):
         record = result_to_record(make_result())
         record["final"][0]["evidence"]["end"] = 10_000

@@ -14,6 +14,7 @@ from selfverify.parsing import (
     AmbiguousVerdict,
     FUZZY_THRESHOLD_DEN,
     FUZZY_THRESHOLD_NUM,
+    align_key,
     fold_quote,
     fold_with_offsets,
     locate_quote,
@@ -172,6 +173,16 @@ class TestParseEvidence:
         mapping, warnings = parse_evidence("just some text", ["aspirin"])
         assert mapping == {}
         assert len(warnings) == 1
+
+
+class TestAlignKey:
+    def test_exact_then_unique_containment(self):
+        expected = ["aspirin 81 mg", "metformin", "metformin er"]
+        assert align_key("metformin", expected) == "metformin"
+        assert align_key("aspirin", expected) == "aspirin 81 mg"
+        assert align_key("metf", expected) is None  # inside two keys
+        assert align_key("as", expected) is None  # too short to contain
+        assert align_key("warfarin", expected) is None
 
 
 class TestParseVerdict:

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
-from selfverify.backend import FnBackend, MockBackend, ScriptStep
+import selfverify
+from selfverify.backend import FnBackend, MockBackend, ScriptStep, load_script
 from selfverify.core import (
     Document,
     MatchKind,
@@ -13,13 +22,25 @@ from selfverify.core import (
     icd_task,
     medication_status_task,
 )
+from selfverify.data import (
+    demo_pool_from_records,
+    load_dataset,
+    record_to_line,
+    records_to_documents,
+    result_to_record,
+)
 from selfverify.pipeline import (
     ABLATION_PRESETS,
+    OPTIONAL_STEPS,
     ExtractionPipeline,
     PipelineConfig,
+    run_ablation,
     run_batch,
 )
 from selfverify.prompts import DemoExample
+from selfverify.synthetic import backend_for_cases, directional_backend, directional_corpus, plan_case
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 MED_DOC = Document(
     id="note-1",
@@ -305,6 +326,18 @@ class TestIcdMapping:
         result = ExtractionPipeline(backend, config).run(ICD_DOC)
         assert result.final.keys() == ("j44.9",)
 
+    def test_code_lines_align_to_diagnoses(self):
+        backend = MockBackend(
+            [
+                ScriptStep("List every diagnosis", "- copd exacerbation"),
+                ScriptStep("Convert each diagnosis", "- copd: J44.1\n- gout: M10.9"),
+            ]
+        )
+        config = PipelineConfig(steps=(), demonstrations_k=0)
+        result = ExtractionPipeline(backend, config).run(ICD_DOC)
+        assert result.final.keys() == ("j44.1",)
+        assert result.warnings == ("code line for unknown diagnosis 'gout'",)
+
     def test_uncodable_dropped_with_warning(self):
         backend = MockBackend(
             [
@@ -454,3 +487,127 @@ class TestRunBatch:
         config = PipelineConfig(demonstrations_k=0)
         results = run_batch(backend, config, docs, seeds=[0], megaprompt=True)
         assert results[0].megaprompt
+
+
+class TestRunAblation:
+    def test_fresh_backend_per_variant_and_seed(self):
+        docs = [Document(id="d0", text="Patient takes aspirin.", task=medication_status_task())]
+        backends = []
+
+        def make_backend():
+            backends.append(
+                MockBackend(
+                    [
+                        ScriptStep("missing from the list above", "- Warfarin: Active", once=True),
+                        ScriptStep("missing from the list above", "None"),
+                        ScriptStep("give one exact quote", '- aspirin: "aspirin"'),
+                        ScriptStep("Candidate medication: warfarin", "No."),
+                        ScriptStep("Candidate medication:", "Yes."),
+                    ],
+                    default="- Aspirin: Active",
+                )
+            )
+            return backends[-1]
+
+        rows = run_ablation(
+            make_backend, PipelineConfig(demonstrations_k=0), docs, {"d0": ["aspirin"]},
+            seeds=[0, 1], workers=1, with_megaprompt=True,
+        )
+        assert [row.name for row in rows] == [*ABLATION_PRESETS, "Megaprompt"]
+        assert len(backends) == 5 * 2
+        assert all(row.n_seeds == 2 for row in rows)
+        by_name = {row.name: row for row in rows}
+        # Every omission run sees its own `once` step: a shared backend would
+        # answer the second seed "None" and score it 1.0.
+        assert by_name["+ Omission"].precision == pytest.approx(0.5)
+        assert by_name["+ Full SV"].precision == pytest.approx(1.0)
+        assert by_name["Megaprompt"].f1 == pytest.approx(1.0)
+
+
+def _digest(results) -> str:
+    sha = hashlib.sha256()
+    for result in results:
+        sha.update(record_to_line(result_to_record(result)).encode("utf-8") + b"\n")
+    return sha.hexdigest()
+
+
+def _variant_results(make_backend, config, documents, seeds, variants, demo_pool=None):
+    """Results of each step bundle (None: megaprompt) and seed, a fresh backend each."""
+    results = []
+    for steps in variants:
+        variant = config if steps is None else replace(config, steps=steps)
+        for seed in seeds:
+            results += run_batch(
+                make_backend(), variant, documents, seeds=[seed], demo_pool=demo_pool,
+                workers=1, megaprompt=steps is None,
+            )
+    return results
+
+
+class TestPinnedOutput:
+    """Serialized results of fixed corpora, pinned as one sha256 per corpus.
+
+    A refactor of the pipeline must leave every byte of them unchanged,
+    including that `run_megaprompt` records pre_prune after code mapping
+    while `run` records it before.
+    """
+
+    def test_directional_corpus(self):
+        documents, _ = directional_corpus()
+        results = _variant_results(
+            directional_backend, PipelineConfig(demonstrations_k=0), documents, [0, 1, 2],
+            [*ABLATION_PRESETS.values(), None],
+        )
+        assert _digest(results) == "67d3c49df3a1cf8b71536545f157d6aa3b298f8908dfce770cafee56e068dda6"
+
+    def test_planned_cases(self):
+        rng = random.Random(5)
+        cases = [plan_case(rng, n) for n in range(200)]
+        # Every script step names its case, so a backend per case answers
+        # as one shared backend would, without scanning 200 scripts a call.
+        config = PipelineConfig(demonstrations_k=0)
+        results = [
+            ExtractionPipeline(backend_for_cases([case]), config).run(case.document, seed=seed)
+            for seed in (0, 1)
+            for case in cases
+        ]
+        assert _digest(results) == "1c135cbddc22d10cea6440f605b63afe79b246cec723a0e2557e9d58864ca21d"
+
+    @pytest.mark.parametrize(
+        "dataset, script, task, expected",
+        [
+            ("icd10_notes.jsonl", "icd10_script.jsonl", icd_task(10),
+             "b7085d4b6f0f67f1af2fb5d1ffbe72f0441d6828918e4a7a758c2c6fe2bbca84"),
+            ("medication_status.jsonl", "medication_script.jsonl", medication_status_task(),
+             "a6e4055ce3ed301ed6e7faeb4862ed91cbb4680fafc01443d698bfa273c15cf1"),
+        ],
+    )
+    def test_fixtures(self, dataset, script, task, expected):
+        records, _ = load_dataset(FIXTURES / dataset)
+        results = _variant_results(
+            lambda: MockBackend(load_script(FIXTURES / script)), PipelineConfig(),
+            records_to_documents(records, task), [0], [OPTIONAL_STEPS, ("prune",), (), None],
+            demo_pool_from_records(records, task) or None,
+        )
+        assert _digest(results) == expected
+
+
+def test_planned_cases_do_not_depend_on_string_hashing():
+    program = (
+        "import random\n"
+        "from selfverify.synthetic import plan_case\n"
+        "rng = random.Random(88)\n"
+        "for n in range(100):\n"
+        "    case = plan_case(rng, n)\n"
+        "    print(sorted((v, s.value) for v, s in case.expected_status.items()))\n"
+    )
+    src = str(Path(selfverify.__file__).resolve().parent.parent)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", program], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
