@@ -1,4 +1,4 @@
-"""Model backends: HTTP, scripted mock, function-backed, record/replay.
+"""Backends for model calls: HTTP, scripted mock, record/replay.
 
 All pipeline steps go through the Backend.complete interface, so any step
 can run against a live OpenAI-compatible server, a deterministic script, or
@@ -17,6 +17,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -24,11 +25,6 @@ import requests
 
 DEFAULT_TEMPERATURE = 0.1
 DEFAULT_MAX_OUTPUT_TOKENS = 1024
-
-
-class Mode(str, Enum):
-    CHAT = "chat"
-    COMPLETION = "completion"
 
 
 class FinishReason(str, Enum):
@@ -45,35 +41,24 @@ class Message:
 
 @dataclass(frozen=True)
 class LlmRequest:
-    """One completion request; immutable so it can hash and cross threads."""
+    """One chat request; immutable so it can hash and cross threads."""
 
     model_id: str
-    mode: Mode
-    prompt: str | None = None
-    messages: tuple[Message, ...] = ()
+    messages: tuple[Message, ...]
     temperature: float = DEFAULT_TEMPERATURE
     max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
-    stop_sequences: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.mode is Mode.CHAT and not self.messages:
+        if not self.messages:
             raise ValueError("chat requests need at least one message")
-        if self.mode is Mode.COMPLETION and self.prompt is None:
-            raise ValueError("completion requests need a prompt")
 
     @classmethod
-    def chat(cls, model_id: str, user_text: str, system: str | None = None, **kwargs) -> "LlmRequest":
-        messages: list[Message] = []
-        if system:
-            messages.append(Message("system", system))
-        messages.append(Message("user", user_text))
-        return cls(model_id=model_id, mode=Mode.CHAT, messages=tuple(messages), **kwargs)
+    def chat(cls, model_id: str, user_text: str, **kwargs) -> "LlmRequest":
+        return cls(model_id=model_id, messages=(Message("user", user_text),), **kwargs)
 
-    @property
+    @cached_property
     def text(self) -> str:
-        """All request text joined, used for script matching and debugging."""
-        if self.mode is Mode.COMPLETION:
-            return self.prompt or ""
+        """All message text joined, used for script matching and debugging."""
         return "\n".join(m.content for m in self.messages)
 
 
@@ -109,15 +94,14 @@ def cache_key(request: LlmRequest) -> str:
         h.update(data)
 
     put("model_id", request.model_id)
-    put("mode", request.mode.value)
-    put("prompt", request.prompt or "")
+    # Constant tags left from a removed completion mode; kept so stored keys still hit.
+    put("mode", "chat")
+    put("prompt", "")
     for i, msg in enumerate(request.messages):
         put(f"message.{i}.role", msg.role)
         put(f"message.{i}.content", msg.content)
     put("temperature", repr(request.temperature))
     put("max_output_tokens", str(request.max_output_tokens))
-    for i, s in enumerate(request.stop_sequences):
-        put(f"stop.{i}", s)
     return h.hexdigest()
 
 
@@ -237,19 +221,6 @@ def load_script(path: str | Path) -> list[ScriptStep]:
     return steps
 
 
-class FnBackend(Backend):
-    """Backend driven by a plain function, for tests that need live state."""
-
-    def __init__(self, fn: Callable[[LlmRequest], str | LlmResponse]):
-        self.fn = fn
-
-    def complete(self, request: LlmRequest) -> LlmResponse:
-        out = self.fn(request)
-        if isinstance(out, LlmResponse):
-            return out
-        return LlmResponse(text=out, finish_reason=FinishReason.STOP)
-
-
 @dataclass
 class HttpConfig:
     """Connection settings for an OpenAI-compatible HTTP server."""
@@ -269,7 +240,7 @@ _RETRYABLE_STATUS = {500, 502, 503, 504}
 
 
 class HttpBackend(Backend):
-    """Talks to /v1/chat/completions or /v1/completions with retry/backoff.
+    """Talks to /v1/chat/completions with retry/backoff.
 
     Transient failures (connection errors, 5xx) retry with exponential
     backoff up to max_attempts. 429 responses honor Retry-After through a
@@ -299,21 +270,6 @@ class HttpBackend(Backend):
             headers[self.config.auth_header] = f"{scheme} {key}".strip() if scheme else key
         return headers
 
-    def _endpoint_and_payload(self, request: LlmRequest) -> tuple[str, dict]:
-        base = self.config.base_url.rstrip("/")
-        payload: dict = {
-            "model": request.model_id,
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
-        }
-        if request.stop_sequences:
-            payload["stop"] = list(request.stop_sequences)
-        if request.mode is Mode.CHAT:
-            payload["messages"] = [{"role": m.role, "content": m.content} for m in request.messages]
-            return f"{base}/v1/chat/completions", payload
-        payload["prompt"] = request.prompt
-        return f"{base}/v1/completions", payload
-
     def _wait_for_cooldown(self) -> None:
         while True:
             with self._cooldown_lock:
@@ -327,13 +283,10 @@ class HttpBackend(Backend):
             self._cooldown_until = max(self._cooldown_until, self._clock() + seconds)
 
     @staticmethod
-    def _parse_response(data: dict, request: LlmRequest) -> LlmResponse:
+    def _parse_response(data: dict) -> LlmResponse:
         try:
             choice = data["choices"][0]
-            if request.mode is Mode.CHAT:
-                text = choice["message"]["content"]
-            else:
-                text = choice["text"]
+            text = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion payload: {exc}") from None
         raw_reason = str(choice.get("finish_reason", "stop")).lower()
@@ -353,7 +306,13 @@ class HttpBackend(Backend):
         return LlmResponse(text=text or "", finish_reason=reason, usage=usage)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        url, payload = self._endpoint_and_payload(request)
+        url = f"{self.config.base_url.rstrip('/')}/v1/chat/completions"
+        payload = {
+            "model": request.model_id,
+            "temperature": request.temperature,
+            "max_tokens": request.max_output_tokens,
+            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+        }
         last_error: Exception | None = None
         for attempt in range(self.config.max_attempts):
             self._wait_for_cooldown()
@@ -386,7 +345,7 @@ class HttpBackend(Backend):
                 data = resp.json()
             except ValueError as exc:
                 raise BackendError(f"invalid JSON from server: {exc}") from None
-            parsed = self._parse_response(data, request)
+            parsed = self._parse_response(data)
             return LlmResponse(
                 text=parsed.text,
                 finish_reason=parsed.finish_reason,

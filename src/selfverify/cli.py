@@ -335,12 +335,9 @@ def cmd_ablate(args) -> int:
     gold_values, _ = _gold_maps(records)
     seeds = _parse_seeds(args.seeds)
     config = _pipeline_config(args)
-    # A mock backend gets a fresh script per run, since runs consume its
-    # `once` steps; the others share one backend (and store).
-    shared_backend = None if args.backend == "mock" else make_backend(args)
     documents, demo_pool = _documents_and_pool(config, task, records)
     rows = run_ablation(
-        lambda: shared_backend or make_backend(args),
+        lambda: make_backend(args),
         config,
         documents,
         gold_values,

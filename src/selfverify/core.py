@@ -139,10 +139,45 @@ class MatchKind(str, Enum):
     NOT_FOUND = "not_found"
 
 
-# Collapse whitespace, ignore case. Used for the CASE_INSENSITIVE span
-# comparison and nowhere else.
-def _loose_text(s: str) -> str:
-    return " ".join(s.split()).casefold()
+def _fold_char(c: str) -> str:
+    low = c.lower()
+    return low if len(low) == 1 else c
+
+
+def fold_with_offsets(text: str) -> tuple[str, list[int], list[int]]:
+    """Length-tracked fold: lowercase chars, collapse whitespace runs.
+
+    Returns (folded, starts, ends) where folded[k] came from the original
+    slice [starts[k], ends[k]). A whitespace run becomes one ' ' covering
+    the whole run. This is the one text-folding definition: the locator's
+    case-insensitive and fuzzy stages and the span re-check all use it.
+    """
+    folded: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            j = i
+            while j < n and text[j].isspace():
+                j += 1
+            folded.append(" ")
+            starts.append(i)
+            ends.append(j)
+            i = j
+        else:
+            folded.append(_fold_char(text[i]))
+            starts.append(i)
+            ends.append(i + 1)
+            i += 1
+    return "".join(folded), starts, ends
+
+
+def fold_quote(quote: str) -> str:
+    """Fold a quote with the same rules as the document, trimmed at the ends."""
+    folded, _, _ = fold_with_offsets(quote)
+    return folded.strip()
 
 
 @dataclass(frozen=True)
@@ -180,7 +215,7 @@ class EvidenceSpan:
         if self.match_kind is MatchKind.EXACT:
             return text[self.start : self.end] == self.quote
         if self.match_kind is MatchKind.CASE_INSENSITIVE:
-            return _loose_text(text[self.start : self.end]) == _loose_text(self.quote)
+            return fold_quote(text[self.start : self.end]) == fold_quote(self.quote)
         return True
 
 

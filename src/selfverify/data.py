@@ -201,10 +201,6 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, ensure_ascii=False)
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "RunManifest":
-        return cls(**obj)
-
 
 def _span_to_dict(span: EvidenceSpan | None) -> dict | None:
     if span is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 
-from .core import EvidenceSpan, MatchKind, StatusLabel, normalize
+from .core import EvidenceSpan, MatchKind, StatusLabel, fold_quote, fold_with_offsets, normalize
 
 # Fuzzy matching accepts a window w for quote q iff
 #   editdist(q, w) / max(|q|, |w|) <= 1/5
@@ -280,47 +280,6 @@ def parse_icd_codes(text: str, version: int) -> list[str]:
             seen.add(code)
             codes.append(code)
     return codes
-
-
-def _fold_char(c: str) -> str:
-    low = c.lower()
-    return low if len(low) == 1 else c
-
-
-def fold_with_offsets(text: str) -> tuple[str, list[int], list[int]]:
-    """Length-tracked fold: lowercase chars, collapse whitespace runs.
-
-    Returns (folded, starts, ends) where folded[k] came from the original
-    slice [starts[k], ends[k]). A whitespace run becomes one ' ' covering
-    the whole run. This is the shared text-folding definition used by both
-    the case-insensitive and fuzzy matching stages.
-    """
-    folded: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            j = i
-            while j < n and text[j].isspace():
-                j += 1
-            folded.append(" ")
-            starts.append(i)
-            ends.append(j)
-            i = j
-        else:
-            folded.append(_fold_char(text[i]))
-            starts.append(i)
-            ends.append(i + 1)
-            i += 1
-    return "".join(folded), starts, ends
-
-
-def fold_quote(quote: str) -> str:
-    """Fold a quote with the same rules as the document, trimmed at the ends."""
-    folded, _, _ = fold_with_offsets(quote)
-    return folded.strip()
 
 
 def window_band(m: int) -> tuple[int, int]:

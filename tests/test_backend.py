@@ -15,14 +15,12 @@ from selfverify.backend import (
     BackendError,
     CachingBackend,
     FinishReason,
-    FnBackend,
     HttpBackend,
     HttpConfig,
     LlmRequest,
     LlmResponse,
     Message,
     MockBackend,
-    Mode,
     RateLimited,
     ReplayBackend,
     ReplayMiss,
@@ -42,28 +40,28 @@ def chat(text: str = "hello", **kwargs) -> LlmRequest:
 class TestLlmRequest:
     def test_chat_needs_messages(self):
         with pytest.raises(ValueError):
-            LlmRequest(model_id="m", mode=Mode.CHAT)
-
-    def test_completion_needs_prompt(self):
-        with pytest.raises(ValueError):
-            LlmRequest(model_id="m", mode=Mode.COMPLETION)
+            LlmRequest(model_id="m", messages=())
 
     def test_chat_factory(self):
-        req = LlmRequest.chat("m", "hi", system="be brief")
-        assert [m.role for m in req.messages] == ["system", "user"]
+        req = LlmRequest.chat("m", "hi")
+        assert [m.role for m in req.messages] == ["user"]
         assert req.temperature == 0.1
         assert req.max_output_tokens == 1024
 
     def test_text_joins_messages(self):
-        req = LlmRequest.chat("m", "hi", system="sys")
+        req = LlmRequest(model_id="m", messages=(Message("system", "sys"), Message("user", "hi")))
         assert req.text == "sys\nhi"
-        comp = LlmRequest(model_id="m", mode=Mode.COMPLETION, prompt="p")
-        assert comp.text == "p"
 
 
 class TestCacheKey:
     def test_deterministic(self):
         assert cache_key(chat()) == cache_key(chat())
+
+    def test_digest_is_pinned(self):
+        # Existing response stores are keyed by this digest; it must never drift.
+        assert cache_key(LlmRequest.chat("m1", "hello")) == (
+            "94b1df4dece24794cbb380f1ce386c220371c85a6b1deb97efb0e963a86a5969"
+        )
 
     def test_sensitive_to_each_field(self):
         base = chat()
@@ -72,21 +70,19 @@ class TestCacheKey:
             chat("other text"),
             chat(temperature=0.2),
             chat(max_output_tokens=2048),
-            chat(stop_sequences=("\n\n",)),
-            LlmRequest(model_id="m1", mode=Mode.COMPLETION, prompt="hello"),
-            LlmRequest.chat("m1", "hello", system="sys"),
+            LlmRequest(model_id="m1", messages=(Message("system", "sys"), Message("user", "hello"))),
         ]
         keys = {cache_key(base)} | {cache_key(v) for v in variants}
         assert len(keys) == len(variants) + 1
 
     def test_no_concatenation_collision(self):
-        a = LlmRequest(model_id="m", mode=Mode.CHAT, messages=(Message("user", "ab"), Message("user", "c")))
-        b = LlmRequest(model_id="m", mode=Mode.CHAT, messages=(Message("user", "a"), Message("user", "bc")))
+        a = LlmRequest(model_id="m", messages=(Message("user", "ab"), Message("user", "c")))
+        b = LlmRequest(model_id="m", messages=(Message("user", "a"), Message("user", "bc")))
         assert cache_key(a) != cache_key(b)
 
     def test_role_matters(self):
-        a = LlmRequest(model_id="m", mode=Mode.CHAT, messages=(Message("user", "x"),))
-        b = LlmRequest(model_id="m", mode=Mode.CHAT, messages=(Message("system", "x"),))
+        a = LlmRequest(model_id="m", messages=(Message("user", "x"),))
+        b = LlmRequest(model_id="m", messages=(Message("system", "x"),))
         assert cache_key(a) != cache_key(b)
 
     @given(
@@ -132,6 +128,11 @@ class TestMockBackend:
         backend = MockBackend([ScriptStep("specific", "resp")])
         with pytest.raises(ScriptExhausted):
             backend.complete(chat("no match here"))
+
+    def test_response_object_returned_as_is(self):
+        rich = LlmResponse(text="rich", finish_reason=FinishReason.LENGTH)
+        backend = MockBackend([ScriptStep("", rich)])
+        assert backend.complete(chat()) is rich
 
     def test_empty_matcher_matches_everything(self):
         backend = MockBackend([ScriptStep("", "always")])
@@ -189,14 +190,6 @@ class TestLoadScript:
         path.write_text('{"match": "x"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="response"):
             load_script(path)
-
-
-class TestFnBackend:
-    def test_str_and_response_returns(self):
-        fb = FnBackend(lambda r: "plain")
-        assert fb.complete(chat()).text == "plain"
-        fb2 = FnBackend(lambda r: LlmResponse(text="rich", finish_reason=FinishReason.LENGTH))
-        assert fb2.complete(chat()).finish_reason is FinishReason.LENGTH
 
 
 class FakeHttpResponse:
@@ -265,17 +258,11 @@ class TestHttpBackend:
         assert payload["messages"] == [{"role": "user", "content": "question"}]
         assert payload["temperature"] == 0.1
 
-    def test_completion_endpoint(self):
-        payload = {"choices": [{"text": "out", "finish_reason": "length"}]}
-        backend, session, _ = make_backend([FakeHttpResponse(payload=payload)])
-        req = LlmRequest(model_id="m", mode=Mode.COMPLETION, prompt="p", stop_sequences=("END",))
-        resp = backend.complete(req)
-        assert resp.text == "out"
+    def test_length_finish_reason(self):
+        backend, _, _ = make_backend([FakeHttpResponse(payload=chat_payload("cut", finish="length"))])
+        resp = backend.complete(chat())
+        assert resp.text == "cut"
         assert resp.finish_reason is FinishReason.LENGTH
-        url, sent, _ = session.posts[0]
-        assert url == "http://llm.test/v1/completions"
-        assert sent["prompt"] == "p"
-        assert sent["stop"] == ["END"]
 
     def test_retries_then_succeeds(self):
         backend, session, clock = make_backend(

@@ -250,6 +250,39 @@ class TestAblateReportCache:
         assert dsv.read_text().startswith("variant\t")
         assert len(json.loads(as_json.read_text())) == 5
 
+    def test_ablate_gives_each_run_its_own_backend(self, tmp_path, capsys):
+        dataset = tmp_path / "one_note.jsonl"
+        dataset.write_text(
+            json.dumps({
+                "doc_id": "n1",
+                "text": "Takes aspirin 81 mg daily. Metformin was stopped.",
+                "gold": [
+                    {"value": "aspirin", "status": "active"},
+                    {"value": "metformin", "status": "discontinued"},
+                ],
+            })
+            + "\n",
+            encoding="utf-8",
+        )
+        script = tmp_path / "script.jsonl"
+        steps = [
+            {"match": "List every medication", "response": "- aspirin (active)"},
+            {"match": "missing from the list above", "response": "- metformin: discontinued", "once": True},
+            {"match": "missing from the list above", "response": "None"},
+            {"match": "exact quote",
+             "response": '- aspirin: "aspirin 81 mg daily"\n- metformin: "Metformin was stopped"'},
+            {"match": "Candidate medication:", "response": "Yes."},
+        ]
+        script.write_text("".join(json.dumps(step) + "\n" for step in steps), encoding="utf-8")
+        tables = []
+        for backend in ("mock", "http"):
+            args = ["ablate", "--task", "medication_status", "--dataset", str(dataset),
+                    "--script", str(script), "--demos", "0", "--seeds", "0,1", "--backend", backend]
+            assert main(args) == 0
+            tables.append(capsys.readouterr().out)
+        assert "1.000 ± 0.000" in tables[0]
+        assert tables[0] == tables[1]
+
     def test_report_command(self, tmp_path, capsys):
         assert main(extract_args(tmp_path)) == 0
         assert main(["report", "--run", str(tmp_path / "run")]) == 0

@@ -25,6 +25,7 @@ from selfverify.core import (
     task_by_name,
     with_mean_input_length,
 )
+from selfverify.parsing import locate_quote
 
 
 class TestTaskKind:
@@ -162,6 +163,12 @@ class TestEvidenceSpan:
             quote="takes aspirin", start=8, end=22, match_kind=MatchKind.CASE_INSENSITIVE
         )
         assert span.verify_against(text)
+
+    def test_case_insensitive_recheck_folds_like_the_locator(self):
+        # lower() keeps "ß" while casefold() makes it "ss"; only the locator's fold counts.
+        span = EvidenceSpan("STRASSE", 0, 6, MatchKind.CASE_INSENSITIVE)
+        assert locate_quote("straße", "STRASSE").match_kind is MatchKind.NOT_FOUND
+        assert not span.verify_against("straße")
 
 
 class TestOrigin:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import selfverify
-from selfverify.backend import FnBackend, MockBackend, ScriptStep, load_script
+from selfverify.backend import MockBackend, ScriptStep, load_script
 from selfverify.core import (
     Document,
     MatchKind,
@@ -154,7 +154,7 @@ class TestOmissionLoop:
             return "- Aspirin: Active"
 
         config = PipelineConfig(steps=("omission",), demonstrations_k=0)
-        result = ExtractionPipeline(FnBackend(fn), config).run(MED_DOC)
+        result = ExtractionPipeline(MockBackend([ScriptStep("", fn)]), config).run(MED_DOC)
         assert result.omission_iters == 10
         assert len(result.final) == 11
 
