@@ -269,6 +269,8 @@ def _gold_maps(records) -> tuple[dict[str, list[str]], dict[str, dict[str, str |
 
 
 def cmd_evaluate(args) -> int:
+    if args.top_k is not None and args.top_k < 1:
+        raise CliError(EXIT_USAGE, f"--top-k must be at least 1, got {args.top_k}")
     try:
         manifest, run_records = load_run(args.run)
     except FileNotFoundError:

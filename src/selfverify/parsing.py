@@ -8,7 +8,12 @@ crash.
 The locator resolves a model-returned quote to character offsets in the
 source text through three stages: exact substring, case- and
 whitespace-insensitive match, then a bounded fuzzy search that minimizes
-edit distance normalized by the longer of quote and window.
+edit distance normalized by the longer of quote and window. The fuzzy
+stage reads rows of the edit-distance table computed with Myers'
+bit-vectors (`_edit_row`): one free-start row over the folded note, about
+ten integer operations per note character whatever the quote's length,
+then one anchored row over the length band for each end point whose
+distance could pass the threshold.
 """
 
 from __future__ import annotations
@@ -183,6 +188,9 @@ _QUOTE_CLOSERS = "\"'”’»`"
 
 def _unwrap_quote(s: str) -> str:
     s = s.strip()
+    # A sentence-ending mark after the closing quote: '"aspirin".'
+    if len(s) >= 3 and s[0] in _QUOTE_OPENERS and s[-2] in _QUOTE_CLOSERS and s[-1] in ".,;":
+        s = s[:-1]
     if len(s) >= 2 and s[0] in _QUOTE_OPENERS and s[-1] in _QUOTE_CLOSERS:
         return s[1:-1]
     return s
@@ -294,47 +302,42 @@ def passes_threshold(dist: int, m: int, length: int) -> bool:
     return dist * FUZZY_THRESHOLD_DEN <= max(m, length) * FUZZY_THRESHOLD_NUM
 
 
-def _sellers_end_distances(needle: str, haystack: str) -> list[int]:
-    """Best edit distance of `needle` against any substring ending at each position.
+def _edit_row(needle: str, haystack: str, anchored: bool) -> list[int]:
+    """Last row of the edit-distance table of `needle` against `haystack`.
 
-    Returns e where e[j] = min over s of editdist(needle, haystack[s:j]),
-    j from 0 to len(haystack). Start positions are free, so row 0 is all
-    zeros; this is the standard semi-global alignment.
+    row[j] is the distance of `needle` to the best substring ending at j
+    (free start, the standard semi-global alignment) or, when `anchored`,
+    to haystack[:j]; j runs from 0 to len(haystack). Computed with Myers'
+    bit-vectors (Myers 1999; Hyyro 2003 for the score column) on Python
+    ints: one pass over the haystack of about ten integer operations per
+    character, whatever the needle's length. Anchoring shifts a carry of 1
+    into the horizontal-positive vector, since row 0 is then 0, 1, 2, ...
+    rather than all zeros. `needle` must not be empty.
     """
-    m, n = len(needle), len(haystack)
-    prev = [0] * (n + 1)
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        qc = needle[i - 1]
-        for j in range(1, n + 1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (qc != haystack[j - 1]),
-            )
-        prev = cur
-    return prev
-
-
-def _distances_for_end(needle: str, haystack: str, end: int, max_len: int) -> list[int]:
-    """Edit distance of `needle` to haystack[end-L:end] for L = 0..max_len.
-
-    Computed as one alignment of the reversed needle against the reversed
-    slice, so every window sharing this end point comes out of a single
-    table. Returns dists indexed by window length.
-    """
-    lo = max(0, end - max_len)
-    window = haystack[lo:end][::-1]
-    rq = needle[::-1]
-    w = len(window)
-    prev = list(range(w + 1))
-    for i in range(1, len(rq) + 1):
-        cur = [i] + [0] * w
-        qc = rq[i - 1]
-        for k in range(1, w + 1):
-            cur[k] = min(prev[k] + 1, cur[k - 1] + 1, prev[k - 1] + (qc != window[k - 1]))
-        prev = cur
-    return prev
+    m = len(needle)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(needle):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    pv, mv, score, carry = mask, 0, m, int(anchored)
+    row = [m]
+    for c in haystack:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        row.append(score)
+        ph = (ph << 1) | carry
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return row
 
 
 def locate_quote(text: str, quote: str) -> EvidenceSpan:
@@ -373,7 +376,8 @@ def locate_quote(text: str, quote: str) -> EvidenceSpan:
     if lo_len > n:
         return EvidenceSpan.not_found(quote)
 
-    end_dists = _sellers_end_distances(nq, folded)
+    end_dists = _edit_row(nq, folded, anchored=False)
+    rq = nq[::-1]
     # Any window inside the band that passes the threshold has raw distance
     # at most floor(m/4), and the free-start distance at its end point is a
     # lower bound on that, so this filter loses nothing.
@@ -385,7 +389,9 @@ def locate_quote(text: str, quote: str) -> EvidenceSpan:
             continue
         if best is not None and e_j * best[1] > best[0] * max(m, hi_len):
             continue
-        by_len = _distances_for_end(nq, folded, end, min(hi_len, end))
+        # Every window sharing this end point, indexed by its length, from
+        # one anchored row of the reversed quote against the reversed slice.
+        by_len = _edit_row(rq, folded[max(0, end - hi_len):end][::-1], anchored=True)
         for length in range(lo_len, min(hi_len, end) + 1):
             dist = by_len[length]
             if not passes_threshold(dist, m, length):

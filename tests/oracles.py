@@ -6,6 +6,11 @@ organized differently: plain brute-force scans for the exact and loose
 stages, and a vectorized full-window dynamic program for the fuzzy stage,
 against the production code's semi-global alignment with per-end
 refinement.
+
+`sellers_end_distances` and `distances_for_end` are the locator's former
+cell-by-cell dynamic programs for its two rows (free-start end points and
+the anchored per-end refinement), kept as the reference for the
+bit-vector rows that replaced them.
 """
 
 from __future__ import annotations
@@ -65,6 +70,49 @@ def windowed_edit_distances(doc: str, needle: str, max_len: int) -> np.ndarray:
         )
         cur = np.minimum.accumulate(base - lengths[None, :], axis=1) + lengths[None, :]
         cur[invalid] = _BIG
+        prev = cur
+    return prev
+
+
+def sellers_end_distances(needle: str, haystack: str) -> list[int]:
+    """Best edit distance of `needle` against any substring ending at each position.
+
+    Returns e where e[j] = min over s of editdist(needle, haystack[s:j]),
+    j from 0 to len(haystack). Start positions are free, so row 0 is all
+    zeros; this is the standard semi-global alignment.
+    """
+    m, n = len(needle), len(haystack)
+    prev = [0] * (n + 1)
+    for i in range(1, m + 1):
+        cur = [i] + [0] * n
+        qc = needle[i - 1]
+        for j in range(1, n + 1):
+            cur[j] = min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (qc != haystack[j - 1]),
+            )
+        prev = cur
+    return prev
+
+
+def distances_for_end(needle: str, haystack: str, end: int, max_len: int) -> list[int]:
+    """Edit distance of `needle` to haystack[end-L:end] for L = 0..max_len.
+
+    Computed as one alignment of the reversed needle against the reversed
+    slice, so every window sharing this end point comes out of a single
+    table. Returns dists indexed by window length.
+    """
+    lo = max(0, end - max_len)
+    window = haystack[lo:end][::-1]
+    rq = needle[::-1]
+    w = len(window)
+    prev = list(range(w + 1))
+    for i in range(1, len(rq) + 1):
+        cur = [i] + [0] * w
+        qc = rq[i - 1]
+        for k in range(1, w + 1):
+            cur[k] = min(prev[k] + 1, cur[k - 1] + 1, prev[k - 1] + (qc != window[k - 1]))
         prev = cur
     return prev
 

@@ -222,6 +222,14 @@ class TestEvaluate:
         assert code == 0
         assert "1.000" in out
 
+    def test_top_k_below_one_exits_two(self, tmp_path, capsys):
+        assert main(extract_args(tmp_path)) == 0
+        for run in ("run", "absent"):  # rejected before the run is read: not 3
+            args = ["evaluate", "--run", str(tmp_path / run), "--dataset", MED_DATA,
+                    "--top-k", "0"]
+            assert main(args) == 2
+            assert "--top-k must be at least 1" in capsys.readouterr().err
+
 
 class TestAblateReportCache:
     def test_ablate_writes_tables(self, tmp_path, capsys):

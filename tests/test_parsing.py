@@ -8,12 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import normalized_distance_of_span, oracle_locate
+from oracles import (
+    distances_for_end,
+    normalized_distance_of_span,
+    oracle_locate,
+    sellers_end_distances,
+)
 from selfverify.core import MatchKind, StatusLabel, normalize
 from selfverify.parsing import (
     AmbiguousVerdict,
     FUZZY_THRESHOLD_DEN,
     FUZZY_THRESHOLD_NUM,
+    _edit_row,
     align_key,
     fold_quote,
     fold_with_offsets,
@@ -173,6 +179,16 @@ class TestParseEvidence:
         mapping, warnings = parse_evidence("just some text", ["aspirin"])
         assert mapping == {}
         assert len(warnings) == 1
+
+    def test_quote_followed_by_punctuation_unwrapped(self):
+        mapping, _ = parse_evidence('- aspirin: "aspirin".', ["aspirin"])
+        assert mapping == {"aspirin": "aspirin"}
+        span = locate_quote("Pt takes aspirin daily.", mapping["aspirin"])
+        assert span.match_kind is MatchKind.EXACT
+
+    def test_unquoted_text_keeps_trailing_punctuation(self):
+        mapping, _ = parse_evidence("- aspirin: the patients'.", ["aspirin"])
+        assert mapping == {"aspirin": "the patients'."}
 
 
 class TestAlignKey:
@@ -375,6 +391,50 @@ class TestLocateQuote:
                 assert frac <= (
                     FUZZY_THRESHOLD_NUM / FUZZY_THRESHOLD_DEN
                 ) or frac.numerator * FUZZY_THRESHOLD_DEN <= frac.denominator * FUZZY_THRESHOLD_NUM
+
+
+_ROW_ALPHABET = "abcé中 "
+_ROW_EXTRA = "xyzß."  # never in a needle
+
+
+class TestEditRow:
+    """The bit-vector rows against the cell-by-cell programs they replaced."""
+
+    @given(
+        st.text(alphabet=_ROW_ALPHABET, min_size=1, max_size=150),
+        st.text(alphabet=_ROW_ALPHABET + _ROW_EXTRA, max_size=300),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_oracles(self, needle, haystack, data):
+        assert _edit_row(needle, haystack, anchored=False) == sellers_end_distances(
+            needle, haystack
+        )
+        # The locator's per-end refinement; a slice shorter than the band
+        # (max_len below its top, or an end point near the start) included.
+        end = data.draw(st.integers(0, len(haystack)))
+        max_len = data.draw(st.integers(0, window_band(len(needle))[1]))
+        window = haystack[max(0, end - max_len) : end][::-1]
+        assert _edit_row(needle[::-1], window, anchored=True) == distances_for_end(
+            needle, haystack, end, max_len
+        )
+
+    def test_note_length_row_matches_oracle(self):
+        rng = random.Random(11)
+        text = "".join(rng.choice("abcdefghijklmnop   ") for _ in range(8000))
+        start = 5000
+        quote = list(text[start : start + 72])
+        for i in rng.sample(range(72), 3):
+            quote[i] = "#"
+        quote = "".join(quote)
+        row = _edit_row(quote, text, anchored=False)
+        assert row == sellers_end_distances(quote, text)
+        assert row[start + 72] <= 3
+        hi_len = window_band(72)[1]
+        window = text[start + 72 - hi_len : start + 72][::-1]
+        by_len = _edit_row(quote[::-1], window, anchored=True)
+        assert by_len == distances_for_end(quote, text, start + 72, hi_len)
+        assert by_len[72] == 3
 
 
 class TestParserRobustness:
