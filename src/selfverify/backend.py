@@ -15,6 +15,7 @@ import struct
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -168,6 +169,12 @@ class MockBackend(Backend):
 
     With no matching step, returns `default` when set, otherwise raises
     ScriptExhausted. Thread-safe; `once` consumption is atomic.
+
+    Each step is filed under the one of its substrings that fewest steps
+    share (callable and `[]` matchers under `""`, which every text holds),
+    so a call costs one substring test per distinct key plus a check of each
+    candidate step, not a scan of the script. The index is built here, so a
+    later edit of a step's `response` is seen but one of its `matcher` is not.
     """
 
     def __init__(self, steps: list[ScriptStep] | None = None, default: str | None = None):
@@ -176,13 +183,22 @@ class MockBackend(Backend):
         self.calls: list[LlmRequest] = []
         self._consumed: set[int] = set()
         self._lock = threading.Lock()
+        needles = [[m] if isinstance(m, str) else [""] if callable(m) or not m else m
+                   for m in (s.matcher for s in self.steps)]
+        shared = Counter(n for ns in needles for n in set(ns))
+        self._by_key: dict[str, list[int]] = {}
+        for i, ns in enumerate(needles):
+            self._by_key.setdefault(min(ns, key=shared.__getitem__), []).append(i)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
+        text = request.text
+        candidates = sorted(i for key, ids in self._by_key.items() if key in text for i in ids)
         with self._lock:
             self.calls.append(request)
-            for i, step in enumerate(self.steps):
+            for i in candidates:
                 if i in self._consumed:
                     continue
+                step = self.steps[i]
                 if step.matches(request):
                     if step.once:
                         self._consumed.add(i)
@@ -199,7 +215,8 @@ def load_script(path: str | Path) -> list[ScriptStep]:
 
     Each line is an object with "response" (required) and "match" (a
     substring or list of substrings; omit to match anything) plus optional
-    "once". Blank lines and lines starting with # are skipped.
+    "once" (a JSON boolean). Blank lines and lines starting with # are
+    skipped.
     """
     steps: list[ScriptStep] = []
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -212,12 +229,14 @@ def load_script(path: str | Path) -> list[ScriptStep]:
             raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from None
         if not isinstance(obj, dict) or "response" not in obj:
             raise ValueError(f"{path}:{lineno}: each step needs a 'response' field")
-        match = obj.get("match", "")
-        if not isinstance(match, (str, list)):
-            raise ValueError(f"{path}:{lineno}: 'match' must be a string or list")
-        steps.append(
-            ScriptStep(matcher=match, response=str(obj["response"]), once=bool(obj.get("once", False)))
-        )
+        match, response, once = obj.get("match", ""), obj["response"], obj.get("once", False)
+        if not isinstance(match, (str, list)) or not all(isinstance(m, str) for m in match):
+            raise ValueError(f"{path}:{lineno}: 'match' must be a string or list of strings")
+        if not isinstance(response, str):
+            raise ValueError(f"{path}:{lineno}: 'response' must be a string")
+        if not isinstance(once, bool):
+            raise ValueError(f"{path}:{lineno}: 'once' must be true or false")
+        steps.append(ScriptStep(matcher=match, response=response, once=once))
     return steps
 
 

@@ -11,6 +11,10 @@ refinement.
 cell-by-cell dynamic programs for its two rows (free-start end points and
 the anchored per-end refinement), kept as the reference for the
 bit-vector rows that replaced them.
+
+`linear_mock_complete` is the scripted backend's former call, which tests
+every script step in order, kept as the reference for the substring index
+that now picks the candidate steps.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from selfverify.backend import FinishReason, LlmResponse, ScriptExhausted
 from selfverify.parsing import (
     fold_quote,
     fold_with_offsets,
@@ -199,3 +204,23 @@ def normalized_distance_of_span(text: str, quote: str, start: int, end: int) -> 
     if not nq and not window:
         return Fraction(0)
     return Fraction(edit_distance(nq, window), max(len(nq), len(window)))
+
+
+def linear_mock_complete(steps, consumed: set[int], request, default: str | None) -> LlmResponse:
+    """First step in script order that is not consumed and matches `request`.
+
+    Adds a matching `once` step's index to `consumed`; with no match,
+    answers `default` or raises ScriptExhausted.
+    """
+    for i, step in enumerate(steps):
+        if i in consumed:
+            continue
+        if step.matches(request):
+            if step.once:
+                consumed.add(i)
+            return step.render(request)
+    if default is not None:
+        return LlmResponse(text=default, finish_reason=FinishReason.STOP)
+    raise ScriptExhausted(
+        f"no script step matched request starting {request.text[:120]!r}"
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import struct
 import threading
 
@@ -9,6 +10,7 @@ import pytest
 import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import linear_mock_complete
 
 from selfverify.backend import (
     Backend,
@@ -31,10 +33,38 @@ from selfverify.backend import (
     cache_key,
     load_script,
 )
+from selfverify.pipeline import ExtractionPipeline, PipelineConfig
+from selfverify.synthetic import backend_for_cases, plan_case
 
 
 def chat(text: str = "hello", **kwargs) -> LlmRequest:
     return LlmRequest.chat("m1", text, **kwargs)
+
+
+# Overlapping substrings: prefixes of longer needles, and markers that share a prefix.
+_NEEDLES = [
+    "", "a", "ab", "b", "Candidate medication: ", "Candidate medication: x", "Case 1.", "Case 10.",
+]
+
+
+def _has_ab(request: LlmRequest) -> bool:
+    return "ab" in request.text
+
+
+def _long(request: LlmRequest) -> bool:
+    return len(request.text) > 12
+
+
+def _never(request: LlmRequest) -> bool:
+    return False
+
+
+_matchers = st.one_of(
+    st.sampled_from(_NEEDLES),
+    st.lists(st.sampled_from(_NEEDLES), max_size=3),
+    st.sampled_from([_has_ab, _long, _never]),
+)
+_texts = st.lists(st.sampled_from(_NEEDLES[1:] + [" ", "x", "0"]), max_size=5).map("".join)
 
 
 class TestLlmRequest:
@@ -160,6 +190,50 @@ class TestMockBackend:
             t.join()
         assert results.count("winner") == 1
 
+    @given(
+        script=st.lists(st.tuples(_matchers, st.booleans()), max_size=12),
+        texts=st.lists(_texts, min_size=1, max_size=10),
+        default=st.none() | st.just("fallback"),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_index_agrees_with_linear_scan(self, script, texts, default):
+        steps = [ScriptStep(m, f"step {i}", once=once) for i, (m, once) in enumerate(script)]
+        backend = MockBackend(steps, default=default)
+        consumed: set[int] = set()
+        for text in texts:
+            request = chat(text)
+            try:
+                want = linear_mock_complete(steps, consumed, request, default).text
+            except ScriptExhausted:
+                want = ScriptExhausted
+            try:
+                got = backend.complete(request).text
+            except ScriptExhausted:
+                got = ScriptExhausted
+            assert got == want, text
+            assert backend._consumed == consumed
+
+    def test_call_checks_only_steps_of_its_own_case(self, monkeypatch):
+        cases = [plan_case(random.Random(0), n) for n in range(500)]
+        late = next(c for c in reversed(cases) if any(
+            "Candidate medication:" in s.matcher[0] for s in c.steps))
+        solo = backend_for_cases([late])
+        ExtractionPipeline(solo, PipelineConfig(demonstrations_k=0)).run(late.document)
+        prune = next(r for r in solo.calls if "Candidate medication:" in r.text)
+        backend = backend_for_cases(cases)
+        checks = [0]
+        matches = ScriptStep.matches
+
+        def counting(step, request):
+            checks[0] += 1
+            return matches(step, request)
+
+        monkeypatch.setattr(ScriptStep, "matches", counting)
+        for request in (solo.calls[0], prune):
+            checks[0] = 0
+            backend.complete(request)
+            assert checks[0] <= len(late.steps), f"{checks[0]} checks in {len(backend.steps)} steps"
+
 
 class TestLoadScript:
     def test_roundtrip(self, tmp_path):
@@ -189,6 +263,26 @@ class TestLoadScript:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"match": "x"}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="response"):
+            load_script(path)
+
+    def test_non_string_match_element_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"match": "ok", "response": "A"}\n{"match": [1, "x"], "response": "B"}\n', encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=r"bad\.jsonl:2: 'match'"):
+            load_script(path)
+
+    def test_non_boolean_once_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"match": "x", "response": "A", "once": "false"}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:1: 'once'"):
+            load_script(path)
+
+    def test_non_string_response_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"match": "x", "response": {"text": "A"}}\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=r"bad\.jsonl:1: 'response'"):
             load_script(path)
 
 

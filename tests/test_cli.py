@@ -158,6 +158,14 @@ class TestExitCodes:
         args[args.index(MED_SCRIPT)] = str(bad)
         assert main(args) == 3
 
+    def test_mistyped_script_field_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "bad_script.jsonl"
+        bad.write_text(json.dumps({"match": [1, "x"], "response": "A"}) + "\n", encoding="utf-8")
+        args = extract_args(tmp_path)
+        args[args.index(MED_SCRIPT)] = str(bad)
+        assert main(args) == 3
+        assert "bad_script.jsonl:1:" in capsys.readouterr().err
+
     def test_dataset_run_mismatch_exits_four(self, tmp_path):
         assert main(extract_args(tmp_path)) == 0
         args = ["evaluate", "--run", str(tmp_path / "run"), "--dataset", ICD_DATA]
