@@ -395,15 +395,15 @@ class ResponseStore:
        4 bytes  big-endian unsigned UTF-8 byte length of the text
        N bytes  the response text, UTF-8
 
-    The file is scanned once on open to build the in-memory index; a
-    truncated or structurally invalid tail raises StoreCorrupt. Writes are
-    at-most-once per key and thread-safe.
+    The file is read once on open and every text is kept in memory, so
+    lookups never touch the file; a truncated or structurally invalid tail
+    raises StoreCorrupt. Writes are at-most-once per key and thread-safe.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.RLock()
-        self._index: dict[str, int] = {}
+        self._index: dict[str, str] = {}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
             self.path.touch()
@@ -412,7 +412,7 @@ class ResponseStore:
     def _load_index(self) -> None:
         data = self.path.read_bytes()
         offset = 0
-        index: dict[str, int] = {}
+        index: dict[str, str] = {}
         while offset < len(data):
             if offset + _STORE_HEADER_LEN > len(data):
                 raise StoreCorrupt(f"{self.path}: truncated record header at byte {offset}")
@@ -422,10 +422,10 @@ class ResponseStore:
             if end > len(data):
                 raise StoreCorrupt(f"{self.path}: truncated record body at byte {offset}")
             try:
-                data[offset + _STORE_HEADER_LEN : end].decode("utf-8")
+                text = data[offset + _STORE_HEADER_LEN : end].decode("utf-8")
             except UnicodeDecodeError:
                 raise StoreCorrupt(f"{self.path}: undecodable text at byte {offset}") from None
-            index.setdefault(digest.hex(), offset)
+            index.setdefault(digest.hex(), text)
             offset = end
         self._index = index
 
@@ -454,13 +454,7 @@ class ResponseStore:
     def get(self, key: str) -> str | None:
         self._check_key(key)
         with self._lock:
-            offset = self._index.get(key)
-            if offset is None:
-                return None
-            with self.path.open("rb") as fh:
-                fh.seek(offset + 40)
-                (text_len,) = struct.unpack(">I", fh.read(4))
-                return fh.read(text_len).decode("utf-8")
+            return self._index.get(key)
 
     def put(self, key: str, text: str, timestamp: int | None = None) -> bool:
         """Store text under key; returns False if the key already exists."""
@@ -471,13 +465,8 @@ class ResponseStore:
             if key in self._index:
                 return False
             with self.path.open("ab") as fh:
-                offset = fh.tell()
-                fh.write(digest)
-                fh.write(struct.pack(">Q", ts))
-                fh.write(struct.pack(">I", len(payload)))
-                fh.write(payload)
-                fh.flush()
-            self._index[key] = offset
+                fh.write(digest + struct.pack(">QI", ts, len(payload)) + payload)
+            self._index[key] = text
             return True
 
     def purge(self) -> int:
@@ -491,12 +480,7 @@ class ResponseStore:
     def merge_from(self, other_path: str | Path) -> int:
         """Copy records absent here from another store file; returns count added."""
         other = ResponseStore(other_path)
-        added = 0
-        for key in other.keys():
-            text = other.get(key)
-            if text is not None and self.put(key, text):
-                added += 1
-        return added
+        return sum(self.put(key, other.get(key)) for key in other.keys())
 
     def stats(self) -> dict[str, int]:
         with self._lock:

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -68,7 +69,7 @@ EXIT_MISMATCH = 4
 EXIT_BACKEND = 5
 
 # PipelineConfig fields a YAML config file may set; flags win over these.
-_CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig) if f.name != "catalog_root")
+_CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
 
 
 class CliError(Exception):
@@ -100,6 +101,8 @@ def _parse_seeds(raw: str) -> list[int]:
         raise CliError(EXIT_USAGE, f"seeds must be comma-separated integers, got {raw!r}")
     if not seeds:
         raise CliError(EXIT_USAGE, "at least one seed is required")
+    if len(set(seeds)) != len(seeds):
+        raise CliError(EXIT_USAGE, f"seeds must be distinct, got {raw!r}")
     return seeds
 
 
@@ -268,15 +271,27 @@ def _gold_maps(records) -> tuple[dict[str, list[str]], dict[str, dict[str, str |
     return values, statuses
 
 
+@contextmanager
+def _run_dir_errors(run_dir: str):
+    """Exit 3 on a missing or undecodable run file."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise CliError(EXIT_DATA, f"run directory not found or incomplete: {run_dir}")
+    except json.JSONDecodeError as exc:
+        raise CliError(EXIT_DATA, f"run directory is corrupt: {exc}")
+
+
 def cmd_evaluate(args) -> int:
     if args.top_k is not None and args.top_k < 1:
         raise CliError(EXIT_USAGE, f"--top-k must be at least 1, got {args.top_k}")
-    try:
+    with _run_dir_errors(args.run):
         manifest, run_records = load_run(args.run)
-    except FileNotFoundError:
-        raise CliError(EXIT_DATA, f"run directory not found or incomplete: {args.run}")
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise CliError(EXIT_DATA, f"run directory is corrupt: {exc}")
+    if not run_records:
+        raise CliError(EXIT_DATA, f"run directory has no results: {args.run}")
+    for n, record in enumerate(run_records, start=1):
+        if not isinstance(record, dict) or not {"doc_id", "seed", "final"} <= record.keys():
+            raise CliError(EXIT_DATA, f"run directory is corrupt: result {n} lacks doc_id, seed or final")
     records, _ = _load_records(args)
     gold_values, gold_statuses = _gold_maps(records)
 
@@ -360,10 +375,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
+    with _run_dir_errors(args.run):
         path = emit_report(args.run, args.out)
-    except FileNotFoundError:
-        raise CliError(EXIT_DATA, f"run directory not found or incomplete: {args.run}")
     print(f"wrote {path}")
     return EXIT_OK
 

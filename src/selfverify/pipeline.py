@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Callable
 
 from . import evaluation
@@ -76,8 +75,8 @@ class PipelineConfig:
 
     Fields left None resolve per task: demonstrations default to 5 for
     short-input tasks and 0 for long ones; the omission floor defaults to 5
-    passes for long-input tasks and 1 otherwise; code mapping defaults to
-    on for ICD tasks.
+    passes for long-input tasks and 1 otherwise. Code mapping runs on ICD
+    tasks only, where it defaults to on.
     """
 
     model_id: str = "default-model"
@@ -89,7 +88,6 @@ class PipelineConfig:
     temperature: float = 0.1
     max_output_tokens_extract: int = 1024
     max_output_tokens_prune: int = 256
-    catalog_root: Path | None = None
 
     def __post_init__(self) -> None:
         unknown = [s for s in self.steps if s not in OPTIONAL_STEPS]
@@ -117,9 +115,7 @@ class PipelineConfig:
         return DEFAULT_OMISSION_MIN_ITERS_LONG if task.long_input else 1
 
     def resolved_icd_mapping(self, task: TaskKind) -> bool:
-        if self.icd_mapping is not None:
-            return self.icd_mapping
-        return task.family is TaskFamily.ICD_CODE
+        return task.family is TaskFamily.ICD_CODE and (self.icd_mapping is None or self.icd_mapping)
 
     def describe(self, task: TaskKind) -> dict:
         """Effective settings for this task, for run manifests."""
@@ -234,14 +230,14 @@ class ExtractionPipeline:
         cfg = self.config
         traces: list[StepTrace] = []
         demos = self._demos_for(task, seed, demo_pool)
-        prompt = build_original_prompt(task, document.text, demos, cfg.catalog_root)
+        prompt = build_original_prompt(task, document.text, demos)
         current, _ = self._extract(task, prompt, Origin.original(), ExtractionSet.empty(), traces)
 
         omission_iters = 0
         if "omission" in cfg.steps:
             min_iters = cfg.resolved_min_iters(task)
             for omission_iters in range(1, cfg.omission_max_iters + 1):
-                prompt = build_omission_prompt(task, document.text, current, cfg.catalog_root)
+                prompt = build_omission_prompt(task, document.text, current)
                 origin = Origin.omission(omission_iters)
                 current, new_count = self._extract(task, prompt, origin, current, traces)
                 if omission_iters >= min_iters and new_count == 0:
@@ -269,7 +265,7 @@ class ExtractionPipeline:
         task = document.task
         traces: list[StepTrace] = []
         demos = self._demos_for(task, seed, demo_pool)
-        prompt = build_megaprompt(task, document.text, demos, self.config.catalog_root)
+        prompt = build_megaprompt(task, document.text, demos)
         current, _ = self._extract(task, prompt, Origin.megaprompt(), ExtractionSet.empty(), traces)
         return self._finish(document, seed, current, traces, megaprompt=True)
 
@@ -283,7 +279,7 @@ class ExtractionPipeline:
         code mapping.
         """
         task = document.task
-        if self.config.resolved_icd_mapping(task) and task.family is TaskFamily.ICD_CODE:
+        if self.config.resolved_icd_mapping(task):
             current = self._icd_map_step(document, current, traces)
         fields.setdefault("pre_prune", current)
         return PipelineResult(
@@ -303,7 +299,7 @@ class ExtractionPipeline:
         if self._skipped_without_items("evidence", current, traces):
             return current
         cfg = self.config
-        prompt = build_evidence_prompt(document.task, document.text, current, cfg.catalog_root)
+        prompt = build_evidence_prompt(document.task, document.text, current)
         response = self._call(prompt, cfg.max_output_tokens_extract)
         mapping, warnings = parse_evidence(response, list(current.keys()))
         updated: list[ExtractedItem] = []
@@ -327,7 +323,7 @@ class ExtractionPipeline:
         pruned: list[ExtractedItem] = []
         for item in current:
             quote = item.evidence.quote if item.evidence and item.evidence.quote else None
-            prompt = build_prune_prompt(document.task, document.text, item.value, quote, cfg.catalog_root)
+            prompt = build_prune_prompt(document.task, document.text, item.value, quote)
             response = self._call(prompt, cfg.max_output_tokens_prune)
             warnings: list[str] = []
             try:
@@ -352,7 +348,7 @@ class ExtractionPipeline:
         if self._skipped_without_items("icd_map", current, traces):
             return current
         task = document.task
-        prompt = build_icd_map_prompt(task, current, self.config.catalog_root)
+        prompt = build_icd_map_prompt(task, current)
         response = self._call(prompt, self.config.max_output_tokens_extract)
         warnings: list[str] = []
         code_by_key: dict[str, str | None] = {}

@@ -28,33 +28,26 @@ SHARED_STEPS = ("megaprompt_postscript",)
 DEFAULT_DEMONSTRATIONS = 5
 
 
-def catalog_version(root: Path | None = None) -> str:
-    path = (root or CATALOG_ROOT) / "VERSION"
-    return path.read_text(encoding="utf-8").strip()
+def catalog_version() -> str:
+    return (CATALOG_ROOT / "VERSION").read_text(encoding="utf-8").strip()
 
 
 @lru_cache(maxsize=None)
-def _template_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _template(family_dir: str, step: str) -> string.Template:
+    """Read each template once per process; the catalog is fixed at install."""
+    return string.Template((CATALOG_ROOT / family_dir / f"{step}.txt").read_text(encoding="utf-8"))
 
 
-def _template(family_dir: str, step: str, root: Path | None = None) -> string.Template:
-    path = (root or CATALOG_ROOT) / family_dir / f"{step}.txt"
-    if not path.exists():
-        raise FileNotFoundError(f"no prompt template for {family_dir}/{step} at {path}")
-    return string.Template(_template_text(str(path)))
-
-
-def family_template(family: TaskFamily, step: str, root: Path | None = None) -> string.Template:
+def family_template(family: TaskFamily, step: str) -> string.Template:
     if step not in FAMILY_STEPS and step != "icd_map":
         raise ValueError(f"unknown prompt step {step!r}")
-    return _template(family.value, step, root)
+    return _template(family.value, step)
 
 
-def shared_template(step: str, root: Path | None = None) -> string.Template:
+def shared_template(step: str) -> string.Template:
     if step not in SHARED_STEPS:
         raise ValueError(f"unknown shared prompt {step!r}")
-    return _template("shared", step, root)
+    return _template("shared", step)
 
 
 @dataclass(frozen=True)
@@ -114,61 +107,42 @@ def build_original_prompt(
     task: TaskKind,
     document_text: str,
     demonstrations: list[DemoExample] | None = None,
-    root: Path | None = None,
 ) -> str:
-    return family_template(task.family, "original", root).substitute(
+    return family_template(task.family, "original").substitute(
         demonstrations=render_demonstrations(demonstrations or []),
         document=document_text,
     )
 
 
-def build_omission_prompt(
-    task: TaskKind,
-    document_text: str,
-    items: ExtractionSet | list[str],
-    root: Path | None = None,
-) -> str:
-    return family_template(task.family, "omission", root).substitute(
+def build_omission_prompt(task: TaskKind, document_text: str, items: ExtractionSet | list[str]) -> str:
+    return family_template(task.family, "omission").substitute(
         document=document_text,
         items=_items_block(items, with_status=task.wants_status),
     )
 
 
-def build_evidence_prompt(
-    task: TaskKind,
-    document_text: str,
-    items: ExtractionSet | list[str],
-    root: Path | None = None,
-) -> str:
-    return family_template(task.family, "evidence", root).substitute(
+def build_evidence_prompt(task: TaskKind, document_text: str, items: ExtractionSet | list[str]) -> str:
+    return family_template(task.family, "evidence").substitute(
         document=document_text,
         items=_items_block(items),
     )
 
 
-def build_prune_prompt(
-    task: TaskKind,
-    document_text: str,
-    item_value: str,
-    quote: str | None = None,
-    root: Path | None = None,
-) -> str:
+def build_prune_prompt(task: TaskKind, document_text: str, item_value: str, quote: str | None = None) -> str:
     """Per-item keep/discard question; with a quote when grounding ran."""
     if quote is not None:
-        return family_template(task.family, "prune", root).substitute(
+        return family_template(task.family, "prune").substitute(
             document=document_text, item=item_value, quote=quote
         )
-    return family_template(task.family, "prune_no_evidence", root).substitute(
+    return family_template(task.family, "prune_no_evidence").substitute(
         document=document_text, item=item_value
     )
 
 
-def build_icd_map_prompt(
-    task: TaskKind, items: ExtractionSet | list[str], root: Path | None = None
-) -> str:
+def build_icd_map_prompt(task: TaskKind, items: ExtractionSet | list[str]) -> str:
     if task.family is not TaskFamily.ICD_CODE:
         raise ValueError("code mapping only applies to ICD tasks")
-    return family_template(task.family, "icd_map", root).substitute(
+    return family_template(task.family, "icd_map").substitute(
         items=_items_block(items),
         icd_version=str(task.icd_version),
     )
@@ -178,11 +152,10 @@ def build_megaprompt(
     task: TaskKind,
     document_text: str,
     demonstrations: list[DemoExample] | None = None,
-    root: Path | None = None,
 ) -> str:
     """Single-call variant: the original prompt plus verification postscript."""
-    base = build_original_prompt(task, document_text, demonstrations, root)
-    postscript = shared_template("megaprompt_postscript", root).substitute(
+    base = build_original_prompt(task, document_text, demonstrations)
+    postscript = shared_template("megaprompt_postscript").substitute(
         item_noun=task.item_noun,
         source_noun=task.source_noun,
     )

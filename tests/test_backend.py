@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import struct
 import threading
+from pathlib import Path
 
 import pytest
 import requests
@@ -500,6 +501,21 @@ class TestResponseStore:
         path.write_bytes(data[:-4])
         with pytest.raises(StoreCorrupt):
             ResponseStore(path)
+
+    def test_get_serves_from_memory_after_open(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.bin"
+        ResponseStore(path).put(KEY_A, "read at open")
+        store = ResponseStore(path)
+        store.put(KEY_B, "just put")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the store touched its file on a lookup")
+
+        with monkeypatch.context() as m:
+            m.setattr("builtins.open", refuse)
+            m.setattr(Path, "open", refuse)
+            texts = [store.get(KEY_A), store.get(KEY_B), store.get("ef" * 32)]
+        assert texts == ["read at open", "just put", None]
 
     def test_truncated_header_raises(self, tmp_path):
         path = tmp_path / "cache.bin"

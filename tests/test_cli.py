@@ -102,6 +102,15 @@ class TestExtract:
         assert by_doc["icd-1"] == {"j18.9", "e11.9"}
         assert by_doc["icd-2"] == {"i10"}
 
+    def test_icd_mapping_config_ignored_for_medication_task(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("icd_mapping: true\n", encoding="utf-8")
+        assert main(extract_args(tmp_path, extra=["--config", str(config)])) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"]["icd_mapping"] is False
+        for line in (tmp_path / "run" / "results.jsonl").read_text().splitlines():
+            assert "icd_map" not in {t["step"] for t in json.loads(line)["traces"]}
+
 
 class TestExitCodes:
     def test_unknown_task_exits_two(self, tmp_path):
@@ -138,6 +147,15 @@ class TestExitCodes:
         assert main(args) == 2
         assert "9 demonstrations requested" in capsys.readouterr().err
         assert not any(backend.calls for backend in built)
+
+    def test_repeated_seed_exits_two(self, tmp_path, capsys):
+        assert main(extract_args(tmp_path, extra=["--seeds", "0,0"])) == 2
+        assert "seeds must be distinct" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        args = ["ablate", "--task", "medication_status", "--dataset", MED_DATA,
+                "--script", MED_SCRIPT, "--seeds", "0,1,0"]
+        assert main(args) == 2
+        assert "seeds must be distinct" in capsys.readouterr().err
 
     def test_missing_dataset_exits_three(self, tmp_path):
         args = extract_args(tmp_path)
@@ -237,6 +255,42 @@ class TestEvaluate:
                     "--top-k", "0"]
             assert main(args) == 2
             assert "--top-k must be at least 1" in capsys.readouterr().err
+
+
+class TestMalformedRunDir:
+    """A run directory that cannot be scored or rendered exits 3 with one error line."""
+
+    def run_dir(self, tmp_path, capsys) -> Path:
+        assert main(extract_args(tmp_path)) == 0
+        capsys.readouterr()
+        return tmp_path / "run"
+
+    def assert_exit_three(self, capsys, args):
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def evaluate(self, run_dir):
+        return ["evaluate", "--run", str(run_dir), "--dataset", MED_DATA]
+
+    def test_empty_results_exit_three(self, tmp_path, capsys):
+        run_dir = self.run_dir(tmp_path, capsys)
+        (run_dir / "results.jsonl").write_text("", encoding="utf-8")
+        self.assert_exit_three(capsys, self.evaluate(run_dir))
+
+    @pytest.mark.parametrize("field", ["final", "seed"])
+    def test_result_missing_field_exits_three(self, tmp_path, capsys, field):
+        run_dir = self.run_dir(tmp_path, capsys)
+        results = run_dir / "results.jsonl"
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        del records[-1][field]
+        results.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        self.assert_exit_three(capsys, self.evaluate(run_dir))
+
+    def test_report_corrupt_manifest_exits_three(self, tmp_path, capsys):
+        run_dir = self.run_dir(tmp_path, capsys)
+        (run_dir / "manifest.json").write_text("{not json", encoding="utf-8")
+        self.assert_exit_three(capsys, ["report", "--run", str(run_dir)])
 
 
 class TestAblateReportCache:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
+from pathlib import Path
+
 import pytest
 
 from selfverify.core import (
@@ -68,6 +71,38 @@ class TestCatalog:
             for prompt in built:
                 assert "${" not in prompt
                 assert "$ {" not in prompt
+
+
+def every_prompt() -> list[str]:
+    items = ExtractionSet((ExtractedItem.from_raw("aspirin"),))
+    built = []
+    for task in TASKS.values():
+        built += [
+            build_original_prompt(task, DOC),
+            build_omission_prompt(task, DOC, items),
+            build_evidence_prompt(task, DOC, items),
+            build_prune_prompt(task, DOC, "aspirin", quote="on aspirin"),
+            build_prune_prompt(task, DOC, "aspirin"),
+            build_megaprompt(task, DOC),
+        ]
+        if task.icd_version:
+            built.append(build_icd_map_prompt(task, items))
+    return built
+
+
+class TestTemplatesLoadOnce:
+    def test_rebuilding_reads_no_file(self, monkeypatch):
+        first = every_prompt()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a prompt build touched the catalog on disk")
+
+        with monkeypatch.context() as m:
+            m.setattr(Path, "exists", refuse)
+            m.setattr(Path, "read_text", refuse)
+            m.setattr(builtins, "open", refuse)
+            again = every_prompt()
+        assert again == first
 
 
 class TestRendering:
