@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_TEMPERATURE = 0.1
 DEFAULT_MAX_OUTPUT_TOKENS = 1024
@@ -273,6 +274,8 @@ class HttpBackend(Backend):
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ):
+        import requests  # only a live endpoint needs it; the import is slow
+
         self.config = config
         self.session = session or requests.Session()
         self._sleep = sleep
@@ -325,6 +328,8 @@ class HttpBackend(Backend):
         return LlmResponse(text=text or "", finish_reason=reason, usage=usage)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
+        import requests
+
         url = f"{self.config.base_url.rstrip('/')}/v1/chat/completions"
         payload = {
             "model": request.model_id,

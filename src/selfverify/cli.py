@@ -11,11 +11,8 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
-
-import yaml
 
 from .backend import (
     Backend,
@@ -35,11 +32,11 @@ from .data import (
     FormatError,
     RunExists,
     demo_pool_from_records,
-    emit_report,
     load_dataset,
     load_run,
     make_manifest,
     records_to_documents,
+    render_report_html,
     write_run,
 )
 from .evaluation import (
@@ -116,6 +113,8 @@ def _task(name: str) -> TaskKind:
 def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
+    import yaml  # only --config needs it
+
     try:
         loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -271,27 +270,32 @@ def _gold_maps(records) -> tuple[dict[str, list[str]], dict[str, dict[str, str |
     return values, statuses
 
 
-@contextmanager
-def _run_dir_errors(run_dir: str):
-    """Exit 3 on a missing or undecodable run file."""
+def _read_run(run_dir: str) -> tuple[dict, list]:
+    """The run's manifest and records; exit 3 on a missing or malformed run file."""
     try:
-        yield
+        manifest, records = load_run(run_dir)
     except FileNotFoundError:
         raise CliError(EXIT_DATA, f"run directory not found or incomplete: {run_dir}")
     except json.JSONDecodeError as exc:
         raise CliError(EXIT_DATA, f"run directory is corrupt: {exc}")
+    if not isinstance(manifest, dict):
+        raise CliError(EXIT_DATA, "run directory is corrupt: manifest.json is not a JSON object")
+    return manifest, records
 
 
 def cmd_evaluate(args) -> int:
     if args.top_k is not None and args.top_k < 1:
         raise CliError(EXIT_USAGE, f"--top-k must be at least 1, got {args.top_k}")
-    with _run_dir_errors(args.run):
-        manifest, run_records = load_run(args.run)
+    manifest, run_records = _read_run(args.run)
     if not run_records:
         raise CliError(EXIT_DATA, f"run directory has no results: {args.run}")
     for n, record in enumerate(run_records, start=1):
         if not isinstance(record, dict) or not {"doc_id", "seed", "final"} <= record.keys():
             raise CliError(EXIT_DATA, f"run directory is corrupt: result {n} lacks doc_id, seed or final")
+        if not isinstance(record["final"], list) or not all(
+            isinstance(item, dict) and isinstance(item.get("value"), str) for item in record["final"]
+        ):
+            raise CliError(EXIT_DATA, f"run directory is corrupt: result {n} has a final item without a value")
     records, _ = _load_records(args)
     gold_values, gold_statuses = _gold_maps(records)
 
@@ -324,7 +328,7 @@ def cmd_evaluate(args) -> int:
             )
         if args.status:
             predicted_status = {
-                item["value"]: item["status"] for item in record["final"]
+                item["value"]: item.get("status") for item in record["final"]
             }
             accuracy = status_accuracy(predicted_status, gold_statuses[record["doc_id"]])
             if accuracy is not None:
@@ -375,8 +379,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with _run_dir_errors(args.run):
-        path = emit_report(args.run, args.out)
+    manifest, records = _read_run(args.run)
+    path = Path(args.out) if args.out else Path(args.run) / "report.html"
+    try:
+        path.write_text(render_report_html(manifest, records), encoding="utf-8")
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot write report to {path}: {exc.strerror or exc}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -421,7 +429,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--steps", help="comma list of omission,evidence,prune; or full/none")
     sub.add_argument("--demos", type=int, help="demonstration count override")
     sub.add_argument("--seeds", default="0", help="comma-separated seeds (default: 0)")
-    sub.add_argument("--workers", type=int, default=4, help="thread count (default: 4)")
+    sub.add_argument("--workers", type=int, default=4, help="documents in flight at once (default: 4)")
     sub.add_argument("--lenient", action="store_true", help="skip malformed dataset lines")
 
 

@@ -15,7 +15,9 @@ the original prompt instead of making follow-up calls.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
+import time
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -67,6 +69,11 @@ ABLATION_PRESETS: dict[str, tuple[str, ...]] = {
 
 DEFAULT_OMISSION_MIN_ITERS_LONG = 5
 DEFAULT_OMISSION_MAX_ITERS = 10
+
+# A document's prune calls fan out only when its fastest earlier model call
+# took at least this long. Scripted and replayed backends answer in well
+# under a millisecond, so their runs stay serial and their call order fixed.
+FAN_OUT_MIN_CALL_S = 0.010
 
 
 @dataclass(frozen=True)
@@ -163,43 +170,91 @@ class PipelineResult:
     megaprompt: bool = False
 
 
-class ExtractionPipeline:
-    """Runs the chained extraction steps against one backend."""
+@dataclass
+class _RunLog:
+    """One document run's traces, in call order, and its fastest model call.
 
-    def __init__(self, backend: Backend, config: PipelineConfig | None = None):
+    The call time only decides whether prune calls fan out; it stays out of
+    the traces and the result, which serialize the same however fast the
+    backend answered.
+    """
+
+    traces: list[StepTrace] = field(default_factory=list)
+    fastest_call_s: float = math.inf
+
+
+class ExtractionPipeline:
+    """Runs the chained extraction steps against one backend.
+
+    Given an `executor`, a document's prune calls run on it concurrently
+    when the backend is slow (see `_call_each`); without one every call
+    runs inline, one after another.
+    """
+
+    def __init__(
+        self, backend: Backend, config: PipelineConfig | None = None, executor: Executor | None = None
+    ):
         self.backend = backend
         self.config = config or PipelineConfig()
+        self.executor = executor
 
-    def _call(self, prompt: str, max_tokens: int) -> str:
+    def _call(self, prompt: str, max_tokens: int, log: _RunLog | None) -> str:
+        """One model call; its wall time goes to `log`, when given."""
         request = LlmRequest.chat(
             self.config.model_id,
             prompt,
             temperature=self.config.temperature,
             max_output_tokens=max_tokens,
         )
-        return self.backend.complete(request).text
+        started = time.perf_counter()
+        text = self.backend.complete(request).text
+        if log is not None:
+            log.fastest_call_s = min(log.fastest_call_s, time.perf_counter() - started)
+        return text
+
+    def _call_each(self, prompts: list[str], max_tokens: int, log: _RunLog) -> list[str]:
+        """Answer independent prompts; the replies come back in prompt order.
+
+        They run concurrently on the executor when there are at least two
+        and this run's fastest earlier call took FAN_OUT_MIN_CALL_S or
+        more, and inline otherwise. The calling thread answers the first
+        prompt, then each one no helper has started yet, so it never waits
+        for a helper that is busy with another document.
+        """
+        if self.executor is None or len(prompts) < 2 or log.fastest_call_s < FAN_OUT_MIN_CALL_S:
+            return [self._call(prompt, max_tokens, log) for prompt in prompts]
+        # Untimed: no later step reads the call time, and helpers would race on `log`.
+        futures = [self.executor.submit(self._call, prompt, max_tokens, None) for prompt in prompts[1:]]
+        try:
+            responses = [self._call(prompts[0], max_tokens, None)]
+            for prompt, future in zip(prompts[1:], futures):
+                responses.append(self._call(prompt, max_tokens, None) if future.cancel() else future.result())
+        finally:
+            for future in futures:  # after a failure, drop the calls not yet started
+                future.cancel()
+        return responses
 
     def _trace(
-        self, traces: list[StepTrace], step: str, prompt: str, response: str, summary: str, warnings=()
+        self, log: _RunLog, step: str, prompt: str, response: str, summary: str, warnings=()
     ) -> None:
-        traces.append(StepTrace(step, prompt, response, self.config.temperature, summary, tuple(warnings)))
+        log.traces.append(StepTrace(step, prompt, response, self.config.temperature, summary, tuple(warnings)))
 
-    def _skipped_without_items(self, step: str, current: ExtractionSet, traces: list[StepTrace]) -> bool:
+    def _skipped_without_items(self, step: str, current: ExtractionSet, log: _RunLog) -> bool:
         """Trace `step` as skipped, and say so, when there are no items to send."""
         if len(current):
             return False
-        self._trace(traces, step, "", "", "skipped: no items")
+        self._trace(log, step, "", "", "skipped: no items")
         return True
 
     def _extract(
-        self, task: TaskKind, prompt: str, origin: Origin, base: ExtractionSet, traces: list[StepTrace]
+        self, task: TaskKind, prompt: str, origin: Origin, base: ExtractionSet, log: _RunLog
     ) -> tuple[ExtractionSet, int]:
         """One extraction call: parse the listed items and merge them into `base`.
 
         Serves the original pass, each omission pass and the megaprompt;
         the trace step is named after the origin.
         """
-        response = self._call(prompt, self.config.max_output_tokens_extract)
+        response = self._call(prompt, self.config.max_output_tokens_extract, log)
         if task.wants_status:
             pairs, warnings = parse_status_pairs(response)
         else:
@@ -207,7 +262,7 @@ class ExtractionPipeline:
         items = [ExtractedItem.from_raw(raw, status=status, origin=origin) for raw, status in pairs]
         current, new_count, merge_warnings = merge(base, items)
         summary = f"added {new_count} new" if origin.step == "omission" else f"{new_count} items"
-        self._trace(traces, str(origin), prompt, response, summary, warnings + merge_warnings)
+        self._trace(log, str(origin), prompt, response, summary, warnings + merge_warnings)
         return current, new_count
 
     def _demos_for(self, task: TaskKind, seed: int, demo_pool: list[DemoExample] | None) -> list[DemoExample]:
@@ -228,10 +283,10 @@ class ExtractionPipeline:
     ) -> PipelineResult:
         task = document.task
         cfg = self.config
-        traces: list[StepTrace] = []
+        log = _RunLog()
         demos = self._demos_for(task, seed, demo_pool)
         prompt = build_original_prompt(task, document.text, demos)
-        current, _ = self._extract(task, prompt, Origin.original(), ExtractionSet.empty(), traces)
+        current, _ = self._extract(task, prompt, Origin.original(), ExtractionSet.empty(), log)
 
         omission_iters = 0
         if "omission" in cfg.steps:
@@ -239,20 +294,20 @@ class ExtractionPipeline:
             for omission_iters in range(1, cfg.omission_max_iters + 1):
                 prompt = build_omission_prompt(task, document.text, current)
                 origin = Origin.omission(omission_iters)
-                current, new_count = self._extract(task, prompt, origin, current, traces)
+                current, new_count = self._extract(task, prompt, origin, current, log)
                 if omission_iters >= min_iters and new_count == 0:
                     break
 
         if "evidence" in cfg.steps:
-            current = self._evidence_step(document, current, traces)
+            current = self._evidence_step(document, current, log)
 
         pre_prune = current
         pruned: tuple[ExtractedItem, ...] = ()
         if "prune" in cfg.steps:
-            current, pruned = self._prune_step(document, current, traces)
+            current, pruned = self._prune_step(document, current, log)
 
         return self._finish(
-            document, seed, current, traces, pruned=pruned, pre_prune=pre_prune, omission_iters=omission_iters
+            document, seed, current, log, pruned=pruned, pre_prune=pre_prune, omission_iters=omission_iters
         )
 
     def run_megaprompt(
@@ -263,14 +318,14 @@ class ExtractionPipeline:
     ) -> PipelineResult:
         """Single-call baseline: verification folded into one prompt."""
         task = document.task
-        traces: list[StepTrace] = []
+        log = _RunLog()
         demos = self._demos_for(task, seed, demo_pool)
         prompt = build_megaprompt(task, document.text, demos)
-        current, _ = self._extract(task, prompt, Origin.megaprompt(), ExtractionSet.empty(), traces)
-        return self._finish(document, seed, current, traces, megaprompt=True)
+        current, _ = self._extract(task, prompt, Origin.megaprompt(), ExtractionSet.empty(), log)
+        return self._finish(document, seed, current, log, megaprompt=True)
 
     def _finish(
-        self, document: Document, seed: int, current: ExtractionSet, traces: list[StepTrace], **fields
+        self, document: Document, seed: int, current: ExtractionSet, log: _RunLog, **fields
     ) -> PipelineResult:
         """Map diagnoses to codes (ICD tasks) and assemble the result.
 
@@ -280,7 +335,7 @@ class ExtractionPipeline:
         """
         task = document.task
         if self.config.resolved_icd_mapping(task):
-            current = self._icd_map_step(document, current, traces)
+            current = self._icd_map_step(document, current, log)
         fields.setdefault("pre_prune", current)
         return PipelineResult(
             doc_id=document.id,
@@ -288,19 +343,19 @@ class ExtractionPipeline:
             task_name=task.name,
             seed=seed,
             final=current,
-            traces=tuple(traces),
-            warnings=tuple(w for trace in traces for w in trace.warnings),
+            traces=tuple(log.traces),
+            warnings=tuple(w for trace in log.traces for w in trace.warnings),
             **fields,
         )
 
     def _evidence_step(
-        self, document: Document, current: ExtractionSet, traces: list[StepTrace]
+        self, document: Document, current: ExtractionSet, log: _RunLog
     ) -> ExtractionSet:
-        if self._skipped_without_items("evidence", current, traces):
+        if self._skipped_without_items("evidence", current, log):
             return current
         cfg = self.config
         prompt = build_evidence_prompt(document.task, document.text, current)
-        response = self._call(prompt, cfg.max_output_tokens_extract)
+        response = self._call(prompt, cfg.max_output_tokens_extract, log)
         mapping, warnings = parse_evidence(response, list(current.keys()))
         updated: list[ExtractedItem] = []
         for item in current:
@@ -312,19 +367,26 @@ class ExtractionPipeline:
                 flags = () if span.located else ("quote_not_found",)
             updated.append(replace(item, evidence=span, flags=item.flags + flags))
         summary = f"{sum(item.evidence.located for item in updated)} of {len(updated)} quotes located"
-        self._trace(traces, "evidence", prompt, response, summary, warnings)
+        self._trace(log, "evidence", prompt, response, summary, warnings)
         return ExtractionSet(tuple(updated))
 
     def _prune_step(
-        self, document: Document, current: ExtractionSet, traces: list[StepTrace]
+        self, document: Document, current: ExtractionSet, log: _RunLog
     ) -> tuple[ExtractionSet, tuple[ExtractedItem, ...]]:
-        cfg = self.config
+        items = list(current)
+        prompts = [
+            build_prune_prompt(
+                document.task,
+                document.text,
+                item.value,
+                item.evidence.quote if item.evidence and item.evidence.quote else None,
+            )
+            for item in items
+        ]
+        responses = self._call_each(prompts, self.config.max_output_tokens_prune, log)
         kept: list[ExtractedItem] = []
         pruned: list[ExtractedItem] = []
-        for item in current:
-            quote = item.evidence.quote if item.evidence and item.evidence.quote else None
-            prompt = build_prune_prompt(document.task, document.text, item.value, quote)
-            response = self._call(prompt, cfg.max_output_tokens_prune)
+        for item, prompt, response in zip(items, prompts, responses):
             warnings: list[str] = []
             try:
                 keep = parse_verdict(response)
@@ -339,17 +401,17 @@ class ExtractionPipeline:
             else:
                 reason = response.strip().splitlines()[0][:200] if response.strip() else "removed"
                 pruned.append(replace(item, pruned=True, prune_reason=reason))
-            self._trace(traces, f"prune[{item.key}]", prompt, response, summary, warnings)
+            self._trace(log, f"prune[{item.key}]", prompt, response, summary, warnings)
         return ExtractionSet(tuple(kept)), tuple(pruned)
 
     def _icd_map_step(
-        self, document: Document, current: ExtractionSet, traces: list[StepTrace]
+        self, document: Document, current: ExtractionSet, log: _RunLog
     ) -> ExtractionSet:
-        if self._skipped_without_items("icd_map", current, traces):
+        if self._skipped_without_items("icd_map", current, log):
             return current
         task = document.task
         prompt = build_icd_map_prompt(task, current)
-        response = self._call(prompt, self.config.max_output_tokens_extract)
+        response = self._call(prompt, self.config.max_output_tokens_extract, log)
         warnings: list[str] = []
         code_by_key: dict[str, str | None] = {}
         for line in parse_bulleted_list(response):
@@ -383,7 +445,7 @@ class ExtractionPipeline:
             mapped.append(replace(item, raw_value=code, value=normalize(code), icd_code=code))
         current, _, merge_warnings = merge(ExtractionSet.empty(), mapped)
         summary = f"{len(current)} codes, {dropped} uncodable"
-        self._trace(traces, "icd_map", prompt, response, summary, warnings + merge_warnings)
+        self._trace(log, "icd_map", prompt, response, summary, warnings + merge_warnings)
         return current
 
 
@@ -396,24 +458,29 @@ def run_batch(
     workers: int = 4,
     megaprompt: bool = False,
 ) -> list[PipelineResult]:
-    """Run every (document, seed) pair, fanning out across worker threads.
+    """Run every (document, seed) pair, `workers` documents at a time.
 
-    Results come back in deterministic (seed, document) order regardless of
-    scheduling; the first backend failure aborts the batch.
+    On a slow backend each document's prune calls also fan out to one
+    helper pool shared by the batch, of the stdlib's default size for I/O
+    work, so at most `workers` plus that many calls are in flight. The pool
+    starts its threads on first use, so runs whose calls are fast start
+    none. Results come back in deterministic (seed, document) order
+    regardless of scheduling; the first backend failure aborts the batch.
     """
-    pipeline = ExtractionPipeline(backend, config)
     jobs = [(seed, doc) for seed in seeds for doc in documents]
+    with ThreadPoolExecutor() as helpers:
+        pipeline = ExtractionPipeline(backend, config, executor=helpers)
 
-    def work(job: tuple[int, Document]) -> PipelineResult:
-        seed, doc = job
-        if megaprompt:
-            return pipeline.run_megaprompt(doc, seed=seed, demo_pool=demo_pool)
-        return pipeline.run(doc, seed=seed, demo_pool=demo_pool)
+        def work(job: tuple[int, Document]) -> PipelineResult:
+            seed, doc = job
+            if megaprompt:
+                return pipeline.run_megaprompt(doc, seed=seed, demo_pool=demo_pool)
+            return pipeline.run(doc, seed=seed, demo_pool=demo_pool)
 
-    if workers <= 1:
-        return [work(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, jobs))
+        if workers <= 1:
+            return [work(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, jobs))
 
 
 def run_ablation(

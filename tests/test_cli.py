@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -292,6 +295,19 @@ class TestMalformedRunDir:
         (run_dir / "manifest.json").write_text("{not json", encoding="utf-8")
         self.assert_exit_three(capsys, ["report", "--run", str(run_dir)])
 
+    def test_manifest_not_an_object_exits_three(self, tmp_path, capsys):
+        run_dir = self.run_dir(tmp_path, capsys)
+        (run_dir / "manifest.json").write_text("[1]", encoding="utf-8")
+        self.assert_exit_three(capsys, self.evaluate(run_dir))
+
+    def test_final_item_without_value_exits_three(self, tmp_path, capsys):
+        run_dir = self.run_dir(tmp_path, capsys)
+        results = run_dir / "results.jsonl"
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        del records[-1]["final"][0]["value"]
+        results.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        self.assert_exit_three(capsys, self.evaluate(run_dir))
+
 
 class TestAblateReportCache:
     def test_ablate_writes_tables(self, tmp_path, capsys):
@@ -362,6 +378,15 @@ class TestAblateReportCache:
     def test_report_missing_run_exits_three(self, tmp_path):
         assert main(["report", "--run", str(tmp_path / "nope")]) == 3
 
+    def test_report_unwritable_out_exits_two_naming_it(self, tmp_path, capsys):
+        assert main(extract_args(tmp_path)) == 0
+        capsys.readouterr()
+        out = tmp_path / "missing" / "r.html"
+        assert main(["report", "--run", str(tmp_path / "run"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "run directory" not in err
+
     def test_record_then_replay_identical(self, tmp_path):
         store = str(tmp_path / "store.bin")
         record_args = extract_args(tmp_path, out="rec", extra=["--backend", "record", "--cache", store])
@@ -407,3 +432,14 @@ class TestAblateReportCache:
         with pytest.raises(SystemExit) as exc_info:
             main(["cache", "export", "--cache", str(tmp_path / "s.bin")])
         assert exc_info.value.code == 2
+
+
+def test_cli_import_leaves_requests_and_yaml_unloaded():
+    """Only a live endpoint needs `requests` and only --config needs `yaml`."""
+    program = "import sys, selfverify.cli; print(sorted({'requests', 'yaml'} & set(sys.modules)))"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", program], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert run.stdout.strip() == "[]"

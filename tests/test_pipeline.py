@@ -7,13 +7,16 @@ import os
 import random
 import subprocess
 import sys
+import threading
+import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import selfverify
-from selfverify.backend import MockBackend, ScriptStep, load_script
+from selfverify.backend import Backend, BackendError, MockBackend, ScriptStep, load_script
 from selfverify.core import (
     Document,
     MatchKind,
@@ -487,6 +490,140 @@ class TestRunBatch:
         config = PipelineConfig(demonstrations_k=0)
         results = run_batch(backend, config, docs, seeds=[0], megaprompt=True)
         assert results[0].megaprompt
+
+
+class SlowBackend(Backend):
+    """Sleeps `latency_s` before each answer, like a live endpoint, and
+    records each call's interval and the most calls in flight at once.
+
+    With `fail_at_prune=n`, the n-th prune call raises instead.
+    """
+
+    def __init__(self, inner: Backend, latency_s: float = 0.020, fail_at_prune: int | None = None):
+        self.inner = inner
+        self.latency_s = latency_s
+        self.fail_at_prune = fail_at_prune
+        self.lock = threading.Lock()
+        self.in_flight = self.peak_in_flight = self.prune_calls = 0
+        self.intervals: list[tuple[float, float]] = []
+
+    def complete(self, request):
+        with self.lock:
+            self.in_flight += 1
+            self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
+            is_prune = "Candidate medication:" in request.text
+            self.prune_calls += is_prune
+            fail = is_prune and self.prune_calls == self.fail_at_prune
+        start = time.perf_counter()
+        try:
+            time.sleep(self.latency_s)
+            if fail:
+                raise BackendError("prune call failed")
+            return self.inner.complete(request)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+                self.intervals.append((start, time.perf_counter()))
+
+
+def _overlap(intervals) -> bool:
+    ordered = sorted(intervals)
+    return any(b[0] < a[1] for a, b in zip(ordered, ordered[1:]))
+
+
+def _many_items_case(n_items: int) -> tuple[Document, list[ScriptStep]]:
+    """A document whose original pass lists `n_items` drugs, and a script keeping each on prune."""
+    names = [f"drug{i:02d}" for i in range(n_items)]
+    document = Document(id="many", text="Takes " + ", ".join(names) + ".", task=medication_status_task())
+    steps = [
+        ScriptStep("List every medication", "".join(f"- {n}: Active\n" for n in names)),
+        ScriptStep("Candidate medication:", "Yes."),
+    ]
+    return document, steps
+
+
+class TestPruneFanOut:
+    """On a slow backend a document's prune calls run concurrently."""
+
+    CONFIG = PipelineConfig(demonstrations_k=0)
+    PRUNE_ONLY = PipelineConfig(steps=("prune",), demonstrations_k=0)
+
+    def test_slow_backend_gives_serial_records_with_overlapping_calls(self):
+        documents = directional_corpus()[0][:4]
+        serial = [ExtractionPipeline(directional_backend(), self.CONFIG).run(d, seed=0) for d in documents]
+        slow = SlowBackend(directional_backend())
+        # One worker: any overlap comes from the prune fan-out.
+        fanned = run_batch(slow, self.CONFIG, documents, seeds=[0], workers=1)
+        assert [result_to_record(r) for r in fanned] == [result_to_record(r) for r in serial]
+        assert _overlap(slow.intervals)
+
+    def test_fast_backend_starts_no_helper_thread(self):
+        documents = directional_corpus()[0][:10]
+        threads = []
+
+        class Counting(Backend):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, request):
+                threads.append(threading.active_count())
+                return self.inner.complete(request)
+
+        before = threading.active_count()
+        run_batch(Counting(directional_backend()), self.CONFIG, documents, seeds=[0], workers=1)
+        assert threads and max(threads) <= before
+
+    def test_forty_items_keep_calls_in_flight_bounded(self):
+        pool_size = min(32, (os.cpu_count() or 1) + 4)  # ThreadPoolExecutor's default
+        workers = 4
+        document, steps = _many_items_case(40)
+        documents = [replace(document, id=f"many{i}") for i in range(3)]
+        serial = [ExtractionPipeline(MockBackend(steps), self.PRUNE_ONLY).run(d) for d in documents]
+        slow = SlowBackend(MockBackend(steps))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            results = run_batch(slow, self.PRUNE_ONLY, documents, seeds=[0], workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [result_to_record(r) for r in results] == [result_to_record(r) for r in serial]
+        assert workers < slow.peak_in_flight <= workers + pool_size
+
+    def test_failing_prune_call_fails_the_batch_without_hanging(self):
+        document, steps = _many_items_case(40)
+        slow = SlowBackend(MockBackend(steps), fail_at_prune=3)
+        errors = []
+
+        def batch():
+            try:
+                run_batch(slow, self.PRUNE_ONLY, [document], seeds=[0], workers=2)
+            except BackendError as exc:
+                errors.append(str(exc))
+
+        thread = threading.Thread(target=batch, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert errors == ["prune call failed"]
+
+    def test_once_step_answers_follow_completion_order(self):
+        """A `once` step matching several prune prompts of one document
+        answers whichever call reaches it first; the verdicts as a multiset
+        do not change."""
+        document, steps = _many_items_case(8)
+
+        def script():
+            return MockBackend([ScriptStep("Candidate medication:", "No.", once=True), *steps])
+
+        def verdicts(result):
+            return Counter(t.response for t in result.traces if t.step.startswith("prune["))
+
+        serial = ExtractionPipeline(script(), self.PRUNE_ONLY).run(document)
+        slow = SlowBackend(script())
+        fanned = run_batch(slow, self.PRUNE_ONLY, [document], seeds=[0], workers=1)[0]
+        assert _overlap(slow.intervals)
+        assert verdicts(fanned) == verdicts(serial) == Counter({"Yes.": 7, "No.": 1})
+        assert (len(fanned.final), len(fanned.pruned)) == (len(serial.final), len(serial.pruned)) == (7, 1)
 
 
 class TestRunAblation:
