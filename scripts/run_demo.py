@@ -15,10 +15,11 @@ from pathlib import Path
 from selfverify.backend import MockBackend, load_script
 from selfverify.core import icd_task
 from selfverify.data import (
-    emit_report,
+    RunManifest,
     load_dataset,
-    make_manifest,
+    load_run,
     records_to_documents,
+    render_report_html,
     write_run,
 )
 from selfverify.evaluation import evaluate_doc
@@ -64,19 +65,22 @@ def main() -> int:
             f"  scores  P={metrics.precision:.3f} R={metrics.recall:.3f} F1={metrics.f1:.3f}"
         )
 
-    manifest = make_manifest(
+    manifest = RunManifest(
         run_id=out_dir.name,
-        task=task,
+        task=task.name,
         backend="mock",
-        config_description=config.describe(task),
+        model_id=config.model_id,
         seeds=[0],
         workers=1,
+        config=config.describe(task),
         catalog_version=catalog_version(),
         dataset=str(args.dataset),
         n_documents=len(documents),
     )
     write_run(out_dir, manifest, results)
-    print(f"report: {emit_report(out_dir)}")
+    report = out_dir / "report.html"
+    report.write_text(render_report_html(*load_run(out_dir)), encoding="utf-8")
+    print(f"report: {report}")
     return 0
 
 

@@ -31,10 +31,10 @@ from .data import (
     DatasetRecord,
     FormatError,
     RunExists,
+    RunManifest,
     demo_pool_from_records,
     load_dataset,
     load_run,
-    make_manifest,
     records_to_documents,
     render_report_html,
     write_run,
@@ -237,19 +237,20 @@ def cmd_extract(args) -> int:
     )
     wall_seconds = time.perf_counter() - started
     out_dir = Path(args.out)
-    manifest = make_manifest(
+    manifest = RunManifest(
         run_id=out_dir.name,
-        task=task,
+        task=task.name,
         backend=args.backend,
-        config_description=config.describe(task),
+        model_id=config.model_id,
         seeds=seeds,
         workers=args.workers,
+        config=config.describe(task),
         catalog_version=catalog_version(),
         dataset=str(args.dataset),
         n_documents=len({r.doc_id for r in results}),
+        wall_seconds=wall_seconds,
         megaprompt=args.megaprompt,
     )
-    manifest.wall_seconds = wall_seconds
     try:
         write_run(out_dir, manifest, results, include_traces=not args.no_traces)
     except RunExists:
@@ -270,17 +271,22 @@ def _gold_maps(records) -> tuple[dict[str, list[str]], dict[str, dict[str, str |
     return values, statuses
 
 
-def _read_run(run_dir: str) -> tuple[dict, list]:
-    """The run's manifest and records; exit 3 on a missing or malformed run file."""
+def _read_run(run_dir: str) -> tuple[dict, list[dict]]:
+    """The run's checked manifest and records; exit 3 when a run file is missing."""
     try:
-        manifest, records = load_run(run_dir)
+        return load_run(run_dir)
     except FileNotFoundError:
         raise CliError(EXIT_DATA, f"run directory not found or incomplete: {run_dir}")
-    except json.JSONDecodeError as exc:
-        raise CliError(EXIT_DATA, f"run directory is corrupt: {exc}")
-    if not isinstance(manifest, dict):
-        raise CliError(EXIT_DATA, "run directory is corrupt: manifest.json is not a JSON object")
-    return manifest, records
+
+
+def _write_output(path: str | Path, text: str) -> Path:
+    """Write one output file; exit 2 naming the path when it cannot be written."""
+    path = Path(path)
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot write {path}: {exc.strerror or exc}")
+    return path
 
 
 def cmd_evaluate(args) -> int:
@@ -289,13 +295,6 @@ def cmd_evaluate(args) -> int:
     manifest, run_records = _read_run(args.run)
     if not run_records:
         raise CliError(EXIT_DATA, f"run directory has no results: {args.run}")
-    for n, record in enumerate(run_records, start=1):
-        if not isinstance(record, dict) or not {"doc_id", "seed", "final"} <= record.keys():
-            raise CliError(EXIT_DATA, f"run directory is corrupt: result {n} lacks doc_id, seed or final")
-        if not isinstance(record["final"], list) or not all(
-            isinstance(item, dict) and isinstance(item.get("value"), str) for item in record["final"]
-        ):
-            raise CliError(EXIT_DATA, f"run directory is corrupt: result {n} has a final item without a value")
     records, _ = _load_records(args)
     gold_values, gold_statuses = _gold_maps(records)
 
@@ -327,9 +326,7 @@ def cmd_evaluate(args) -> int:
                 f"P={metrics.precision:.3f} R={metrics.recall:.3f} F1={metrics.f1:.3f}"
             )
         if args.status:
-            predicted_status = {
-                item["value"]: item.get("status") for item in record["final"]
-            }
+            predicted_status = {item["value"]: item["status"] for item in record["final"]}
             accuracy = status_accuracy(predicted_status, gold_statuses[record["doc_id"]])
             if accuracy is not None:
                 status_pairs.append(accuracy)
@@ -343,10 +340,7 @@ def cmd_evaluate(args) -> int:
         else:
             print("Status accuracy: n/a (no shared values)")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(rows_to_records([row]), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_output(args.json, json.dumps(rows_to_records([row]), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -369,22 +363,16 @@ def cmd_ablate(args) -> int:
     )
     print(render_text_table(rows))
     if args.dsv:
-        Path(args.dsv).write_text(render_dsv(rows), encoding="utf-8")
+        _write_output(args.dsv, render_dsv(rows))
     if args.json:
-        Path(args.json).write_text(
-            json.dumps(rows_to_records(rows), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_output(args.json, json.dumps(rows_to_records(rows), indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     manifest, records = _read_run(args.run)
-    path = Path(args.out) if args.out else Path(args.run) / "report.html"
-    try:
-        path.write_text(render_report_html(manifest, records), encoding="utf-8")
-    except OSError as exc:
-        raise CliError(EXIT_USAGE, f"cannot write report to {path}: {exc.strerror or exc}")
+    report = render_report_html(manifest, records)
+    path = _write_output(args.out or Path(args.run) / "report.html", report)
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -9,12 +9,8 @@ case-insensitive exact matching in evaluation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-
-# Tasks whose mean input exceeds this many characters are treated as
-# long-input: no few-shot demonstrations, repeated omission passes.
-LONG_INPUT_THRESHOLD_CHARS = 2000
 
 
 class TaskFamily(str, Enum):
@@ -27,9 +23,8 @@ class TaskFamily(str, Enum):
 class TaskKind:
     """One extraction task: what to pull out of the text and how to treat it.
 
-    `long_input` drives the omission-loop and demonstration defaults; it is
-    configurable per task instance (see `with_mean_input_length`), with ICD
-    tasks defaulting to long and the others to short.
+    `long_input` drives the omission-loop and demonstration defaults; ICD
+    tasks default to long and the others to short.
     """
 
     family: TaskFamily
@@ -100,11 +95,6 @@ def task_by_name(name: str) -> TaskKind:
         raise KeyError(f"unknown task {name!r}; known: {sorted(TASKS)}") from None
 
 
-def with_mean_input_length(task: TaskKind, mean_chars: float) -> TaskKind:
-    """Reclassify a task as long/short input from a measured corpus mean."""
-    return replace(task, long_input=mean_chars > LONG_INPUT_THRESHOLD_CHARS)
-
-
 @dataclass(frozen=True)
 class Document:
     """One input text (clinical note, abstract, or snippet) bound to a task."""
@@ -112,7 +102,6 @@ class Document:
     id: str
     text: str
     task: TaskKind
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.text:

@@ -11,7 +11,7 @@ A run directory holds manifest.json (run metadata, timing, effective
 config) and results.jsonl (one serialized pipeline result per line).
 Result records deliberately contain no timestamps or latencies: replaying
 a recorded run must produce byte-identical result lines, and all timing
-lives in the manifest.
+lives in the manifest. `load_run` is the one reader of run directories.
 """
 
 from __future__ import annotations
@@ -38,10 +38,15 @@ VALID_SPLITS = ("demo-pool", "eval")
 
 
 class FormatError(ValueError):
-    """A dataset line failed validation."""
+    """A dataset line, a run's results line or its manifest failed validation.
 
-    def __init__(self, line: int, reason: str):
-        super().__init__(f"line {line}: {reason}")
+    The message names the file when `path` is given and the 1-based line
+    when `line` is; a whole-file fault has no line.
+    """
+
+    def __init__(self, line: int | None, reason: str, path: str | Path | None = None):
+        where = (f"{path}: " if path else "") + (f"line {line}: " if line is not None else "")
+        super().__init__(where + reason)
         self.line = line
         self.reason = reason
 
@@ -186,17 +191,16 @@ class RunManifest:
     task: str
     backend: str
     model_id: str
-    created_at: str
     seeds: list[int]
     workers: int
     config: dict
     catalog_version: str
+    created_at: str = field(default_factory=lambda: time.strftime("%Y-%m-%dT%H:%M:%S%z"))
     dataset: str | None = None
     n_documents: int = 0
     n_results: int = 0
     wall_seconds: float = 0.0
     megaprompt: bool = False
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True, ensure_ascii=False)
@@ -276,27 +280,70 @@ def write_run(
     if run_dir.exists():
         raise RunExists(f"run directory already exists: {run_dir}")
     run_dir.mkdir(parents=True)
-    lines = []
-    count = 0
-    for result in results:
-        lines.append(record_to_line(result_to_record(result, include_traces)))
-        count += 1
+    lines = [record_to_line(result_to_record(result, include_traces)) for result in results]
     (run_dir / "results.jsonl").write_text(
         "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
     )
-    manifest.n_results = count
+    manifest.n_results = len(lines)
     (run_dir / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
     return run_dir
 
 
+# The results-line fields that `evaluate` and the report read, with the
+# JSON types each may hold, compared exactly: `true` is not an integer and
+# a missing key fails. Traces and keys not listed are not checked.
+_NULL = type(None)
+_RESULT_FIELDS = {"doc_id": (str,), "seed": (int,), "text": (str,), "final": (list,), "pruned": (list,)}
+_ITEM_FIELDS = {"value": (str,), "origin": (str,), "status": (str, _NULL),
+                "prune_reason": (str, _NULL), "evidence": (dict, _NULL)}
+_SPAN_FIELDS = {"quote": (str,), "start": (int,), "end": (int,), "match_kind": (str,)}
+_MATCH_KINDS = frozenset(kind.value for kind in MatchKind)
+_JSON_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object", _NULL: "null"}
+
+
+def _check_fields(obj, fields: dict, name: str) -> None:
+    """Raise ValueError unless obj is a dict whose `fields` hold their listed types."""
+    if type(obj) is not dict:
+        raise ValueError(f"{name} is not a JSON object")
+    for key, types in fields.items():
+        if type(obj.get(key, ...)) not in types:
+            raise ValueError(f"{name} needs {key!r} as {' or '.join(_JSON_NAMES[t] for t in types)}")
+
+
+def _check_result(record) -> None:
+    _check_fields(record, _RESULT_FIELDS, "result")
+    for key in ("final", "pruned"):
+        for i, item in enumerate(record[key]):
+            _check_fields(item, _ITEM_FIELDS, f"{key}[{i}]")
+            if item["evidence"] is not None:
+                _check_fields(item["evidence"], _SPAN_FIELDS, f"{key}[{i}].evidence")
+                if item["evidence"]["match_kind"] not in _MATCH_KINDS:
+                    raise ValueError(f"{key}[{i}].evidence has an unknown match_kind")
+
+
 def load_run(run_dir: str | Path) -> tuple[dict, list[dict]]:
+    """Read a run directory's manifest and result records, checked.
+
+    Every results-line field that `evaluate` and the report read is
+    checked once here, so they can index it directly. Raises
+    FileNotFoundError when a file is missing, and FormatError naming the
+    file (and for results the line) on bad UTF-8 or JSON or a bad field.
+    """
     run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
-    records = [
-        json.loads(line)
-        for line in (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    path, line_no, records = run_dir / "manifest.json", None, []
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        if type(manifest) is not dict:
+            raise ValueError("not a JSON object")
+        path = run_dir / "results.jsonl"
+        for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            if raw.strip():
+                records.append(json.loads(raw))
+                _check_result(records[-1])
+    except json.JSONDecodeError as exc:
+        raise FormatError(line_no, f"invalid JSON: {exc.msg}", path) from None
+    except ValueError as exc:
+        raise FormatError(line_no, str(exc), path) from None
     return manifest, records
 
 
@@ -307,20 +354,14 @@ def _usable_span(text: str, item: dict) -> tuple[int, int] | None:
     must still reproduce their quote. A span that fails re-checking is not
     highlighted.
     """
-    ev = item.get("evidence")
-    if not ev or ev.get("match_kind") == MatchKind.NOT_FOUND.value:
+    ev = item["evidence"]
+    if ev is None or ev["match_kind"] == MatchKind.NOT_FOUND.value:
         return None
-    start, end = ev.get("start"), ev.get("end")
-    if not isinstance(start, int) or not isinstance(end, int):
-        return None
+    start, end = ev["start"], ev["end"]
     if not (0 <= start < end <= len(text)):
         return None
-    kind = ev.get("match_kind")
-    if kind in (MatchKind.EXACT.value, MatchKind.CASE_INSENSITIVE.value):
-        span = EvidenceSpan(ev.get("quote", ""), start, end, MatchKind(kind))
-        if not span.verify_against(text):
-            return None
-    return (start, end)
+    span = EvidenceSpan(ev["quote"], start, end, MatchKind(ev["match_kind"]))
+    return (start, end) if span.verify_against(text) else None
 
 
 def _merge_intervals(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -374,85 +415,42 @@ def render_report_html(manifest: dict, records: list[dict]) -> str:
         f"{len(records)} result(s)</p>",
     ]
     for record in records:
-        text = record.get("text", "")
-        doc_id = html.escape(str(record.get("doc_id", "?")))
-        seed = record.get("seed", 0)
-        out.append(f"<div class='doc'><h2>{doc_id} <small>(seed {seed})</small></h2>")
+        text = record["text"]
+        out.append(
+            f"<div class='doc'><h2>{html.escape(record['doc_id'])} "
+            f"<small>(seed {record['seed']})</small></h2>"
+        )
 
-        spans: list[tuple[int, int]] = []
-        stale = 0
-        for item in record.get("final", []):
-            span = _usable_span(text, item)
-            if span is not None:
-                spans.append(span)
-            elif item.get("evidence") and item["evidence"].get("match_kind") != "not_found":
-                stale += 1
+        final = record["final"]
+        spans = [span for span in (_usable_span(text, item) for item in final) if span]
+        evidence = [item["evidence"] for item in final if item["evidence"]]
+        stale = sum(ev["match_kind"] != MatchKind.NOT_FOUND.value for ev in evidence) - len(spans)
         out.append(f"<div class='doc-text'>{_highlighted_text(text, spans)}</div>")
         if stale:
             out.append(
                 f"<p class='warn'>{stale} evidence span(s) failed re-checking and are not highlighted.</p>"
             )
 
-        final = record.get("final", [])
         if not final:
             out.append("<p class='banner'>No items extracted for this document.</p>")
         else:
             out.append("<table><tr><th>value</th><th>status</th><th>origin</th><th>evidence</th></tr>")
             for item in final:
-                ev = item.get("evidence") or {}
-                quote = html.escape(ev.get("quote", "") or "")
-                kind = html.escape(ev.get("match_kind", "") or "")
-                status = html.escape(item.get("status") or "")
+                ev = item["evidence"]
+                quote = f"{html.escape(ev['quote'])} <em>({ev['match_kind']})</em>" if ev else ""
                 out.append(
-                    f"<tr><td>{html.escape(item['value'])}</td><td>{status}</td>"
-                    f"<td>{html.escape(item.get('origin', ''))}</td>"
-                    f"<td>{quote}{' <em>(' + kind + ')</em>' if kind else ''}</td></tr>"
+                    f"<tr><td>{html.escape(item['value'])}</td>"
+                    f"<td>{html.escape(item['status'] or '')}</td>"
+                    f"<td>{html.escape(item['origin'])}</td><td>{quote}</td></tr>"
                 )
             out.append("</table>")
 
-        pruned = record.get("pruned", [])
-        if pruned:
+        if record["pruned"]:
             out.append("<p>Pruned items:</p><ul>")
-            for item in pruned:
-                reason = html.escape(item.get("prune_reason") or "")
+            for item in record["pruned"]:
+                reason = html.escape(item["prune_reason"] or "")
                 out.append(f"<li><del>{html.escape(item['value'])}</del>: {reason}</li>")
             out.append("</ul>")
         out.append("</div>")
     out.append("</body></html>")
     return "\n".join(out)
-
-
-def emit_report(run_dir: str | Path, output: str | Path | None = None) -> Path:
-    run_dir = Path(run_dir)
-    manifest, records = load_run(run_dir)
-    path = Path(output) if output else run_dir / "report.html"
-    path.write_text(render_report_html(manifest, records), encoding="utf-8")
-    return path
-
-
-def make_manifest(
-    run_id: str,
-    task: TaskKind,
-    backend: str,
-    config_description: dict,
-    seeds: list[int],
-    workers: int,
-    catalog_version: str,
-    dataset: str | None = None,
-    n_documents: int = 0,
-    megaprompt: bool = False,
-) -> RunManifest:
-    return RunManifest(
-        run_id=run_id,
-        task=task.name,
-        backend=backend,
-        model_id=str(config_description.get("model_id", "")),
-        created_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        seeds=list(seeds),
-        workers=workers,
-        config=config_description,
-        catalog_version=catalog_version,
-        dataset=dataset,
-        n_documents=n_documents,
-        megaprompt=megaprompt,
-    )

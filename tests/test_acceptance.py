@@ -28,8 +28,8 @@ from selfverify.backend import (
 )
 from selfverify.core import MatchKind, icd_task, normalize
 from selfverify.data import (
+    RunManifest,
     load_dataset,
-    make_manifest,
     records_to_documents,
     write_run,
 )
@@ -408,13 +408,14 @@ def test_08_record_then_replay_is_bit_identical(tmp_path):
     recorded = run_batch(recorder, config, documents, seeds=[0], workers=4)
 
     def persist(results, name):
-        manifest = make_manifest(
+        manifest = RunManifest(
             run_id=name,
-            task=task,
+            task=task.name,
             backend=name,
-            config_description=config.describe(task),
+            model_id=config.model_id,
             seeds=[0],
             workers=4,
+            config=config.describe(task),
             catalog_version=catalog_version(),
         )
         run_dir = tmp_path / name

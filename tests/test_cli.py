@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from selfverify import cli
 from selfverify.cli import main
@@ -246,6 +248,15 @@ class TestEvaluate:
         assert rows[0]["f1"] == 1.0
         assert rows[0]["n_seeds"] == 2
 
+    def test_json_to_missing_dir_exits_two_naming_it(self, tmp_path, capsys):
+        out_file = tmp_path / "nodir" / "m.json"
+        assert main(extract_args(tmp_path)) == 0
+        capsys.readouterr()
+        args = ["evaluate", "--run", str(tmp_path / "run"), "--dataset", MED_DATA, "--json", str(out_file)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out_file) in err
+
     def test_top_k_filter(self, tmp_path, capsys):
         code, out = self.run_and_evaluate(tmp_path, capsys, extra=["--top-k", "1"])
         assert code == 0
@@ -260,53 +271,133 @@ class TestEvaluate:
             assert "--top-k must be at least 1" in capsys.readouterr().err
 
 
+def _with_first_final(record, **changes):
+    return {**record, "final": [{**record["final"][0], **changes}, *record["final"][1:]]}
+
+
+# Results-line faults that `evaluate` and `report` must both reject with exit 3.
+BAD_RESULTS = {
+    "not_an_object": lambda r: [1],
+    "doc_id_list": lambda r: {**r, "doc_id": [r["doc_id"]]},
+    "seed_list": lambda r: {**r, "seed": [r["seed"]]},
+    "text_missing": lambda r: {k: v for k, v in r.items() if k != "text"},
+    "evidence_string": lambda r: _with_first_final(r, evidence="aspirin"),
+    "pruned_int": lambda r: {**r, "pruned": 3},
+    "status_list": lambda r: _with_first_final(r, status=["active"]),
+    "pruned_value_int": lambda r: {**r, "pruned": [{**r["final"][0], "value": 1}]},
+}
+
+
+def _json_values():
+    leaves = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5)
+    return st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+        max_leaves=6,
+    )
+
+
+def _checked_paths(record):
+    """Key paths to every node in the results-line fields that `evaluate` and `report` read."""
+    paths = [(key,) for key in ("doc_id", "seed", "text", "final", "pruned")]
+    for key in ("final", "pruned"):
+        for i, item in enumerate(record[key]):
+            paths.append((key, i))
+            paths += [(key, i, field) for field in ("value", "origin", "status", "prune_reason", "evidence")]
+            if item["evidence"] is not None:
+                paths += [(key, i, "evidence", field) for field in ("quote", "start", "end", "match_kind")]
+    return paths
+
+
 class TestMalformedRunDir:
-    """A run directory that cannot be scored or rendered exits 3 with one error line."""
+    """A run directory that cannot be scored or rendered exits 3 with one error line.
+
+    `evaluate` and `report` read runs through one reader, so each fault is
+    checked under both, except an empty run, which still renders a report.
+    """
 
     def run_dir(self, tmp_path, capsys) -> Path:
         assert main(extract_args(tmp_path)) == 0
         capsys.readouterr()
         return tmp_path / "run"
 
-    def assert_exit_three(self, capsys, args):
-        assert main(args) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+    def edit_last_result(self, run_dir, edit) -> int:
+        """Replace the last results line by edit(record); returns its line number."""
+        results = run_dir / "results.jsonl"
+        records = [json.loads(line) for line in results.read_text().splitlines()]
+        records[-1] = edit(records[-1])
+        results.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        return len(records)
 
-    def evaluate(self, run_dir):
-        return ["evaluate", "--run", str(run_dir), "--dataset", MED_DATA]
+    def assert_exit_three(self, capsys, run_dir, commands=("evaluate", "report"), names=()):
+        for command in commands:
+            dataset = ["--dataset", MED_DATA] if command == "evaluate" else []
+            assert main([command, "--run", str(run_dir), *dataset]) == 3, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+            assert all(name in err for name in names), (command, err)
 
     def test_empty_results_exit_three(self, tmp_path, capsys):
         run_dir = self.run_dir(tmp_path, capsys)
         (run_dir / "results.jsonl").write_text("", encoding="utf-8")
-        self.assert_exit_three(capsys, self.evaluate(run_dir))
+        self.assert_exit_three(capsys, run_dir, commands=("evaluate",))
 
     @pytest.mark.parametrize("field", ["final", "seed"])
     def test_result_missing_field_exits_three(self, tmp_path, capsys, field):
         run_dir = self.run_dir(tmp_path, capsys)
-        results = run_dir / "results.jsonl"
-        records = [json.loads(line) for line in results.read_text().splitlines()]
-        del records[-1][field]
-        results.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        self.assert_exit_three(capsys, self.evaluate(run_dir))
+        line = self.edit_last_result(run_dir, lambda r: {k: v for k, v in r.items() if k != field})
+        self.assert_exit_three(capsys, run_dir, names=("results.jsonl", f"line {line}:", field))
 
     def test_report_corrupt_manifest_exits_three(self, tmp_path, capsys):
         run_dir = self.run_dir(tmp_path, capsys)
         (run_dir / "manifest.json").write_text("{not json", encoding="utf-8")
-        self.assert_exit_three(capsys, ["report", "--run", str(run_dir)])
+        self.assert_exit_three(capsys, run_dir, names=("manifest.json", "invalid JSON"))
 
     def test_manifest_not_an_object_exits_three(self, tmp_path, capsys):
         run_dir = self.run_dir(tmp_path, capsys)
         (run_dir / "manifest.json").write_text("[1]", encoding="utf-8")
-        self.assert_exit_three(capsys, self.evaluate(run_dir))
+        self.assert_exit_three(capsys, run_dir, names=("manifest.json", "not a JSON object"))
 
     def test_final_item_without_value_exits_three(self, tmp_path, capsys):
         run_dir = self.run_dir(tmp_path, capsys)
+        line = self.edit_last_result(
+            run_dir, lambda r: {**r, "final": [{k: v for k, v in r["final"][0].items() if k != "value"}]}
+        )
+        self.assert_exit_three(capsys, run_dir, names=("results.jsonl", f"line {line}:", "final[0]"))
+
+    @pytest.mark.parametrize("case", sorted(BAD_RESULTS))
+    def test_bad_results_line_exits_three(self, tmp_path, capsys, case):
+        run_dir = self.run_dir(tmp_path, capsys)
+        line = self.edit_last_result(run_dir, BAD_RESULTS[case])
+        self.assert_exit_three(capsys, run_dir, names=("results.jsonl", f"line {line}:"))
+
+    def test_results_line_not_json_exits_three(self, tmp_path, capsys):
+        run_dir = self.run_dir(tmp_path, capsys)
         results = run_dir / "results.jsonl"
-        records = [json.loads(line) for line in results.read_text().splitlines()]
-        del records[-1]["final"][0]["value"]
+        lines = results.read_text(encoding="utf-8").splitlines()
+        results.write_text("\n".join([*lines, "{not json"]) + "\n", encoding="utf-8")
+        self.assert_exit_three(capsys, run_dir, names=("results.jsonl", f"line {len(lines) + 1}:", "invalid JSON"))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_checked_node_replaced_exits_zero_or_three(self, tmp_path, capsys, data):
+        run_dir = tmp_path / "run"
+        if not run_dir.exists():  # one extract serves every example; each rewrites the results
+            assert main(extract_args(tmp_path)) == 0
+            (tmp_path / "valid.jsonl").write_bytes((run_dir / "results.jsonl").read_bytes())
+        results = run_dir / "results.jsonl"
+        records = [json.loads(line) for line in (tmp_path / "valid.jsonl").read_text().splitlines()]
+        n = data.draw(st.integers(0, len(records) - 1), label="line")
+        path = data.draw(st.sampled_from(_checked_paths(records[n])), label="path")
+        node = records[n]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = data.draw(_json_values(), label="value")
         results.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        self.assert_exit_three(capsys, self.evaluate(run_dir))
+        capsys.readouterr()
+        assert main(["report", "--run", str(run_dir)]) in (0, 3)
+        # A doc_id replaced by a string that names no dataset document is exit 4.
+        evaluate = ["evaluate", "--run", str(run_dir), "--dataset", MED_DATA, "--status"]
+        assert main(evaluate) in ((0, 3, 4) if path == ("doc_id",) else (0, 3))
 
 
 class TestAblateReportCache:
@@ -335,6 +426,14 @@ class TestAblateReportCache:
             assert name in out
         assert dsv.read_text().startswith("variant\t")
         assert len(json.loads(as_json.read_text())) == 5
+
+    def test_ablate_dsv_to_missing_dir_exits_two_naming_it(self, tmp_path, capsys):
+        dsv = tmp_path / "nodir" / "t.tsv"
+        args = ["ablate", "--task", "medication_status", "--dataset", MED_DATA, "--script", MED_SCRIPT,
+                "--dsv", str(dsv)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(dsv) in err
 
     def test_ablate_gives_each_run_its_own_backend(self, tmp_path, capsys):
         dataset = tmp_path / "one_note.jsonl"

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfverify.core import (
-    LONG_INPUT_THRESHOLD_CHARS,
     Document,
     EvidenceSpan,
     ExtractedItem,
@@ -23,7 +22,6 @@ from selfverify.core import (
     merge,
     normalize,
     task_by_name,
-    with_mean_input_length,
 )
 from selfverify.parsing import locate_quote
 
@@ -54,13 +52,6 @@ class TestTaskKind:
                 long_input=False,
                 icd_version=9,
             )
-
-    def test_long_input_threshold(self):
-        base = clinical_trial_arm_task()
-        assert with_mean_input_length(base, LONG_INPUT_THRESHOLD_CHARS).long_input is False
-        assert with_mean_input_length(base, LONG_INPUT_THRESHOLD_CHARS + 1).long_input is True
-        long = icd_task(10)
-        assert with_mean_input_length(long, 500.0).long_input is False
 
     def test_unknown_task_name(self):
         with pytest.raises(KeyError):

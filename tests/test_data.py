@@ -21,11 +21,10 @@ from selfverify.data import (
     FormatError,
     GoldItem,
     RunExists,
+    RunManifest,
     demo_pool_from_records,
-    emit_report,
     load_dataset,
     load_run,
-    make_manifest,
     record_to_line,
     records_to_documents,
     render_report_html,
@@ -191,13 +190,14 @@ def make_result(doc_id="d1", seed=0) -> PipelineResult:
 
 
 def make_run(tmp_path, results=None, run_id="run-a"):
-    manifest = make_manifest(
+    manifest = RunManifest(
         run_id=run_id,
-        task=medication_status_task(),
+        task=medication_status_task().name,
         backend="mock",
-        config_description={"model_id": "m1", "temperature": 0.1},
+        model_id="m1",
         seeds=[0],
         workers=1,
+        config={"model_id": "m1", "temperature": 0.1},
         catalog_version="1",
     )
     return write_run(tmp_path / run_id, manifest, results or [make_result()])
@@ -251,6 +251,18 @@ class TestRunPersistence:
         parsed = json.loads(a)
         assert list(parsed) == sorted(parsed)
 
+    def test_load_run_names_file_and_line_of_first_bad_field(self, tmp_path):
+        run_dir = make_run(tmp_path, results=[make_result(), make_result()])
+        results = run_dir / "results.jsonl"
+        first, second = (json.loads(line) for line in results.read_text().splitlines())
+        first.update(traces="not checked", unread_key=[1])
+        second["final"][0]["evidence"]["match_kind"] = "guess"
+        results.write_text(record_to_line(first) + "\n" + record_to_line(second) + "\n")
+        with pytest.raises(FormatError, match=r"results\.jsonl: line 2: final\[0\]\.evidence .*match_kind"):
+            load_run(run_dir)
+        results.write_text(record_to_line(first) + "\n")
+        assert load_run(run_dir)[1] == [first]
+
     def test_timing_lives_in_manifest(self, tmp_path):
         run_dir = make_run(tmp_path)
         manifest, _ = load_run(run_dir)
@@ -268,9 +280,7 @@ class TestReport:
             final=ExtractionSet.empty(),
         )
         run_dir = make_run(tmp_path, results=[make_result(), empty])
-        report = emit_report(run_dir)
-        assert report == run_dir / "report.html"
-        html_text = report.read_text(encoding="utf-8")
+        html_text = render_report_html(*load_run(run_dir))
         assert "<mark>takes aspirin</mark>" in html_text
         assert "<del>unicorn dust</del>" in html_text
         assert "not in the note" in html_text
