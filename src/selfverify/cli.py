@@ -279,6 +279,16 @@ def _read_run(run_dir: str) -> tuple[dict, list[dict]]:
         raise CliError(EXIT_DATA, f"run directory not found or incomplete: {run_dir}")
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Exit 2 naming the first output path whose directory does not exist.
+
+    Called before any work, so a mistyped path costs no model calls.
+    """
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise CliError(EXIT_USAGE, f"cannot write {path}: no such directory")
+
+
 def _write_output(path: str | Path, text: str) -> Path:
     """Write one output file; exit 2 naming the path when it cannot be written."""
     path = Path(path)
@@ -292,6 +302,7 @@ def _write_output(path: str | Path, text: str) -> Path:
 def cmd_evaluate(args) -> int:
     if args.top_k is not None and args.top_k < 1:
         raise CliError(EXIT_USAGE, f"--top-k must be at least 1, got {args.top_k}")
+    _check_output_dirs(args.json)
     manifest, run_records = _read_run(args.run)
     if not run_records:
         raise CliError(EXIT_DATA, f"run directory has no results: {args.run}")
@@ -345,6 +356,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    _check_output_dirs(args.dsv, args.json)
     task = _task(args.task)
     records, _ = _load_records(args)
     gold_values, _ = _gold_maps(records)

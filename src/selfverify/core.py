@@ -133,40 +133,28 @@ def _fold_char(c: str) -> str:
     return low if len(low) == 1 else c
 
 
-def fold_with_offsets(text: str) -> tuple[str, list[int], list[int]]:
-    """Length-tracked fold: lowercase chars, collapse whitespace runs.
+def fold(text: str) -> str:
+    """The one text-folding definition: lowercase, one ' ' per whitespace run.
 
-    Returns (folded, starts, ends) where folded[k] came from the original
-    slice [starts[k], ends[k]). A whitespace run becomes one ' ' covering
-    the whole run. This is the one text-folding definition: the locator's
-    case-insensitive and fuzzy stages and the span re-check all use it.
+    Each character becomes its lowercase form when that is one character
+    (so 'İ' stays as it is), and each whitespace run (`str.isspace`, which
+    is also what `\\s` matches) becomes a single ' '. The locator's
+    case-insensitive and fuzzy stages, `fold_quote` and the span re-check
+    all use it. `str.lower` on a whole string gives the same characters
+    except at 'İ' (two characters) and 'Σ' (final sigma depends on its
+    neighbours), so only a text holding one of those two is lowered a
+    character at a time.
     """
-    folded: list[str] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            j = i
-            while j < n and text[j].isspace():
-                j += 1
-            folded.append(" ")
-            starts.append(i)
-            ends.append(j)
-            i = j
-        else:
-            folded.append(_fold_char(text[i]))
-            starts.append(i)
-            ends.append(i + 1)
-            i += 1
-    return "".join(folded), starts, ends
+    if "\u0130" in text or "\u03a3" in text:
+        text = "".join(map(_fold_char, text))
+    else:
+        text = text.lower()
+    return re.sub(r"\s+", " ", text)
 
 
 def fold_quote(quote: str) -> str:
     """Fold a quote with the same rules as the document, trimmed at the ends."""
-    folded, _, _ = fold_with_offsets(quote)
-    return folded.strip()
+    return fold(quote).strip()
 
 
 @dataclass(frozen=True)

@@ -321,24 +321,42 @@ def _check_result(record) -> None:
                     raise ValueError(f"{key}[{i}].evidence has an unknown match_kind")
 
 
+def _decode(raw: str):
+    """json.loads, refusing a string that holds a lone surrogate.
+
+    Such a string (from an unpaired \\ud800-\\udfff escape) cannot be
+    written as UTF-8, so a report would fail on it. Only an escape can put
+    one in a decoded string, and runs are written without escapes for
+    non-ASCII text, so only text holding a \\u escape pays for the check.
+    """
+    obj = json.loads(raw)
+    if "\\u" in raw:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("a string holds a lone surrogate, which UTF-8 cannot encode") from None
+    return obj
+
+
 def load_run(run_dir: str | Path) -> tuple[dict, list[dict]]:
     """Read a run directory's manifest and result records, checked.
 
     Every results-line field that `evaluate` and the report read is
     checked once here, so they can index it directly. Raises
     FileNotFoundError when a file is missing, and FormatError naming the
-    file (and for results the line) on bad UTF-8 or JSON or a bad field.
+    file (and for results the line) on bad UTF-8 or JSON, a lone
+    surrogate in a string, or a bad field.
     """
     run_dir = Path(run_dir)
     path, line_no, records = run_dir / "manifest.json", None, []
     try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest = _decode(path.read_text(encoding="utf-8"))
         if type(manifest) is not dict:
             raise ValueError("not a JSON object")
         path = run_dir / "results.jsonl"
         for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             if raw.strip():
-                records.append(json.loads(raw))
+                records.append(_decode(raw))
                 _check_result(records[-1])
     except json.JSONDecodeError as exc:
         raise FormatError(line_no, f"invalid JSON: {exc.msg}", path) from None

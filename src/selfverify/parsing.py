@@ -8,19 +8,28 @@ crash.
 The locator resolves a model-returned quote to character offsets in the
 source text through three stages: exact substring, case- and
 whitespace-insensitive match, then a bounded fuzzy search that minimizes
-edit distance normalized by the longer of quote and window. The fuzzy
-stage reads rows of the edit-distance table computed with Myers'
-bit-vectors (`_edit_row`): one free-start row over the folded note, about
-ten integer operations per note character whatever the quote's length,
-then one anchored row over the length band for each end point whose
-distance could pass the threshold.
+edit distance normalized by the longer of quote and window. The calls of
+one evidence step share a `QuoteSearch`, so the step costs at most:
+- one fold of the note (`core.fold`), made only when a quote misses the
+  exact stage, by `str.lower` and one `re` substitution when the note has
+  neither 'İ' nor 'Σ', and a character at a time otherwise; only the
+  offsets of a result are mapped back, by bisecting the whitespace runs;
+- one free-start scan of the folded note for all the quotes that reach
+  the fuzzy stage together, with Myers' bit-vectors (`_edit_rows`, one
+  field per quote in the same Python ints), about fifteen integer
+  operations per note character, emitting only the end points whose
+  distance could pass the threshold;
+- per fuzzy quote, one short anchored row over the length band for each
+  such end point.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from typing import Iterable
 
-from .core import EvidenceSpan, MatchKind, StatusLabel, fold_quote, fold_with_offsets, normalize
+from .core import EvidenceSpan, MatchKind, StatusLabel, fold, fold_quote, normalize
 
 # Fuzzy matching accepts a window w for quote q iff
 #   editdist(q, w) / max(|q|, |w|) <= 1/5
@@ -302,45 +311,135 @@ def passes_threshold(dist: int, m: int, length: int) -> bool:
     return dist * FUZZY_THRESHOLD_DEN <= max(m, length) * FUZZY_THRESHOLD_NUM
 
 
-def _edit_row(needle: str, haystack: str, anchored: bool) -> list[int]:
-    """Last row of the edit-distance table of `needle` against `haystack`.
+def _edit_rows(
+    needles: list[str], haystack: str, anchored: bool, caps: list[int]
+) -> list[list[tuple[int, int]]]:
+    """End points in `haystack` where each needle is within its edit-distance cap.
 
-    row[j] is the distance of `needle` to the best substring ending at j
-    (free start, the standard semi-global alignment) or, when `anchored`,
-    to haystack[:j]; j runs from 0 to len(haystack). Computed with Myers'
-    bit-vectors (Myers 1999; Hyyro 2003 for the score column) on Python
-    ints: one pass over the haystack of about ten integer operations per
-    character, whatever the needle's length. Anchoring shifts a carry of 1
-    into the horizontal-positive vector, since row 0 is then 0, 1, 2, ...
-    rather than all zeros. `needle` must not be empty.
+    For each needle, the (j, d) for j from 1 to len(haystack) whose
+    distance d is at most the needle's cap (a cap is at least 0): d is the
+    distance to the best substring ending at j (free start, the standard
+    semi-global alignment) or, when `anchored`, to haystack[:j]. That is
+    the last row of the edit-distance table, computed with Myers'
+    bit-vectors (Myers 1999; Hyyro 2003 for the score) on Python ints in
+    one pass over the haystack, whatever the needles' lengths.
+
+    The needles share the pass (Hyyro, Fredriksson & Navarro 2005). Each
+    has a field of the vectors, with clear bits above it so that no carry
+    or shift crosses into the next field. Its score is a counter field of
+    `counts` whose lowest bit sits at the needle's top bit, so one add and
+    one subtract update every score. A counter holds 2**(b-1) + cap -
+    score, so its top bit is set exactly when the score is within the cap.
+    Anchoring shifts a carry of 1 into each field's lowest bit, since row 0
+    is then 0, 1, 2, ... rather than all zeros. Needles must not be empty.
     """
-    m = len(needle)
-    mask = (1 << m) - 1
-    high = 1 << (m - 1)
     peq: dict[str, int] = {}
-    for i, c in enumerate(needle):
-        peq[c] = peq.get(c, 0) | (1 << i)
-    pv, mv, score, carry = mask, 0, m, int(anchored)
-    row = [m]
-    for c in haystack:
+    lows = highs = tops = mask = counts = 0
+    fired_field: dict[int, tuple[int, int, int, int]] = {}
+    off = 0
+    for i, (needle, cap) in enumerate(zip(needles, caps)):
+        m = len(needle)
+        for p, c in enumerate(needle):
+            peq[c] = peq.get(c, 0) | (1 << (off + p))
+        # A score never exceeds m (free start) or m + len(haystack).
+        b = max(m + len(haystack) * anchored, cap).bit_length() + 1
+        high = off + m - 1
+        base = (1 << (b - 1)) + cap
+        lows |= 1 << off
+        highs |= 1 << high
+        tops |= 1 << (high + b - 1)
+        mask |= ((1 << m) - 1) << off
+        counts += (base - m) << high
+        fired_field[1 << (high + b - 1)] = (i, high, (1 << b) - 1, base)
+        if i + 1 < len(needles):
+            off += m + max(1, b - len(needles[i + 1]))
+    carry = lows if anchored else 0
+    inner = mask & ~lows
+    pv, mv = mask, 0
+    hits: list[list[tuple[int, int]]] = [[] for _ in needles]
+    for j, c in enumerate(haystack, 1):
         eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        if ph & high:
-            score += 1
-        elif mh & high:
-            score -= 1
-        row.append(score)
-        ph = (ph << 1) | carry
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
+        counts += (mh & highs) - (ph & highs)
+        fired = counts & tops
+        while fired:
+            top = fired & -fired
+            fired ^= top
+            i, high, field, base = fired_field[top]
+            hits[i].append((j, base - ((counts >> high) & field)))
+        ph = (ph << 1) & inner | carry
+        pv = ((mh << 1) | ~(xv | ph)) & mask
         mv = ph & xv
-    return row
+    return hits
 
 
-def locate_quote(text: str, quote: str) -> EvidenceSpan:
+class QuoteSearch:
+    """What the `locate_quote` calls on one text share.
+
+    That is the text's fold, made at most once, and one free-start scan
+    for all the given quotes that reach the fuzzy stage. Build one with
+    every quote to be located in the text and pass it to each call.
+    Nothing is computed before a call needs it, so a text whose quotes are
+    all exact substrings is never folded. Not for use by several threads.
+    """
+
+    def __init__(self, text: str, quotes: Iterable[str] = ()):
+        self.text = text
+        self._quotes = tuple(quotes)
+        self._folded: str | None = None
+        self._after: list[int] | None = None
+        self._shift: list[int] = []
+        self._ends: dict[str, list[tuple[int, int]]] = {}
+
+    @property
+    def folded(self) -> str:
+        if self._folded is None:
+            self._folded = fold(self.text)
+        return self._folded
+
+    def original(self, k: int) -> int:
+        """The offset in the text of the boundary before folded[k].
+
+        k runs from 0 to len(folded); a span [s, e) of the fold covers
+        [original(s), original(e)) of the text, whole whitespace runs
+        included. The fold shortens the text only where a whitespace run
+        of two or more characters becomes one ' ', so this bisects those
+        runs rather than keep an offset for every character.
+        """
+        if self._after is None:
+            # _after[i] is the first folded boundary past the i-th such
+            # run; _shift[i] the characters dropped up to and including it.
+            after: list[int] = []
+            shift: list[int] = []
+            dropped = 0
+            for run in re.finditer(r"\s\s+", self.text):
+                dropped += run.end() - run.start() - 1
+                after.append(run.end() - dropped)
+                shift.append(dropped)
+            self._after, self._shift = after, shift
+        i = bisect_right(self._after, k)
+        return k + self._shift[i - 1] if i else k
+
+    def end_points(self, nq: str) -> list[tuple[int, int]]:
+        """Free-start end points of the folded quote `nq` within its raw cap.
+
+        The first call scans the fold once for `nq` and for every other
+        quote given that misses the exact and case-insensitive stages.
+        """
+        if nq not in self._ends:
+            # A quote found by an earlier stage folds to a substring of the
+            # fold (an exact one too), so this keeps only the fuzzy ones.
+            batch = dict.fromkeys([nq] + [fold_quote(quote) for quote in self._quotes])
+            batch = [n for n in batch if n and n not in self._ends and n not in self.folded]
+            rows = _edit_rows(batch, self.folded, False, [len(n) // 4 for n in batch])
+            self._ends.update(zip(batch, rows))
+        return self._ends[nq]
+
+
+def locate_quote(text: str, quote: str, search: QuoteSearch | None = None) -> EvidenceSpan:
     """Resolve a quote to character offsets in `text`.
 
     Stage 1: exact substring (leftmost). Stage 2: leftmost match ignoring
@@ -348,7 +447,8 @@ def locate_quote(text: str, quote: str) -> EvidenceSpan:
     editdist / max(|quote|, |window|) over windows within the length band,
     accepted only at or under the 1/5 threshold; ties prefer the smaller
     normalized distance, then leftmost start, then smallest end. Offsets
-    always index the original text.
+    always index the original text. `search`, when given, is a QuoteSearch
+    of `text` shared by the calls on the same text.
     """
     if not quote or not quote.strip():
         return EvidenceSpan.not_found(quote)
@@ -357,57 +457,54 @@ def locate_quote(text: str, quote: str) -> EvidenceSpan:
     if pos >= 0:
         return EvidenceSpan(quote=quote, start=pos, end=pos + len(quote), match_kind=MatchKind.EXACT)
 
-    folded, starts, ends = fold_with_offsets(text)
     nq = fold_quote(quote)
-    if not nq:
-        return EvidenceSpan.not_found(quote)
+    if search is None:
+        search = QuoteSearch(text, (quote,))
+    folded = search.folded
     k = folded.find(nq)
     if k >= 0:
         return EvidenceSpan(
             quote=quote,
-            start=starts[k],
-            end=ends[k + len(nq) - 1],
+            start=search.original(k),
+            end=search.original(k + len(nq)),
             match_kind=MatchKind.CASE_INSENSITIVE,
         )
 
     m = len(nq)
-    n = len(folded)
     lo_len, hi_len = window_band(m)
-    if lo_len > n:
+    if lo_len > len(folded):
         return EvidenceSpan.not_found(quote)
 
-    end_dists = _edit_row(nq, folded, anchored=False)
     rq = nq[::-1]
     # Any window inside the band that passes the threshold has raw distance
-    # at most floor(m/4), and the free-start distance at its end point is a
-    # lower bound on that, so this filter loses nothing.
-    raw_cap = m // 4
+    # at most floor(m/4), and once a best window is known, any that could
+    # still win (ratio at most the best's) has distance at most
+    # best_dist * hi_len // best_denom. The free-start distance at a
+    # window's end point is a lower bound on its distance, so keeping only
+    # end points, and window lengths, within that cap loses nothing.
+    cap = m // 4
     best: tuple[int, int, int, int] | None = None  # (dist, max(m, L), start, end)
-    for end in range(1, n + 1):
-        e_j = end_dists[end]
-        if e_j > raw_cap:
+    for end, e_j in search.end_points(nq):
+        if e_j > cap:
             continue
-        if best is not None and e_j * best[1] > best[0] * max(m, hi_len):
-            continue
-        # Every window sharing this end point, indexed by its length, from
-        # one anchored row of the reversed quote against the reversed slice.
-        by_len = _edit_row(rq, folded[max(0, end - hi_len):end][::-1], anchored=True)
-        for length in range(lo_len, min(hi_len, end) + 1):
-            dist = by_len[length]
-            if not passes_threshold(dist, m, length):
+        # Every window sharing this end point, by its length, from one
+        # anchored row of the reversed quote against the reversed slice.
+        window = folded[max(0, end - hi_len):end][::-1]
+        for length, dist in _edit_rows([rq], window, True, [cap])[0]:
+            if length < lo_len or not passes_threshold(dist, m, length):
                 continue
             start = end - length
             denom = max(m, length)
-            if best is None:
-                best = (dist, denom, start, end)
-                continue
-            lhs = dist * best[1]
-            rhs = best[0] * denom
-            if lhs < rhs or (lhs == rhs and (start, end) < (best[2], best[3])):
-                best = (dist, denom, start, end)
+            if best is not None:
+                lhs = dist * best[1]
+                rhs = best[0] * denom
+                if not (lhs < rhs or (lhs == rhs and (start, end) < (best[2], best[3]))):
+                    continue
+            best = (dist, denom, start, end)
+            cap = min(cap, dist * hi_len // denom)
     if best is None:
         return EvidenceSpan.not_found(quote)
     _, _, s, e = best
     return EvidenceSpan(
-        quote=quote, start=starts[s], end=ends[e - 1], match_kind=MatchKind.FUZZY
+        quote=quote, start=search.original(s), end=search.original(e), match_kind=MatchKind.FUZZY
     )

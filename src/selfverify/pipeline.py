@@ -36,6 +36,7 @@ from .core import (
 )
 from .parsing import (
     AmbiguousVerdict,
+    QuoteSearch,
     align_key,
     locate_quote,
     parse_bulleted_list,
@@ -357,13 +358,14 @@ class ExtractionPipeline:
         prompt = build_evidence_prompt(document.task, document.text, current)
         response = self._call(prompt, cfg.max_output_tokens_extract, log)
         mapping, warnings = parse_evidence(response, list(current.keys()))
+        search = QuoteSearch(document.text, mapping.values())
         updated: list[ExtractedItem] = []
         for item in current:
             quote = mapping.get(item.key)
             if quote is None:
                 span, flags = EvidenceSpan.not_found(""), ("no_evidence_line",)
             else:
-                span = locate_quote(document.text, quote)
+                span = locate_quote(document.text, quote, search)
                 flags = () if span.located else ("quote_not_found",)
             updated.append(replace(item, evidence=span, flags=item.flags + flags))
         summary = f"{sum(item.evidence.located for item in updated)} of {len(updated)} quotes located"

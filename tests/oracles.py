@@ -12,6 +12,14 @@ cell-by-cell dynamic programs for its two rows (free-start end points and
 the anchored per-end refinement), kept as the reference for the
 bit-vector rows that replaced them.
 
+`fold_with_offsets`, `fold_quote`, `full_edit_row` and
+`full_row_locate_quote` are the locator's former fold and search, bodies
+unchanged: a per-character fold that builds two offset lists as long as
+the text, and rows that keep a score for every text position. They are
+the reference for the fold made with `str.lower` and one `re`
+substitution, mapped back by bisecting whitespace runs, and for the scan
+that keeps only candidate end points.
+
 `linear_mock_complete` is the scripted backend's former call, which tests
 every script step in order, kept as the reference for the substring index
 that now picks the candidate steps.
@@ -24,14 +32,157 @@ from fractions import Fraction
 import numpy as np
 
 from selfverify.backend import FinishReason, LlmResponse, ScriptExhausted
-from selfverify.parsing import (
-    fold_quote,
-    fold_with_offsets,
-    passes_threshold,
-    window_band,
-)
+from selfverify.core import EvidenceSpan, MatchKind, _fold_char
+from selfverify.parsing import passes_threshold, window_band
 
 _BIG = 10**6
+
+
+def fold_with_offsets(text: str) -> tuple[str, list[int], list[int]]:
+    """Length-tracked fold: lowercase chars, collapse whitespace runs.
+
+    Returns (folded, starts, ends) where folded[k] came from the original
+    slice [starts[k], ends[k]). A whitespace run becomes one ' ' covering
+    the whole run. The locator's former fold, kept as the reference for
+    `core.fold` and `parsing.QuoteSearch`.
+    """
+    folded: list[str] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i].isspace():
+            j = i
+            while j < n and text[j].isspace():
+                j += 1
+            folded.append(" ")
+            starts.append(i)
+            ends.append(j)
+            i = j
+        else:
+            folded.append(_fold_char(text[i]))
+            starts.append(i)
+            ends.append(i + 1)
+            i += 1
+    return "".join(folded), starts, ends
+
+
+def fold_quote(quote: str) -> str:
+    """Fold a quote with the same rules as the document, trimmed at the ends."""
+    folded, _, _ = fold_with_offsets(quote)
+    return folded.strip()
+
+
+def full_edit_row(needle: str, haystack: str, anchored: bool) -> list[int]:
+    """Last row of the edit-distance table of `needle` against `haystack`.
+
+    row[j] is the distance of `needle` to the best substring ending at j
+    (free start, the standard semi-global alignment) or, when `anchored`,
+    to haystack[:j]; j runs from 0 to len(haystack). Computed with Myers'
+    bit-vectors (Myers 1999; Hyyro 2003 for the score column) on Python
+    ints: one pass over the haystack of about ten integer operations per
+    character, whatever the needle's length. Anchoring shifts a carry of 1
+    into the horizontal-positive vector, since row 0 is then 0, 1, 2, ...
+    rather than all zeros. `needle` must not be empty.
+    """
+    m = len(needle)
+    mask = (1 << m) - 1
+    high = 1 << (m - 1)
+    peq: dict[str, int] = {}
+    for i, c in enumerate(needle):
+        peq[c] = peq.get(c, 0) | (1 << i)
+    pv, mv, score, carry = mask, 0, m, int(anchored)
+    row = [m]
+    for c in haystack:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        row.append(score)
+        ph = (ph << 1) | carry
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return row
+
+
+def full_row_locate_quote(text: str, quote: str) -> EvidenceSpan:
+    """Resolve a quote to character offsets in `text`.
+
+    Stage 1: exact substring (leftmost). Stage 2: leftmost match ignoring
+    case and whitespace runs. Stage 3: fuzzy search minimizing
+    editdist / max(|quote|, |window|) over windows within the length band,
+    accepted only at or under the 1/5 threshold; ties prefer the smaller
+    normalized distance, then leftmost start, then smallest end. Offsets
+    always index the original text.
+    """
+    if not quote or not quote.strip():
+        return EvidenceSpan.not_found(quote)
+
+    pos = text.find(quote)
+    if pos >= 0:
+        return EvidenceSpan(quote=quote, start=pos, end=pos + len(quote), match_kind=MatchKind.EXACT)
+
+    folded, starts, ends = fold_with_offsets(text)
+    nq = fold_quote(quote)
+    if not nq:
+        return EvidenceSpan.not_found(quote)
+    k = folded.find(nq)
+    if k >= 0:
+        return EvidenceSpan(
+            quote=quote,
+            start=starts[k],
+            end=ends[k + len(nq) - 1],
+            match_kind=MatchKind.CASE_INSENSITIVE,
+        )
+
+    m = len(nq)
+    n = len(folded)
+    lo_len, hi_len = window_band(m)
+    if lo_len > n:
+        return EvidenceSpan.not_found(quote)
+
+    end_dists = full_edit_row(nq, folded, anchored=False)
+    rq = nq[::-1]
+    # Any window inside the band that passes the threshold has raw distance
+    # at most floor(m/4), and the free-start distance at its end point is a
+    # lower bound on that, so this filter loses nothing.
+    raw_cap = m // 4
+    best: tuple[int, int, int, int] | None = None  # (dist, max(m, L), start, end)
+    for end in range(1, n + 1):
+        e_j = end_dists[end]
+        if e_j > raw_cap:
+            continue
+        if best is not None and e_j * best[1] > best[0] * max(m, hi_len):
+            continue
+        # Every window sharing this end point, indexed by its length, from
+        # one anchored row of the reversed quote against the reversed slice.
+        by_len = full_edit_row(rq, folded[max(0, end - hi_len):end][::-1], anchored=True)
+        for length in range(lo_len, min(hi_len, end) + 1):
+            dist = by_len[length]
+            if not passes_threshold(dist, m, length):
+                continue
+            start = end - length
+            denom = max(m, length)
+            if best is None:
+                best = (dist, denom, start, end)
+                continue
+            lhs = dist * best[1]
+            rhs = best[0] * denom
+            if lhs < rhs or (lhs == rhs and (start, end) < (best[2], best[3])):
+                best = (dist, denom, start, end)
+    if best is None:
+        return EvidenceSpan.not_found(quote)
+    _, _, s, e = best
+    return EvidenceSpan(
+        quote=quote, start=starts[s], end=ends[e - 1], match_kind=MatchKind.FUZZY
+    )
 
 
 def edit_distance(a: str, b: str) -> int:

@@ -257,6 +257,13 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(out_file) in err
 
+    def test_json_to_missing_dir_exits_two_before_reading_the_run(self, tmp_path, capsys):
+        out_file = tmp_path / "nodir" / "m.json"
+        args = ["evaluate", "--run", str(tmp_path / "absent"), "--dataset", MED_DATA, "--json", str(out_file)]
+        assert main(args) == 2  # not 3: the missing run is never read
+        captured = capsys.readouterr()
+        assert captured.out == "" and str(out_file) in captured.err
+
     def test_top_k_filter(self, tmp_path, capsys):
         code, out = self.run_and_evaluate(tmp_path, capsys, extra=["--top-k", "1"])
         assert code == 0
@@ -370,6 +377,28 @@ class TestMalformedRunDir:
         line = self.edit_last_result(run_dir, BAD_RESULTS[case])
         self.assert_exit_three(capsys, run_dir, names=("results.jsonl", f"line {line}:"))
 
+    @pytest.mark.parametrize("where", ["final_value", "text", "manifest"])
+    def test_lone_surrogate_exits_three(self, tmp_path, capsys, where):
+        # Written as a \\ud800 escape, decoded to a string UTF-8 cannot encode.
+        run_dir = self.run_dir(tmp_path, capsys)
+        if where == "manifest":
+            manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+            (run_dir / "manifest.json").write_text(json.dumps({**manifest, "run_id": "\ud800"}))
+            names = ("manifest.json", "lone surrogate")
+        else:
+            edit = (lambda r: _with_first_final(r, value="\ud800")) if where == "final_value" else (
+                lambda r: {**r, "text": r["text"] + "\udfff"})
+            line = self.edit_last_result(run_dir, edit)
+            names = ("results.jsonl", f"line {line}:", "lone surrogate")
+        self.assert_exit_three(capsys, run_dir, names=names)
+
+    def test_paired_surrogate_escape_is_accepted(self, tmp_path, capsys):
+        run_dir = self.run_dir(tmp_path, capsys)
+        self.edit_last_result(run_dir, lambda r: _with_first_final(r, value="aspirin \U0001F48A"))
+        assert "\\ud83d\\udc8a" in (run_dir / "results.jsonl").read_text(encoding="utf-8")
+        assert main(["report", "--run", str(run_dir)]) == 0
+        assert main(["evaluate", "--run", str(run_dir), "--dataset", MED_DATA]) == 0
+
     def test_results_line_not_json_exits_three(self, tmp_path, capsys):
         run_dir = self.run_dir(tmp_path, capsys)
         results = run_dir / "results.jsonl"
@@ -434,6 +463,18 @@ class TestAblateReportCache:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(dsv) in err
+
+    @pytest.mark.parametrize("flag", ["--dsv", "--json"])
+    def test_ablate_output_to_missing_dir_exits_two_before_any_call(self, tmp_path, capsys, monkeypatch, flag):
+        out_file = tmp_path / "nodir" / "t.out"
+        monkeypatch.setattr(cli, "make_backend", lambda args: pytest.fail("a backend was built"))
+        args = ["ablate", "--task", "medication_status", "--dataset", MED_DATA, "--script", MED_SCRIPT,
+                flag, str(out_file)]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out_file) in captured.err
 
     def test_ablate_gives_each_run_its_own_backend(self, tmp_path, capsys):
         dataset = tmp_path / "one_note.jsonl"

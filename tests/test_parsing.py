@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,19 +11,22 @@ from hypothesis import strategies as st
 
 from oracles import (
     distances_for_end,
+    fold_with_offsets,
+    full_row_locate_quote,
     normalized_distance_of_span,
     oracle_locate,
     sellers_end_distances,
 )
-from selfverify.core import MatchKind, StatusLabel, normalize
+from oracles import fold_quote as per_character_fold_quote
+from selfverify.core import MatchKind, StatusLabel, _fold_char, fold, normalize
 from selfverify.parsing import (
     AmbiguousVerdict,
     FUZZY_THRESHOLD_DEN,
     FUZZY_THRESHOLD_NUM,
-    _edit_row,
+    QuoteSearch,
+    _edit_rows,
     align_key,
     fold_quote,
-    fold_with_offsets,
     locate_quote,
     parse_bulleted_list,
     parse_evidence,
@@ -259,12 +263,17 @@ class TestParseIcdCodes:
             parse_icd_codes("x", 11)
 
 
+# Whitespace beyond ' ', '\t' and '\n' (str.isspace and `re` agree on it), the
+# characters whole-string lowering treats specially, and word-final sigma.
+_FOLD_ALPHABET = "aZ \t\n\x1c\x1f\x85\xa0\u2028\u3000İıiIßẞΣσςΑé中"
+_FOLD_WORDS = ("ΟΔΟΣ", "ΣΑΣ ", "Σ", " ", "İ", "STRAẞE", "ß", "\x1c", "\u2028", "Abc")
+
+
 class TestFolding:
     def test_fold_collapses_whitespace(self):
-        folded, starts, ends = fold_with_offsets("Ab  \t cd")
-        assert folded == "ab cd"
-        assert starts == [0, 1, 2, 6, 7]
-        assert ends == [1, 2, 6, 7, 8]
+        search = QuoteSearch("Ab  \t cd")
+        assert search.folded == "ab cd"
+        assert [search.original(k) for k in range(6)] == [0, 1, 2, 6, 7, 8]
 
     def test_fold_quote_trims(self):
         assert fold_quote("  Hello   World ") == "hello world"
@@ -272,12 +281,39 @@ class TestFolding:
     @given(st.text(max_size=120))
     @settings(max_examples=200)
     def test_offsets_cover_text(self, text):
+        search = QuoteSearch(text)
         folded, starts, ends = fold_with_offsets(text)
-        assert len(folded) == len(starts) == len(ends)
-        for k in range(len(folded)):
-            assert 0 <= starts[k] < ends[k] <= len(text)
-            if k:
-                assert starts[k] == ends[k - 1]
+        assert search.folded == folded
+        bounds = [search.original(k) for k in range(len(folded) + 1)]
+        assert bounds == starts + [len(text)]
+        assert bounds[1:] == ends
+
+    @given(st.text(alphabet=_FOLD_ALPHABET, max_size=80) | st.lists(st.sampled_from(_FOLD_WORDS)).map("".join))
+    @settings(max_examples=400)
+    def test_fold_matches_per_character_fold(self, text):
+        search = QuoteSearch(text)
+        folded, starts, ends = fold_with_offsets(text)
+        assert fold(text) == search.folded == folded
+        assert fold_quote(text) == per_character_fold_quote(text)
+        assert [search.original(k) for k in range(len(folded) + 1)] == starts + [len(text)]
+
+    def test_characters_that_whole_string_lower_treats_differently(self):
+        # 'İ' lowers to two characters and 'Σ' to a final sigma at a word's
+        # end; the fold keeps 'İ' and always gives 'σ', as each character
+        # alone would.
+        assert "ΟΔΟΣ İzmir".lower() != "οδοσ İzmir"
+        assert fold("ΟΔΟΣ İzmir") == "οδοσ İzmir"
+        assert fold("STRAẞE\x1cund\u2028\u2029 Straße") == "straße und straße"
+
+    def test_whole_string_lower_is_the_per_character_fold(self):
+        # Over every code point but 'İ' and 'Σ', one str.lower call gives each
+        # character's own one-character lowercase, and lowering never makes
+        # or removes whitespace; the `re` whitespace class is str.isspace.
+        # So the fold's fast path is exact for any text without those two.
+        every = "".join(chr(c) for c in range(0x110000) if chr(c) not in "\u0130\u03a3")
+        assert every.lower() == "".join(map(_fold_char, every))
+        assert [c for c in every if c.isspace()] == re.findall(r"\s", every)
+        assert all(c.isspace() == c.lower().isspace() for c in every)
 
 
 class TestWindowBand:
@@ -393,8 +429,79 @@ class TestLocateQuote:
                 ) or frac.numerator * FUZZY_THRESHOLD_DEN <= frac.denominator * FUZZY_THRESHOLD_NUM
 
 
+def _edited(rng: random.Random, text: str, alphabet: str, max_len: int) -> str:
+    """A slice of `text` with a few characters substituted, sometimes upper-cased."""
+    a = rng.randrange(len(text))
+    quote = list(text[a : a + rng.randint(1, max_len)])
+    for _ in range(rng.randint(0, 3)):
+        quote[rng.randrange(len(quote))] = rng.choice(alphabet)
+    quote = "".join(quote)
+    return quote.upper() if rng.random() < 0.3 else quote
+
+
+def _same_as_former(text: str, quotes: list[str]) -> None:
+    """Each quote located alone and with a shared search gives the former locator's span."""
+    search = QuoteSearch(text, quotes)
+    for quote in quotes:
+        expected = full_row_locate_quote(text, quote)
+        assert locate_quote(text, quote) == expected, (text, quote)
+        assert locate_quote(text, quote, search) == expected, (text, quote)
+
+
+class TestAgainstFormerLocator:
+    """The fold-once, candidate-only locator against the one it replaced."""
+
+    @given(st.text(alphabet="abcdE .,\n\t", min_size=1, max_size=150), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_ascii(self, text, data):
+        quotes = data.draw(st.lists(st.text(alphabet="abcdE .,\n\t", min_size=1, max_size=25), max_size=4))
+        seed = data.draw(st.integers(0, 2**32))
+        rng = random.Random(seed)
+        _same_as_former(text, quotes + [_edited(rng, text, "abcdE ", 25) for _ in range(3)])
+
+    @given(st.text(alphabet=_FOLD_ALPHABET + "bc", min_size=1, max_size=150), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_non_ascii(self, text, data):
+        quotes = data.draw(st.lists(st.text(alphabet=_FOLD_ALPHABET, min_size=1, max_size=25), max_size=4))
+        seed = data.draw(st.integers(0, 2**32))
+        rng = random.Random(seed)
+        _same_as_former(text, quotes + [_edited(rng, text, _FOLD_ALPHABET, 25) for _ in range(3)])
+
+    @pytest.mark.parametrize("unit", ["a", "ab", "abc", "aab", "a a", "abcab"])
+    def test_repeated_and_periodic(self, unit):
+        rng = random.Random(unit)
+        text = unit * (300 // len(unit))
+        quotes = ["a" * 19 + "b", "b" + "a" * 11, unit * 4 + "x", (unit * 9)[:-1] + "z", unit.upper() * 5]
+        quotes += [_edited(rng, text, "abx", 40) for _ in range(6)]
+        _same_as_former(text, quotes)
+
+    def test_note_length_case(self):
+        rng = random.Random(14)
+        words = ["patient", "denies", "chest", "pain", "Aspirin", "81", "mg", "daily,", "stable."]
+        text = "".join(rng.choice(words) + rng.choice(["  ", " ", "\n", " \t "]) for _ in range(1500))
+        quotes = []
+        for kind in ("exact", "case", "edited", "edited", "spaces", "absent"):
+            a = rng.randrange(len(text) - 80)
+            quote = text[a : a + 72]
+            if kind == "case":
+                quote = quote.upper()
+            elif kind == "edited":
+                quote = _edited(random.Random(a), quote, "xyz", 72)
+            elif kind == "spaces":
+                quote = " ".join(quote.split())
+            elif kind == "absent":
+                quote = "quartz harbor violin meadow lantern glacier saffron orbit canyon whisker"
+            quotes.append(quote)
+        _same_as_former(text, quotes)
+
+
 _ROW_ALPHABET = "abcé中 "
 _ROW_EXTRA = "xyzß."  # never in a needle
+
+
+def _within(row: list[int], cap: int) -> list[tuple[int, int]]:
+    """The (end point, distance) pairs of a full oracle row that `_edit_rows` keeps."""
+    return [(j, d) for j, d in enumerate(row) if j and d <= cap]
 
 
 class TestEditRow:
@@ -407,17 +514,33 @@ class TestEditRow:
     )
     @settings(max_examples=100, deadline=None)
     def test_rows_match_oracles(self, needle, haystack, data):
-        assert _edit_row(needle, haystack, anchored=False) == sellers_end_distances(
-            needle, haystack
-        )
+        # Caps from no end point passing (cap 0 on a text without the
+        # needle) to every end point passing.
+        cap = data.draw(st.integers(0, len(needle)))
+        assert _edit_rows([needle], haystack, False, [cap]) == [
+            _within(sellers_end_distances(needle, haystack), cap)
+        ]
         # The locator's per-end refinement; a slice shorter than the band
         # (max_len below its top, or an end point near the start) included.
         end = data.draw(st.integers(0, len(haystack)))
         max_len = data.draw(st.integers(0, window_band(len(needle))[1]))
         window = haystack[max(0, end - max_len) : end][::-1]
-        assert _edit_row(needle[::-1], window, anchored=True) == distances_for_end(
-            needle, haystack, end, max_len
-        )
+        assert _edit_rows([needle[::-1]], window, True, [cap]) == [
+            _within(distances_for_end(needle, haystack, end, max_len), cap)
+        ]
+
+    @given(
+        st.lists(st.text(alphabet=_ROW_ALPHABET, min_size=1, max_size=40), min_size=1, max_size=5),
+        st.text(alphabet=_ROW_ALPHABET + _ROW_EXTRA, max_size=200),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_packed_needles_match_one_scan_each(self, needles, haystack, anchored, data):
+        caps = [data.draw(st.integers(0, 2 * len(n) + 2)) for n in needles]
+        assert _edit_rows(needles, haystack, anchored, caps) == [
+            _edit_rows([n], haystack, anchored, [cap])[0] for n, cap in zip(needles, caps)
+        ]
 
     def test_note_length_row_matches_oracle(self):
         rng = random.Random(11)
@@ -427,14 +550,18 @@ class TestEditRow:
         for i in rng.sample(range(72), 3):
             quote[i] = "#"
         quote = "".join(quote)
-        row = _edit_row(quote, text, anchored=False)
-        assert row == sellers_end_distances(quote, text)
-        assert row[start + 72] <= 3
+        [hits] = _edit_rows([quote], text, False, [72 // 4])
+        assert hits == _within(sellers_end_distances(quote, text), 72 // 4)
+        assert dict(hits)[start + 72] <= 3
         hi_len = window_band(72)[1]
         window = text[start + 72 - hi_len : start + 72][::-1]
-        by_len = _edit_row(quote[::-1], window, anchored=True)
-        assert by_len == distances_for_end(quote, text, start + 72, hi_len)
-        assert by_len[72] == 3
+        [by_len] = _edit_rows([quote[::-1]], window, True, [hi_len])
+        assert by_len == _within(distances_for_end(quote, text, start + 72, hi_len), hi_len)
+        assert dict(by_len)[72] == 3
+        # Packed with two other quotes, the same end points come out.
+        others = [text[100:160].upper(), "zz" * 30]
+        packed = _edit_rows([others[0], quote, others[1]], text, False, [15, 72 // 4, 15])
+        assert packed[1] == hits
 
 
 class TestParserRobustness:

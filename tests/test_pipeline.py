@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import selfverify
+from selfverify import parsing
 from selfverify.backend import Backend, BackendError, MockBackend, ScriptStep, load_script
 from selfverify.core import (
     Document,
@@ -214,6 +215,73 @@ class TestEvidenceStep:
         assert len(result.final) == 0
         evidence_traces = [t for t in result.traces if t.step == "evidence"]
         assert evidence_traces[0].summary == "skipped: no items"
+
+
+def _long_note_case() -> tuple[Document, list[ScriptStep], dict[str, MatchKind]]:
+    """A 12k-character note whose five evidence quotes are exact, case-changed,
+    whitespace-changed, edited and absent: four of them miss the exact stage."""
+    rng = random.Random(3)
+    words = ["the", "patient", "was", "seen", "on", "rounds", "and", "is", "stable"]
+    filler = lambda: " ".join(rng.choice(words) for _ in range(400)) + ".\n\n"  # noqa: E731
+    passages = {
+        "aspirin": "Aspirin 81 mg daily was continued for secondary prevention.",
+        "metformin": "Metformin 500 mg twice daily was held before the contrast study.",
+        "lisinopril": "Lisinopril 10 mg was started for blood pressure control today.",
+        "warfarin": "Warfarin was resumed at 5 mg nightly with INR checks weekly.",
+    }
+    text = "Record LN-test.\n" + "".join(filler() + passage + " " for passage in passages.values())
+    quotes = {
+        "aspirin": passages["aspirin"],
+        "metformin": passages["metformin"].upper(),
+        "lisinopril": passages["lisinopril"].replace(" ", "  "),
+        "warfarin": passages["warfarin"].replace("resumed", "resumad").replace("nightly", "nightlx"),
+        "heparin": "Heparin drip titrated to a goal anti-Xa level by the pharmacy service team.",
+    }
+    kinds = {"aspirin": MatchKind.EXACT, "metformin": MatchKind.CASE_INSENSITIVE,
+             "lisinopril": MatchKind.CASE_INSENSITIVE, "warfarin": MatchKind.FUZZY,
+             "heparin": MatchKind.NOT_FOUND}
+    steps = [
+        ScriptStep("List every medication", "\n".join(f"- {name}: active" for name in quotes)),
+        ScriptStep("missing from the list above", "None"),
+        ScriptStep("exact quote", "\n".join(f'- {name}: "{quote}"' for name, quote in quotes.items())),
+    ]
+    return Document(id="long-1", text=text, task=medication_status_task()), steps, kinds
+
+
+def _count_note_folds(monkeypatch, texts) -> Counter:
+    """Count the folds of each of `texts` that the locator makes."""
+    folds: Counter = Counter()
+    real_fold = parsing.fold
+
+    def counting_fold(text: str) -> str:
+        if text in texts:
+            folds[text] += 1
+        return real_fold(text)
+
+    monkeypatch.setattr(parsing, "fold", counting_fold)
+    return folds
+
+
+class TestEvidenceStepFolds:
+    """The evidence step folds its note at most once, and only when needed."""
+
+    def test_long_note_with_four_inexact_quotes_is_folded_once(self, monkeypatch):
+        document, steps, kinds = _long_note_case()
+        folds = _count_note_folds(monkeypatch, {document.text})
+        config = PipelineConfig(steps=("omission", "evidence"), demonstrations_k=0)
+        result = ExtractionPipeline(MockBackend(steps), config).run(document)
+        assert {item.key: item.evidence.match_kind for item in result.final} == kinds
+        assert folds[document.text] == 1
+
+    def test_exact_quotes_fold_nothing(self, monkeypatch):
+        documents, _ = directional_corpus()
+        folds = _count_note_folds(monkeypatch, {d.text for d in documents})
+        results = run_batch(directional_backend(), PipelineConfig(demonstrations_k=0), documents,
+                            seeds=[0])
+        # Items without an evidence line never reach the locator.
+        quoted = [item for r in results for item in r.pre_prune if item.evidence.quote]
+        assert quoted and {item.evidence.match_kind for item in quoted} == {MatchKind.EXACT}
+        assert sum(folds.values()) == 0
 
 
 class TestPruneStep:
