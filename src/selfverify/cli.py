@@ -429,7 +429,7 @@ def _add_run_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--steps", help="comma list of omission,evidence,prune; or full/none")
     sub.add_argument("--demos", type=int, help="demonstration count override")
     sub.add_argument("--seeds", default="0", help="comma-separated seeds (default: 0)")
-    sub.add_argument("--workers", type=int, default=4, help="documents in flight at once (default: 4)")
+    sub.add_argument("--workers", type=int, default=4, help="documents in flight on a slow backend (default: 4)")
     sub.add_argument("--lenient", action="store_true", help="skip malformed dataset lines")
 
 
@@ -502,6 +502,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.action == "import" and not getattr(args, "from"):
             parser.error("cache import requires --from")
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise CliError(EXIT_USAGE, "--workers must be at least 1")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -325,9 +325,6 @@ class ExtractionSet:
     def keys(self) -> tuple[str, ...]:
         return tuple(item.key for item in self.items)
 
-    def key_set(self) -> frozenset[str]:
-        return frozenset(item.key for item in self.items)
-
     def get(self, key: str) -> ExtractedItem | None:
         for item in self.items:
             if item.key == key:

@@ -16,6 +16,7 @@ the original prompt instead of making follow-up calls.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -71,9 +72,9 @@ ABLATION_PRESETS: dict[str, tuple[str, ...]] = {
 DEFAULT_OMISSION_MIN_ITERS_LONG = 5
 DEFAULT_OMISSION_MAX_ITERS = 10
 
-# A document's prune calls fan out only when its fastest earlier model call
-# took at least this long. Scripted and replayed backends answer in well
-# under a millisecond, so their runs stay serial and their call order fixed.
+# A batch starts threads, for documents and prune calls, only once its fastest
+# uncached model call took at least this long. Scripted backends answer in well
+# under a millisecond, so their runs stay on one thread and their order fixed.
 FAN_OUT_MIN_CALL_S = 0.010
 
 
@@ -171,36 +172,29 @@ class PipelineResult:
     megaprompt: bool = False
 
 
-@dataclass
-class _RunLog:
-    """One document run's traces, in call order, and its fastest model call.
-
-    The call time only decides whether prune calls fan out; it stays out of
-    the traces and the result, which serialize the same however fast the
-    backend answered.
-    """
-
-    traces: list[StepTrace] = field(default_factory=list)
-    fastest_call_s: float = math.inf
-
-
 class ExtractionPipeline:
     """Runs the chained extraction steps against one backend.
 
-    Given an `executor`, a document's prune calls run on it concurrently
-    when the backend is slow (see `_call_each`); without one every call
-    runs inline, one after another.
+    `fastest_call_s` is the fastest uncached call over every document run;
+    cache hits never count, so a warm cache cannot hide a slow endpoint.
+    While it is FAN_OUT_MIN_CALL_S or more the backend is slow: prune calls
+    then run concurrently on the `executor`, when given (see `_call_each`),
+    and the first uncached call, if slow, calls `on_slow` once.
     """
 
     def __init__(
-        self, backend: Backend, config: PipelineConfig | None = None, executor: Executor | None = None
+        self, backend: Backend, config: PipelineConfig | None = None, executor: Executor | None = None,
+        on_slow: Callable[[], None] | None = None,
     ):
         self.backend = backend
         self.config = config or PipelineConfig()
         self.executor = executor
+        self.on_slow = on_slow
+        self.fastest_call_s = math.inf
+        self._lock = threading.Lock()
 
-    def _call(self, prompt: str, max_tokens: int, log: _RunLog | None) -> str:
-        """One model call; its wall time goes to `log`, when given."""
+    def _call(self, prompt: str, max_tokens: int) -> str:
+        """One model call; an uncached one also times the backend."""
         request = LlmRequest.chat(
             self.config.model_id,
             prompt,
@@ -208,39 +202,42 @@ class ExtractionPipeline:
             max_output_tokens=max_tokens,
         )
         started = time.perf_counter()
-        text = self.backend.complete(request).text
-        if log is not None:
-            log.fastest_call_s = min(log.fastest_call_s, time.perf_counter() - started)
-        return text
+        response = self.backend.complete(request)
+        if not response.from_cache:
+            elapsed = time.perf_counter() - started
+            with self._lock:
+                if self.fastest_call_s == math.inf and elapsed >= FAN_OUT_MIN_CALL_S and self.on_slow:
+                    self.on_slow()
+                self.fastest_call_s = min(self.fastest_call_s, elapsed)
+        return response.text
 
-    def _call_each(self, prompts: list[str], max_tokens: int, log: _RunLog) -> list[str]:
+    def _call_each(self, prompts: list[str], max_tokens: int) -> list[str]:
         """Answer independent prompts; the replies come back in prompt order.
 
         They run concurrently on the executor when there are at least two
-        and this run's fastest earlier call took FAN_OUT_MIN_CALL_S or
-        more, and inline otherwise. The calling thread answers the first
-        prompt, then each one no helper has started yet, so it never waits
-        for a helper that is busy with another document.
+        and the backend is slow, and inline otherwise. The calling thread
+        answers the first prompt, then each one no helper has started yet,
+        so it never waits for a helper that is busy with another document.
         """
-        if self.executor is None or len(prompts) < 2 or log.fastest_call_s < FAN_OUT_MIN_CALL_S:
-            return [self._call(prompt, max_tokens, log) for prompt in prompts]
-        # Untimed: no later step reads the call time, and helpers would race on `log`.
-        futures = [self.executor.submit(self._call, prompt, max_tokens, None) for prompt in prompts[1:]]
+        slow = FAN_OUT_MIN_CALL_S <= self.fastest_call_s < math.inf
+        if self.executor is None or len(prompts) < 2 or not slow:
+            return [self._call(prompt, max_tokens) for prompt in prompts]
+        futures = [self.executor.submit(self._call, prompt, max_tokens) for prompt in prompts[1:]]
         try:
-            responses = [self._call(prompts[0], max_tokens, None)]
+            responses = [self._call(prompts[0], max_tokens)]
             for prompt, future in zip(prompts[1:], futures):
-                responses.append(self._call(prompt, max_tokens, None) if future.cancel() else future.result())
+                responses.append(self._call(prompt, max_tokens) if future.cancel() else future.result())
         finally:
             for future in futures:  # after a failure, drop the calls not yet started
                 future.cancel()
         return responses
 
     def _trace(
-        self, log: _RunLog, step: str, prompt: str, response: str, summary: str, warnings=()
+        self, log: list[StepTrace], step: str, prompt: str, response: str, summary: str, warnings=()
     ) -> None:
-        log.traces.append(StepTrace(step, prompt, response, self.config.temperature, summary, tuple(warnings)))
+        log.append(StepTrace(step, prompt, response, self.config.temperature, summary, tuple(warnings)))
 
-    def _skipped_without_items(self, step: str, current: ExtractionSet, log: _RunLog) -> bool:
+    def _skipped_without_items(self, step: str, current: ExtractionSet, log: list[StepTrace]) -> bool:
         """Trace `step` as skipped, and say so, when there are no items to send."""
         if len(current):
             return False
@@ -248,14 +245,14 @@ class ExtractionPipeline:
         return True
 
     def _extract(
-        self, task: TaskKind, prompt: str, origin: Origin, base: ExtractionSet, log: _RunLog
+        self, task: TaskKind, prompt: str, origin: Origin, base: ExtractionSet, log: list[StepTrace]
     ) -> tuple[ExtractionSet, int]:
         """One extraction call: parse the listed items and merge them into `base`.
 
         Serves the original pass, each omission pass and the megaprompt;
         the trace step is named after the origin.
         """
-        response = self._call(prompt, self.config.max_output_tokens_extract, log)
+        response = self._call(prompt, self.config.max_output_tokens_extract)
         if task.wants_status:
             pairs, warnings = parse_status_pairs(response)
         else:
@@ -284,7 +281,7 @@ class ExtractionPipeline:
     ) -> PipelineResult:
         task = document.task
         cfg = self.config
-        log = _RunLog()
+        log: list[StepTrace] = []
         demos = self._demos_for(task, seed, demo_pool)
         prompt = build_original_prompt(task, document.text, demos)
         current, _ = self._extract(task, prompt, Origin.original(), ExtractionSet.empty(), log)
@@ -319,14 +316,14 @@ class ExtractionPipeline:
     ) -> PipelineResult:
         """Single-call baseline: verification folded into one prompt."""
         task = document.task
-        log = _RunLog()
+        log: list[StepTrace] = []
         demos = self._demos_for(task, seed, demo_pool)
         prompt = build_megaprompt(task, document.text, demos)
         current, _ = self._extract(task, prompt, Origin.megaprompt(), ExtractionSet.empty(), log)
         return self._finish(document, seed, current, log, megaprompt=True)
 
     def _finish(
-        self, document: Document, seed: int, current: ExtractionSet, log: _RunLog, **fields
+        self, document: Document, seed: int, current: ExtractionSet, log: list[StepTrace], **fields
     ) -> PipelineResult:
         """Map diagnoses to codes (ICD tasks) and assemble the result.
 
@@ -344,19 +341,19 @@ class ExtractionPipeline:
             task_name=task.name,
             seed=seed,
             final=current,
-            traces=tuple(log.traces),
-            warnings=tuple(w for trace in log.traces for w in trace.warnings),
+            traces=tuple(log),
+            warnings=tuple(w for trace in log for w in trace.warnings),
             **fields,
         )
 
     def _evidence_step(
-        self, document: Document, current: ExtractionSet, log: _RunLog
+        self, document: Document, current: ExtractionSet, log: list[StepTrace]
     ) -> ExtractionSet:
         if self._skipped_without_items("evidence", current, log):
             return current
         cfg = self.config
         prompt = build_evidence_prompt(document.task, document.text, current)
-        response = self._call(prompt, cfg.max_output_tokens_extract, log)
+        response = self._call(prompt, cfg.max_output_tokens_extract)
         mapping, warnings = parse_evidence(response, list(current.keys()))
         search = QuoteSearch(document.text, mapping.values())
         updated: list[ExtractedItem] = []
@@ -373,7 +370,7 @@ class ExtractionPipeline:
         return ExtractionSet(tuple(updated))
 
     def _prune_step(
-        self, document: Document, current: ExtractionSet, log: _RunLog
+        self, document: Document, current: ExtractionSet, log: list[StepTrace]
     ) -> tuple[ExtractionSet, tuple[ExtractedItem, ...]]:
         items = list(current)
         prompts = [
@@ -385,7 +382,7 @@ class ExtractionPipeline:
             )
             for item in items
         ]
-        responses = self._call_each(prompts, self.config.max_output_tokens_prune, log)
+        responses = self._call_each(prompts, self.config.max_output_tokens_prune)
         kept: list[ExtractedItem] = []
         pruned: list[ExtractedItem] = []
         for item, prompt, response in zip(items, prompts, responses):
@@ -407,13 +404,13 @@ class ExtractionPipeline:
         return ExtractionSet(tuple(kept)), tuple(pruned)
 
     def _icd_map_step(
-        self, document: Document, current: ExtractionSet, log: _RunLog
+        self, document: Document, current: ExtractionSet, log: list[StepTrace]
     ) -> ExtractionSet:
         if self._skipped_without_items("icd_map", current, log):
             return current
         task = document.task
         prompt = build_icd_map_prompt(task, current)
-        response = self._call(prompt, self.config.max_output_tokens_extract, log)
+        response = self._call(prompt, self.config.max_output_tokens_extract)
         warnings: list[str] = []
         code_by_key: dict[str, str | None] = {}
         for line in parse_bulleted_list(response):
@@ -460,29 +457,45 @@ def run_batch(
     workers: int = 4,
     megaprompt: bool = False,
 ) -> list[PipelineResult]:
-    """Run every (document, seed) pair, `workers` documents at a time.
+    """Run every (document, seed) pair, at most `workers` documents at a time.
 
-    On a slow backend each document's prune calls also fan out to one
-    helper pool shared by the batch, of the stdlib's default size for I/O
-    work, so at most `workers` plus that many calls are in flight. The pool
-    starts its threads on first use, so runs whose calls are fast start
-    none. Results come back in deterministic (seed, document) order
-    regardless of scheduling; the first backend failure aborts the batch.
+    The calling thread takes the documents in turn until an uncached model
+    call proves the backend slow (see ExtractionPipeline); then `workers - 1`
+    helper threads join it on the same queue, and prune calls fan out to a
+    pool of the stdlib's default size for I/O work. So fast, scripted and
+    replayed batches start no thread. Results come back in (seed, document)
+    order; the first failure stops the queue and is raised once every
+    running document ends.
     """
     jobs = [(seed, doc) for seed in seeds for doc in documents]
-    with ThreadPoolExecutor() as helpers:
-        pipeline = ExtractionPipeline(backend, config, executor=helpers)
+    pending, lock = enumerate(jobs), threading.Lock()
+    results: dict[int, PipelineResult] = {}
+    errors: list[BaseException] = []
 
-        def work(job: tuple[int, Document]) -> PipelineResult:
-            seed, doc = job
-            if megaprompt:
-                return pipeline.run_megaprompt(doc, seed=seed, demo_pool=demo_pool)
-            return pipeline.run(doc, seed=seed, demo_pool=demo_pool)
+    def take() -> tuple[int, tuple[int, Document]] | None:
+        with lock:  # hands out no job once one has failed
+            return None if errors else next(pending, None)
 
-        if workers <= 1:
-            return [work(job) for job in jobs]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(work, jobs))
+    def drain() -> None:
+        while (job := take()) is not None:
+            index, (seed, doc) = job
+            try:
+                results[index] = run(doc, seed=seed, demo_pool=demo_pool)
+            except BaseException as exc:  # raised by the calling thread once every drain stops
+                with lock:
+                    errors.append(exc)
+
+    def start_drains() -> None:
+        for _ in range(workers - 1):
+            drains.submit(drain)
+
+    with ThreadPoolExecutor() as helpers, ThreadPoolExecutor(max(workers - 1, 1)) as drains:
+        pipeline = ExtractionPipeline(backend, config, executor=helpers, on_slow=start_drains)
+        run = pipeline.run_megaprompt if megaprompt else pipeline.run
+        drain()
+    if errors:
+        raise errors[0]
+    return [results[index] for index in range(len(jobs))]
 
 
 def run_ablation(

@@ -290,15 +290,3 @@ def plan_case(
         expected_omission_iters=expected_iters,
         steps=tuple(steps),
     )
-
-
-def backend_for_cases(cases) -> MockBackend:
-    """One scripted backend covering several planned cases at once.
-
-    Every step matcher requires its own case marker, so cases can share
-    a backend without answering each other's prompts.
-    """
-    steps: list[ScriptStep] = []
-    for case in cases:
-        steps.extend(case.steps)
-    return MockBackend(steps)

@@ -23,10 +23,15 @@ that keeps only candidate end points.
 `linear_mock_complete` is the scripted backend's former call, which tests
 every script step in order, kept as the reference for the substring index
 that now picks the candidate steps.
+
+`pool_map_run_batch` is the batch runner's former scheduler, which starts
+`workers` document threads for every batch, kept as the reference for the
+one that runs documents on the calling thread until a model call is slow.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +39,7 @@ import numpy as np
 from selfverify.backend import FinishReason, LlmResponse, ScriptExhausted
 from selfverify.core import EvidenceSpan, MatchKind, _fold_char
 from selfverify.parsing import passes_threshold, window_band
+from selfverify.pipeline import ExtractionPipeline
 
 _BIG = 10**6
 
@@ -375,3 +381,26 @@ def linear_mock_complete(steps, consumed: set[int], request, default: str | None
     raise ScriptExhausted(
         f"no script step matched request starting {request.text[:120]!r}"
     )
+
+
+def pool_map_run_batch(backend, config, documents, seeds, demo_pool=None, workers=4, megaprompt=False):
+    """Every (seed, document) job mapped over a pool of `workers` threads.
+
+    Prune calls fan out to one helper pool shared by the batch. Results
+    come back in (seed, document) order; the first failing job's error,
+    in that order, is raised.
+    """
+    jobs = [(seed, doc) for seed in seeds for doc in documents]
+    with ThreadPoolExecutor() as helpers:
+        pipeline = ExtractionPipeline(backend, config, executor=helpers)
+
+        def work(job):
+            seed, doc = job
+            if megaprompt:
+                return pipeline.run_megaprompt(doc, seed=seed, demo_pool=demo_pool)
+            return pipeline.run(doc, seed=seed, demo_pool=demo_pool)
+
+        if workers <= 1:
+            return [work(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(work, jobs))

@@ -58,8 +58,9 @@ from selfverify.pipeline import (
     run_batch,
 )
 from selfverify.prompts import DemoExample, catalog_version, sample_demonstrations
-from selfverify.synthetic import backend_for_cases, directional_backend, directional_corpus, plan_case
+from selfverify.synthetic import directional_backend, directional_corpus, plan_case
 
+from helpers import backend_for_cases
 from oracles import oracle_intervals_overlap, oracle_locate, oracle_prf
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -86,7 +87,7 @@ def test_01_worked_note_end_to_end():
     result = pipeline.run(document)
     elapsed = time.perf_counter() - started
 
-    final_values = result.final.key_set()
+    final_values = frozenset(result.final.keys())
     pruned_values = [item.value for item in result.pruned]
     pruned_quote = (
         result.pruned[0].evidence.quote
@@ -121,8 +122,8 @@ def test_02_pipeline_set_invariants_on_random_scripts():
         case = plan_case(rng, n)
         pipeline = ExtractionPipeline(backend_for_cases([case]), config)
         result = pipeline.run(case.document)
-        pre = result.pre_prune.key_set()
-        final = result.final.key_set()
+        pre = frozenset(result.pre_prune.keys())
+        final = frozenset(result.final.keys())
         pruned_keys = {item.key for item in result.pruned}
         good = (
             case.expected_original <= pre

@@ -11,6 +11,7 @@ import pytest
 import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import backend_for_cases
 from oracles import linear_mock_complete
 
 from selfverify.backend import (
@@ -35,7 +36,7 @@ from selfverify.backend import (
     load_script,
 )
 from selfverify.pipeline import ExtractionPipeline, PipelineConfig
-from selfverify.synthetic import backend_for_cases, plan_case
+from selfverify.synthetic import plan_case
 
 
 def chat(text: str = "hello", **kwargs) -> LlmRequest:

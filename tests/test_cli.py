@@ -153,6 +153,26 @@ class TestExitCodes:
         assert "9 demonstrations requested" in capsys.readouterr().err
         assert not any(backend.calls for backend in built)
 
+    @pytest.fixture
+    def touched(self, monkeypatch):
+        """What a command read or built: the dataset, the backend."""
+        touched = []
+        monkeypatch.setattr(cli, "_load_records", lambda args: touched.append("dataset"))
+        monkeypatch.setattr(cli, "make_backend", lambda args: touched.append("backend"))
+        return touched
+
+    def test_extract_workers_below_one_exits_two_before_any_read(self, tmp_path, capsys, touched):
+        assert main(extract_args(tmp_path, extra=["--workers", "-3"])) == 2
+        assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+        assert touched == [] and not (tmp_path / "run").exists()
+
+    def test_ablate_workers_below_one_exits_two_before_any_read(self, capsys, touched):
+        args = ["ablate", "--task", "medication_status", "--dataset", MED_DATA,
+                "--script", MED_SCRIPT, "--workers", "0"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: --workers must be at least 1\n"
+        assert touched == []
+
     def test_repeated_seed_exits_two(self, tmp_path, capsys):
         assert main(extract_args(tmp_path, extra=["--seeds", "0,0"])) == 2
         assert "seeds must be distinct" in capsys.readouterr().err

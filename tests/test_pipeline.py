@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -17,7 +19,17 @@ import pytest
 
 import selfverify
 from selfverify import parsing
-from selfverify.backend import Backend, BackendError, MockBackend, ScriptStep, load_script
+from selfverify import pipeline as pipeline_module
+from selfverify.backend import (
+    Backend,
+    BackendError,
+    CachingBackend,
+    MockBackend,
+    ReplayBackend,
+    ResponseStore,
+    ScriptStep,
+    load_script,
+)
 from selfverify.core import (
     Document,
     MatchKind,
@@ -42,7 +54,10 @@ from selfverify.pipeline import (
     run_batch,
 )
 from selfverify.prompts import DemoExample
-from selfverify.synthetic import backend_for_cases, directional_backend, directional_corpus, plan_case
+from selfverify.synthetic import directional_backend, directional_corpus, plan_case
+
+from helpers import backend_for_cases
+from oracles import pool_map_run_batch
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -561,37 +576,61 @@ class TestRunBatch:
 
 
 class SlowBackend(Backend):
-    """Sleeps `latency_s` before each answer, like a live endpoint, and
-    records each call's interval and the most calls in flight at once.
+    """Sleeps before each answer, like a live endpoint, and records each
+    call's interval, its note number, and the most calls in flight at once.
 
-    With `fail_at_prune=n`, the n-th prune call raises instead.
+    A call sleeps `latency_s`, plus `jitter_s` times its note number mod 3
+    (a per-document latency). With `fail_at_prune=n` the n-th prune call
+    raises instead, and with `fail_at_call=n` the n-th call of any step.
     """
 
-    def __init__(self, inner: Backend, latency_s: float = 0.020, fail_at_prune: int | None = None):
+    def __init__(
+        self, inner: Backend, latency_s: float = 0.020, fail_at_prune: int | None = None,
+        jitter_s: float = 0.0, fail_at_call: int | None = None,
+    ):
         self.inner = inner
         self.latency_s = latency_s
+        self.jitter_s = jitter_s
         self.fail_at_prune = fail_at_prune
+        self.fail_at_call = fail_at_call
         self.lock = threading.Lock()
-        self.in_flight = self.peak_in_flight = self.prune_calls = 0
+        self.in_flight = self.peak_in_flight = self.prune_calls = self.calls = 0
+        self.failed = False
         self.intervals: list[tuple[float, float]] = []
+        self.notes: list[int | None] = []
 
     def complete(self, request):
+        note = re.search(r"Note (\d+)\.", request.text)
+        number = int(note.group(1)) if note else None
         with self.lock:
             self.in_flight += 1
             self.peak_in_flight = max(self.peak_in_flight, self.in_flight)
             is_prune = "Candidate medication:" in request.text
             self.prune_calls += is_prune
-            fail = is_prune and self.prune_calls == self.fail_at_prune
+            self.calls += 1
+            fail = "prune call failed" if is_prune and self.prune_calls == self.fail_at_prune else None
+            if self.calls == self.fail_at_call:
+                fail = f"call {self.calls} failed"
         start = time.perf_counter()
         try:
-            time.sleep(self.latency_s)
+            time.sleep(self.latency_s + self.jitter_s * ((number or 0) % 3))
             if fail:
-                raise BackendError("prune call failed")
+                self.failed = True
+                raise BackendError(fail)
             return self.inner.complete(request)
         finally:
             with self.lock:
                 self.in_flight -= 1
                 self.intervals.append((start, time.perf_counter()))
+                self.notes.append(number)
+
+    def documents_overlapped(self) -> bool:
+        """Whether calls for two different notes were ever in flight together."""
+        calls = list(zip(self.notes, self.intervals))
+        return any(
+            a_note != b_note and a_start < b_end and b_start < a_end
+            for (a_note, (a_start, a_end)), (b_note, (b_start, b_end)) in itertools.combinations(calls, 2)
+        )
 
 
 def _overlap(intervals) -> bool:
@@ -608,6 +647,18 @@ def _many_items_case(n_items: int) -> tuple[Document, list[ScriptStep]]:
         ScriptStep("Candidate medication:", "Yes."),
     ]
     return document, steps
+
+
+class ThreadCounting(Backend):
+    """Passes calls through, noting the threads alive at each one."""
+
+    def __init__(self, inner: Backend):
+        self.inner = inner
+        self.threads: list[int] = []
+
+    def complete(self, request):
+        self.threads.append(threading.active_count())
+        return self.inner.complete(request)
 
 
 class TestPruneFanOut:
@@ -627,19 +678,10 @@ class TestPruneFanOut:
 
     def test_fast_backend_starts_no_helper_thread(self):
         documents = directional_corpus()[0][:10]
-        threads = []
-
-        class Counting(Backend):
-            def __init__(self, inner):
-                self.inner = inner
-
-            def complete(self, request):
-                threads.append(threading.active_count())
-                return self.inner.complete(request)
-
+        backend = ThreadCounting(directional_backend())
         before = threading.active_count()
-        run_batch(Counting(directional_backend()), self.CONFIG, documents, seeds=[0], workers=1)
-        assert threads and max(threads) <= before
+        run_batch(backend, self.CONFIG, documents, seeds=[0], workers=1)
+        assert backend.threads and max(backend.threads) <= before
 
     def test_forty_items_keep_calls_in_flight_bounded(self):
         pool_size = min(32, (os.cpu_count() or 1) + 4)  # ThreadPoolExecutor's default
@@ -692,6 +734,101 @@ class TestPruneFanOut:
         assert _overlap(slow.intervals)
         assert verdicts(fanned) == verdicts(serial) == Counter({"Yes.": 7, "No.": 1})
         assert (len(fanned.final), len(fanned.pruned)) == (len(serial.final), len(serial.pruned)) == (7, 1)
+
+
+class TestSpeedGate:
+    """A batch runs documents on the calling thread until an uncached model
+    call proves slow; then `workers - 1` helpers join it. Counted in
+    threads, calls and drains, never in wall time."""
+
+    CONFIG = PipelineConfig(demonstrations_k=0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_matches_the_pool_map_scheduler_on_a_jittered_slow_backend(self, workers):
+        documents = directional_corpus()[0][:4]
+
+        def jittered():
+            return SlowBackend(directional_backend(), latency_s=0.012, jitter_s=0.004)
+
+        expected = pool_map_run_batch(jittered(), self.CONFIG, documents, [0, 1], workers=workers)
+        slow = jittered()
+        results = run_batch(slow, self.CONFIG, documents, seeds=[0, 1], workers=workers)
+        assert [(r.seed, r.doc_id) for r in results] == [(s, d.id) for s in (0, 1) for d in documents]
+        assert [result_to_record(r) for r in results] == [result_to_record(r) for r in expected]
+        assert slow.documents_overlapped() == (workers > 1)
+
+    def test_fast_and_replayed_batches_start_no_thread(self, tmp_path):
+        documents = directional_corpus()[0][:3]
+        store = ResponseStore(tmp_path / "store.bin")
+        recorded = run_batch(CachingBackend(directional_backend(), store), self.CONFIG, documents, [0], workers=1)
+        fast = ThreadCounting(directional_backend())
+        # Every reply is a cache hit, however slowly it comes back.
+        replay = ThreadCounting(SlowBackend(ReplayBackend(store), latency_s=0.012))
+        before = threading.active_count()
+        run_batch(fast, self.CONFIG, documents, seeds=[0], workers=4)
+        replayed = run_batch(replay, self.CONFIG, documents, seeds=[0], workers=4)
+        assert fast.threads and replay.threads and max(fast.threads + replay.threads) <= before
+        assert [result_to_record(r) for r in replayed] == [result_to_record(r) for r in recorded]
+
+    def test_slow_batch_starts_its_drains_once(self, monkeypatch):
+        hooks, threads = [], set()
+
+        class Watched(ExtractionPipeline):
+            def __init__(self, *args, on_slow, **kwargs):
+                def counted():
+                    hooks.append(threading.get_ident())
+                    on_slow()
+
+                super().__init__(*args, on_slow=counted, **kwargs)
+
+            def run(self, document, *args, **kwargs):
+                threads.add(threading.get_ident())
+                return super().run(document, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "ExtractionPipeline", Watched)
+        workers = 3
+        slow = SlowBackend(directional_backend(), latency_s=0.012)
+        run_batch(slow, self.CONFIG, directional_corpus()[0][:8], seeds=[0], workers=workers)
+        assert hooks == [threading.get_ident()]
+        assert threading.get_ident() in threads and 1 < len(threads) <= workers
+
+    def test_failing_call_stops_the_queue_without_hanging(self, monkeypatch):
+        documents = directional_corpus()[0][:10]
+        slow = SlowBackend(directional_backend(), latency_s=0.012, fail_at_call=12)
+        started_after_failure, errors = [], []
+
+        class Watched(ExtractionPipeline):
+            def run(self, document, *args, **kwargs):
+                started_after_failure.append(slow.failed)
+                return super().run(document, *args, **kwargs)
+
+        def batch():
+            try:
+                run_batch(slow, self.CONFIG, documents, seeds=[0], workers=2)
+            except BackendError as exc:
+                errors.append(str(exc))
+
+        monkeypatch.setattr(pipeline_module, "ExtractionPipeline", Watched)
+        thread = threading.Thread(target=batch, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert errors == ["call 12 failed"]
+        # At most the other drain may have taken a job between the raise and
+        # the queue seeing it; none is handed out after.
+        assert len(started_after_failure) < len(documents) and sum(started_after_failure) <= 1
+
+    def test_warm_cache_does_not_hide_a_slow_endpoint(self, tmp_path):
+        documents = directional_corpus()[0][:4]
+        store = ResponseStore(tmp_path / "store.bin")
+        originals_only = replace(self.CONFIG, steps=())
+        run_batch(CachingBackend(directional_backend(), store), originals_only, documents, [0], workers=1)
+        serial = [ExtractionPipeline(directional_backend(), self.CONFIG).run(d, seed=0) for d in documents]
+        slow = SlowBackend(directional_backend(), latency_s=0.012)
+        results = run_batch(CachingBackend(slow, store), self.CONFIG, documents, seeds=[0], workers=1)
+        assert slow.calls == sum(len(r.traces) for r in results) - len(documents)  # originals were hits
+        assert [result_to_record(r) for r in results] == [result_to_record(r) for r in serial]
+        assert _overlap(slow.intervals)
 
 
 class TestRunAblation:
