@@ -128,6 +128,10 @@ class ReplayMiss(BackendError):
 class StoreCorrupt(BackendError):
     """The response store file failed structural validation."""
 
+    def __init__(self, path: Path, problem: str):
+        super().__init__(f"{path}: {problem}")
+        self.path = path
+
 
 class Backend(ABC):
     @abstractmethod
@@ -391,6 +395,30 @@ def _parse_retry_after(value: str | None) -> float | None:
 _STORE_HEADER_LEN = 32 + 8 + 4  # digest + timestamp + text length
 
 
+def _read_records(data: bytes) -> tuple[dict[str, str], int, str | None]:
+    """The texts of a store file's whole records, by key, first record winning.
+
+    Also the offset where the whole records end, and what is wrong with
+    the bytes from there (None when nothing follows them).
+    """
+    index: dict[str, str] = {}
+    offset = 0
+    while offset < len(data):
+        if offset + _STORE_HEADER_LEN > len(data):
+            return index, offset, "truncated record header"
+        (text_len,) = struct.unpack(">I", data[offset + 40 : offset + 44])
+        end = offset + _STORE_HEADER_LEN + text_len
+        if end > len(data):
+            return index, offset, "truncated record body"
+        try:
+            text = data[offset + _STORE_HEADER_LEN : end].decode("utf-8")
+        except UnicodeDecodeError:
+            return index, offset, "undecodable text"
+        index.setdefault(data[offset : offset + 32].hex(), text)
+        offset = end
+    return index, offset, None
+
+
 class ResponseStore:
     """Append-only binary store of (cache key -> response text).
 
@@ -402,37 +430,44 @@ class ResponseStore:
 
     The file is read once on open and every text is kept in memory, so
     lookups never touch the file; a truncated or structurally invalid tail
-    raises StoreCorrupt. Writes are at-most-once per key and thread-safe.
+    raises StoreCorrupt, and `repair` cuts the file back to its last whole
+    record. Writes are at-most-once per key and thread-safe, and each
+    record goes to the file in one append under an exclusive `flock`, so
+    several processes can record into the same file.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.RLock()
-        self._index: dict[str, str] = {}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
             self.path.touch()
-        self._load_index()
+        self._index, end, problem = _read_records(self.path.read_bytes())
+        if problem:
+            raise StoreCorrupt(self.path, f"{problem} at byte {end}")
 
-    def _load_index(self) -> None:
-        data = self.path.read_bytes()
-        offset = 0
-        index: dict[str, str] = {}
-        while offset < len(data):
-            if offset + _STORE_HEADER_LEN > len(data):
-                raise StoreCorrupt(f"{self.path}: truncated record header at byte {offset}")
-            digest = data[offset : offset + 32]
-            (text_len,) = struct.unpack(">I", data[offset + 40 : offset + 44])
-            end = offset + _STORE_HEADER_LEN + text_len
-            if end > len(data):
-                raise StoreCorrupt(f"{self.path}: truncated record body at byte {offset}")
-            try:
-                text = data[offset + _STORE_HEADER_LEN : end].decode("utf-8")
-            except UnicodeDecodeError:
-                raise StoreCorrupt(f"{self.path}: undecodable text at byte {offset}") from None
-            index.setdefault(digest.hex(), text)
-            offset = end
-        self._index = index
+    @staticmethod
+    def repair(path: str | Path) -> tuple[int, int]:
+        """Truncate a store file after its last whole record.
+
+        Returns the bytes and the records dropped; a partial record counts
+        as one. Holds the writers' lock while it works.
+        """
+        import fcntl  # POSIX only, and only the store's writers need it
+
+        fd = os.open(path, os.O_RDWR)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            data = Path(path).read_bytes()
+            _, end, _ = _read_records(data)
+            dropped, offset = 0, end
+            while offset < len(data):
+                dropped += 1
+                offset += _STORE_HEADER_LEN + int.from_bytes(data[offset + 40 : offset + 44], "big")
+            os.ftruncate(fd, end)
+        finally:
+            os.close(fd)
+        return len(data) - end, dropped
 
     @staticmethod
     def _check_key(key: str) -> bytes:
@@ -469,8 +504,16 @@ class ResponseStore:
         with self._lock:
             if key in self._index:
                 return False
-            with self.path.open("ab") as fh:
-                fh.write(digest + struct.pack(">QI", ts, len(payload)) + payload)
+            import fcntl  # POSIX only, and only the store's writers need it
+
+            record = memoryview(digest + struct.pack(">QI", ts, len(payload)) + payload)
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+                while record:
+                    record = record[os.write(fd, record) :]
+            finally:
+                os.close(fd)
             self._index[key] = text
             return True
 

@@ -168,7 +168,15 @@ def _store(args) -> ResponseStore:
     try:
         return ResponseStore(args.cache)
     except StoreCorrupt as exc:
-        raise CliError(EXIT_DATA, f"response store is corrupt: {exc}")
+        raise _corrupt_store(exc)
+
+
+def _corrupt_store(exc: StoreCorrupt) -> CliError:
+    return CliError(
+        EXIT_DATA,
+        f"response store is corrupt: {exc}; `selfverify cache repair --cache {exc.path}`"
+        " truncates it to its last whole record",
+    )
 
 
 def _mock_backend(args) -> MockBackend:
@@ -390,6 +398,16 @@ def cmd_report(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    if args.action == "repair":
+        try:
+            dropped_bytes, dropped_records = ResponseStore.repair(args.cache)
+        except FileNotFoundError:
+            raise CliError(EXIT_DATA, f"response store not found: {args.cache}")
+        print(
+            f"{args.cache}: dropped {dropped_bytes} bytes holding"
+            f" {dropped_records} torn or invalid record(s)"
+        )
+        return EXIT_OK
     try:
         store = ResponseStore(args.cache)
         if args.action == "stats":
@@ -403,7 +421,7 @@ def cmd_cache(args) -> int:
             added = store.merge_from(getattr(args, "from"))
             print(f"imported {added} new entries")
     except StoreCorrupt as exc:
-        raise CliError(EXIT_DATA, f"response store is corrupt: {exc}")
+        raise _corrupt_store(exc)
     return EXIT_OK
 
 
@@ -484,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=cmd_report)
 
     cache = commands.add_parser("cache", help="inspect or edit a response store")
-    cache.add_argument("action", choices=["stats", "purge", "export", "import"])
+    cache.add_argument("action", choices=["stats", "purge", "export", "import", "repair"])
     cache.add_argument("--cache", required=True, help="response store file")
     cache.add_argument("--into", help="destination store for export")
     cache.add_argument("--from", dest="from", help="source store for import")

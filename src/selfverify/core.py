@@ -196,24 +196,20 @@ class EvidenceSpan:
         return True
 
 
-_LIST_MARKER_RE = re.compile(r"^(?:[-*•·‣◦]+|\(?\d{1,3}[.)])\s+")
-_QUOTE_PAIRS = [
-    ('"', '"'),
-    ("'", "'"),
-    ("“", "”"),
-    ("‘", "’"),
-    ("«", "»"),
-    ("`", "`"),
-]
+_LIST_MARKER = r"(?:[-*•·‣◦]+|\(?\d{1,3}[.)])\s+"
+_LIST_MARKER_RE = re.compile(_LIST_MARKER)
+_LIST_MARKERS_RE = re.compile(f"(?:{_LIST_MARKER})+")
+# Opening quote -> the closing quote it pairs with.
+_QUOTE_PAIRS = {'"': '"', "'": "'", "“": "”", "‘": "’", "«": "»", "`": "`"}
 
 
 def _normalize_once(s: str) -> str:
     s = " ".join(s.split())
-    s = _LIST_MARKER_RE.sub("", s)
-    for open_q, close_q in _QUOTE_PAIRS:
-        if len(s) >= 2 and s.startswith(open_q) and s.endswith(close_q):
-            s = s[1:-1]
-            break
+    marker = _LIST_MARKER_RE.match(s)
+    if marker:
+        s = s[marker.end() :]
+    if len(s) >= 2 and _QUOTE_PAIRS.get(s[0]) == s[-1]:
+        s = s[1:-1]
     s = s.casefold()
     s = s.rstrip(".")
     return s.strip()
@@ -223,15 +219,38 @@ def normalize(raw: str) -> str:
     """Canonical form of an extracted value.
 
     Collapses Unicode whitespace, strips list markers and surrounding quote
-    pairs, casefolds, and drops trailing periods. Applied to a fixpoint so
-    the result is idempotent by construction.
+    pairs, casefolds, and drops trailing periods: `_normalize_once` applied
+    to a fixpoint, so the result is idempotent by construction.
+
+    After one pass the text is casefolded, with single spaces and none at
+    either end, and later passes keep it so; all they still do is strip a
+    list marker, a quote pair, periods and spaces at the ends. So they run
+    on two offsets into that text, which is sliced once at the end. While
+    the text does not end in a period, a pass that strips one marker
+    leaves the end alone, so the whole leading run of markers goes in one
+    match; and nested quote pairs go one after another while both ends
+    hold quotes, as the passes between them would change nothing else.
     """
-    prev: str | None = None
-    s = raw
-    while s != prev:
-        prev = s
-        s = _normalize_once(s)
-    return s
+    s = _normalize_once(raw)
+    i, j = 0, len(s)
+    while True:
+        before = i, j
+        # No pass starts with a space at the end, so only a final period
+        # can make this pass move the end.
+        end_stays = j > i and s[j - 1] != "."
+        marker = (_LIST_MARKERS_RE if end_stays else _LIST_MARKER_RE).match(s, i, j)
+        if marker:
+            i = marker.end()
+        while j - i >= 2 and _QUOTE_PAIRS.get(s[i]) == s[j - 1]:
+            i, j = i + 1, j - 1
+        while j > i and s[j - 1] == ".":
+            j -= 1
+        while i < j and s[i].isspace():
+            i += 1
+        while j > i and s[j - 1].isspace():
+            j -= 1
+        if (i, j) == before:
+            return s[i:j]
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,18 @@ one evidence step share a `QuoteSearch`, so the step costs at most:
   exact stage, by `str.lower` and one `re` substitution when the note has
   neither 'İ' nor 'Σ', and a character at a time otherwise; only the
   offsets of a result are mapped back, by bisecting the whitespace runs;
-- one free-start scan of the folded note for all the quotes that reach
-  the fuzzy stage together, with Myers' bit-vectors (`_edit_rows`, one
-  field per quote in the same Python ints), about fifteen integer
-  operations per note character, emitting only the end points whose
-  distance could pass the threshold;
+- per quote that reaches the fuzzy stage, a q-gram filter
+  (`_candidate_slices`): one pass over the folded note at C speed finds
+  where the quote's 3-grams occur, and only where enough of them gather
+  can a window within the cap end. An absent quote usually has no such
+  place, and an edited one a few slices around its match;
+- free-start scans with Myers' bit-vectors (`_edit_rows`), about fifteen
+  integer operations per character scanned, emitting only the end points
+  whose distance could pass the threshold: each filtered quote over its
+  candidate slices, and one packed scan of the whole fold (one field per
+  quote in the same Python ints) for the quotes the filter cannot narrow,
+  which are those shorter than 9 characters and those whose 3-grams are
+  dense in the note;
 - per fuzzy quote, one short anchored row over the length band for each
   such end point.
 """
@@ -376,12 +383,83 @@ def _edit_rows(
     return hits
 
 
+def _candidate_slices(folded: str, nq: str) -> list[tuple[int, int]] | None:
+    """The slices of `folded` whose scans give every end point of `nq` within m // 4.
+
+    A q-gram filter, with q = 3 (Jokinen & Ukkonen 1991; Ukkonen 1992;
+    Navarro 2001). An edit destroys at most q of the quote's m - q + 1
+    q-grams, so a substring within k = m // 4 edits of the quote holds at
+    least t = m - q + 1 - kq of them, each at its own position and none
+    more often than the quote does; t > 0 for every m >= 9. The substring
+    is at most m + k long, so an end j is a candidate only if positions in
+    [j - m - k, j - q] hold t of the quote's q-grams, each counted at most
+    as often as the quote holds it. A slice runs from m + k before its
+    first candidate end to its last, so every alignment within the cap
+    that ends in it starts in it, and a free-start scan of the slice gives
+    those ends the distance a scan of the whole fold does (an end outside
+    the candidates is above the cap either way). Overlapping slices merge.
+
+    None, to scan the whole fold instead: for a quote shorter than 9; when
+    the fold holds so many of the quote's q-grams (counted in one pass at
+    C speed, before any position is read) that an average window of m + k
+    holds t; and when the slices would cover more than half the fold.
+    """
+    m = len(nq)
+    if m < 9:
+        return None
+    k = m // 4
+    t, w, n = m - 2 - 3 * k, m + k, len(folded)
+    need: dict[str, int] = {}
+    for i in range(m - 2):
+        need[nq[i : i + 3]] = need.get(nq[i : i + 3], 0) + 1
+    grams = set(map(tuple, need))
+    flags = bytes(map(grams.__contains__, zip(folded, folded[1:], folded[2:])))
+    if flags.count(1) * w >= t * n:
+        return None
+    by_gram: dict[str, list[int]] = {}
+    for p in map(re.Match.start, re.finditer(b"\x01", flags)):
+        by_gram.setdefault(folded[p : p + 3], []).append(p)
+    # Position p counts toward the ends from p + 3 to p + w, but not once
+    # the window also holds as many later positions of its q-gram as the
+    # quote has: that gives the capped count. An event is 2x + 1 for the
+    # first end p counts toward and 2x for the first it no longer does, so
+    # at equal x stops sort before starts.
+    events: list[int] = []
+    for gram, ps in by_gram.items():
+        r = need[gram]
+        events += [2 * p + 7 for p in ps]
+        events += [
+            2 * later + 6 if later < p + w - 2 else 2 * (p + w + 1)
+            for p, later in zip(ps, ps[r:])
+        ]
+        events += [2 * (p + w + 1) for p in ps[-r:]]
+    events.sort()
+    slices: list[tuple[int, int]] = []
+    depth = first = 0
+    for event in events:
+        if event & 1:
+            depth += 1
+            if depth == t:
+                first = event >> 1
+        else:
+            depth -= 1
+            if depth == t - 1:
+                lo, hi = max(0, first - w), min(n, (event >> 1) - 1)
+                if slices and lo <= slices[-1][1]:
+                    lo = slices.pop()[0]
+                slices.append((lo, hi))
+    if 2 * sum(hi - lo for lo, hi in slices) > n:
+        return None
+    return slices
+
+
 class QuoteSearch:
     """What the `locate_quote` calls on one text share.
 
-    That is the text's fold, made at most once, and one free-start scan
-    for all the given quotes that reach the fuzzy stage. Build one with
-    every quote to be located in the text and pass it to each call.
+    That is the text's fold, made at most once, and the free-start scans
+    of the given quotes that reach the fuzzy stage, all made on the first
+    call that needs one. Build one with every quote to be located in the
+    text and pass it to each call.
     Nothing is computed before a call needs it, so a text whose quotes are
     all exact substrings is never folded. Not for use by several threads.
     """
@@ -426,16 +504,31 @@ class QuoteSearch:
     def end_points(self, nq: str) -> list[tuple[int, int]]:
         """Free-start end points of the folded quote `nq` within its raw cap.
 
-        The first call scans the fold once for `nq` and for every other
-        quote given that misses the exact and case-insensitive stages.
+        The first call handles `nq` and every other quote given that misses
+        the exact and case-insensitive stages: each is scanned over its
+        candidate slices of the fold, and those the filter does not narrow
+        share one scan of the whole fold.
         """
         if nq not in self._ends:
             # A quote found by an earlier stage folds to a substring of the
             # fold (an exact one too), so this keeps only the fuzzy ones.
             batch = dict.fromkeys([nq] + [fold_quote(quote) for quote in self._quotes])
-            batch = [n for n in batch if n and n not in self._ends and n not in self.folded]
-            rows = _edit_rows(batch, self.folded, False, [len(n) // 4 for n in batch])
-            self._ends.update(zip(batch, rows))
+            whole: list[str] = []
+            for n in batch:
+                if not n or n in self._ends or n in self.folded:
+                    continue
+                slices = _candidate_slices(self.folded, n)
+                if slices is None:
+                    whole.append(n)
+                    continue
+                self._ends[n] = [
+                    (lo + j, d)
+                    for lo, hi in slices
+                    for j, d in _edit_rows([n], self.folded[lo:hi], False, [len(n) // 4])[0]
+                ]
+            if whole:
+                rows = _edit_rows(whole, self.folded, False, [len(n) // 4 for n in whole])
+                self._ends.update(zip(whole, rows))
         return self._ends[nq]
 
 

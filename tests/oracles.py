@@ -20,6 +20,17 @@ the reference for the fold made with `str.lower` and one `re`
 substitution, mapped back by bisecting whitespace runs, and for the scan
 that keeps only candidate end points.
 
+`unfiltered_end_points` is `parsing.QuoteSearch.end_points` as it was
+before the q-gram filter, body unchanged but for the name under which
+it imports the package's quote fold: one packed free-start scan of
+the whole fold for every quote that reaches the fuzzy stage. It is the
+reference for the scan that reads only each quote's candidate slices.
+
+`fixpoint_normalize` is `core.normalize` as it was, with its one-pass
+helper, bodies unchanged: every pass collapses and rejoins the whole
+value and strips one list marker or quote pair, until nothing changes.
+It is the reference for the pass that strips whole runs on offsets.
+
 `linear_mock_complete` is the scripted backend's former call, which tests
 every script step in order, kept as the reference for the substring index
 that now picks the candidate steps.
@@ -31,6 +42,7 @@ one that runs documents on the calling thread until a model call is slow.
 
 from __future__ import annotations
 
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -38,7 +50,8 @@ import numpy as np
 
 from selfverify.backend import FinishReason, LlmResponse, ScriptExhausted
 from selfverify.core import EvidenceSpan, MatchKind, _fold_char
-from selfverify.parsing import passes_threshold, window_band
+from selfverify.parsing import QuoteSearch, _edit_rows, passes_threshold, window_band
+from selfverify.parsing import fold_quote as package_fold_quote
 from selfverify.pipeline import ExtractionPipeline
 
 _BIG = 10**6
@@ -189,6 +202,60 @@ def full_row_locate_quote(text: str, quote: str) -> EvidenceSpan:
     return EvidenceSpan(
         quote=quote, start=starts[s], end=ends[e - 1], match_kind=MatchKind.FUZZY
     )
+
+
+def unfiltered_end_points(self: QuoteSearch, nq: str) -> list[tuple[int, int]]:
+    """Free-start end points of the folded quote `nq` within its raw cap.
+
+    The first call scans the fold once for `nq` and for every other
+    quote given that misses the exact and case-insensitive stages.
+    """
+    if nq not in self._ends:
+        # A quote found by an earlier stage folds to a substring of the
+        # fold (an exact one too), so this keeps only the fuzzy ones.
+        batch = dict.fromkeys([nq] + [package_fold_quote(quote) for quote in self._quotes])
+        batch = [n for n in batch if n and n not in self._ends and n not in self.folded]
+        rows = _edit_rows(batch, self.folded, False, [len(n) // 4 for n in batch])
+        self._ends.update(zip(batch, rows))
+    return self._ends[nq]
+
+
+_LIST_MARKER_RE = re.compile(r"^(?:[-*•·‣◦]+|\(?\d{1,3}[.)])\s+")
+_QUOTE_PAIRS = [
+    ('"', '"'),
+    ("'", "'"),
+    ("“", "”"),
+    ("‘", "’"),
+    ("«", "»"),
+    ("`", "`"),
+]
+
+
+def _normalize_once(s: str) -> str:
+    s = " ".join(s.split())
+    s = _LIST_MARKER_RE.sub("", s)
+    for open_q, close_q in _QUOTE_PAIRS:
+        if len(s) >= 2 and s.startswith(open_q) and s.endswith(close_q):
+            s = s[1:-1]
+            break
+    s = s.casefold()
+    s = s.rstrip(".")
+    return s.strip()
+
+
+def fixpoint_normalize(raw: str) -> str:
+    """Canonical form of an extracted value.
+
+    Collapses Unicode whitespace, strips list markers and surrounding quote
+    pairs, casefolds, and drops trailing periods. Applied to a fixpoint so
+    the result is idempotent by construction.
+    """
+    prev: str | None = None
+    s = raw
+    while s != prev:
+        prev = s
+        s = _normalize_once(s)
+    return s
 
 
 def edit_distance(a: str, b: str) -> int:

@@ -60,7 +60,7 @@ from selfverify.pipeline import (
 from selfverify.prompts import DemoExample, catalog_version, sample_demonstrations
 from selfverify.synthetic import directional_backend, directional_corpus, plan_case
 
-from helpers import backend_for_cases
+from helpers import backend_for_cases, fuzz_text
 from oracles import oracle_intervals_overlap, oracle_locate, oracle_prf
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -458,33 +458,6 @@ def test_08_record_then_replay_is_bit_identical(tmp_path):
     )
 
 
-_FUZZ_FRAGMENTS = (
-    "- aspirin (active)",
-    "* metformin: discontinued",
-    "• item one",
-    "1. first\n2) second",
-    "None",
-    "none.",
-    "No additional items were found.",
-    "There are no new medications.",
-    'hypertension: "History of hypertension"',
-    'x: "unbalanced',
-    "Yes, keep it.",
-    "No - remove.",
-    "maybe?",
-    "J44.1 and 250.00 and S06.0X1A",
-    "::::",
-    "“smart quotes”",
-    "ünïcode ΣΩ bullets •·‣",
-    "a" * 300,
-    "\n\n\n",
-    "\t - \t",
-    "item - with - dashes",
-    "(discontinued)",
-    "drug one; drug two",
-)
-
-
 def test_09_parser_fuzz_100k_strings():
     assert parse_bulleted_list("None") == []
     assert parse_bulleted_list("1. alpha\n2) beta") == ["alpha", "beta"]
@@ -494,21 +467,7 @@ def test_09_parser_fuzz_100k_strings():
     crashes = 0
     first_crash = ""
     for n in range(100_000):
-        roll = rng.random()
-        if roll < 0.4:
-            text = rng.choice(_FUZZ_FRAGMENTS)
-            if rng.random() < 0.5:
-                text = text + "\n" + rng.choice(_FUZZ_FRAGMENTS)
-        elif roll < 0.7:
-            base = rng.choice(_FUZZ_FRAGMENTS)
-            cut = rng.randint(0, len(base))
-            text = base[:cut] + rng.choice(("", " ", "-", ":", '"')) + base[cut:]
-        else:
-            size = rng.randint(0, 80)
-            text = "".join(
-                chr(rng.choice((32, 10, 45, 58, 34) + tuple(range(33, 127))))
-                for _ in range(size)
-            )
+        text = fuzz_text(rng)
         try:
             parse_bulleted_list(text)
             parse_status_pairs(text)

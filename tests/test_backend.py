@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
 import struct
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -570,6 +574,76 @@ class TestResponseStore:
             reopened = ResponseStore(f"{d}/s.bin")
             for k, v in entries.items():
                 assert reopened.get(k) == v
+
+
+def _record(key: str, text: str) -> bytes:
+    payload = text.encode("utf-8")
+    return bytes.fromhex(key) + struct.pack(">QI", 1700000000, len(payload)) + payload
+
+
+# Files of two whole records followed by a torn or bad tail: the tail's
+# bytes and the records it counts as.
+_TORN_TAILS = {
+    "truncated_header": (b"\x00" * 10, 1),
+    "truncated_body": (_record("ef" * 32, "cut off in the middle")[:-5], 1),
+    "bad_utf8": (
+        _record("ef" * 32, "x").replace(b"x", b"\xff") + _record("01" * 32, "after the bad one"),
+        2,
+    ),
+}
+
+
+class TestStoreRepair:
+    @pytest.mark.parametrize("tail", sorted(_TORN_TAILS))
+    def test_repair_truncates_to_last_whole_record(self, tmp_path, tail):
+        path = tmp_path / "cache.bin"
+        good = _record(KEY_A, "first") + _record(KEY_B, "second ünïcode")
+        bad, records = _TORN_TAILS[tail]
+        path.write_bytes(good + bad)
+        with pytest.raises(StoreCorrupt):
+            ResponseStore(path)
+        assert ResponseStore.repair(path) == (len(bad), records)
+        assert path.read_bytes() == good
+        store = ResponseStore(path)
+        assert (store.get(KEY_A), store.get(KEY_B), len(store)) == ("first", "second ünïcode", 2)
+        assert ResponseStore.repair(path) == (0, 0)
+
+    def test_repair_of_an_empty_or_whole_file_changes_nothing(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        path.write_bytes(b"")
+        assert ResponseStore.repair(path) == (0, 0)
+        ResponseStore(path).put(KEY_A, "kept")
+        before = path.read_bytes()
+        assert ResponseStore.repair(path) == (0, 0)
+        assert path.read_bytes() == before
+
+
+_APPENDER = """
+import hashlib, sys
+from selfverify.backend import ResponseStore
+store = ResponseStore(sys.argv[1])
+name = sys.argv[2]
+for i in range(300):
+    key = hashlib.sha256(f"{name}-{i}".encode()).hexdigest()
+    store.put(key, f"{name}-{i}:" + name * (i * 97 % 20000))
+"""
+
+
+def test_two_recording_processes_never_interleave_records(tmp_path):
+    """Two processes append 300 records each to one store, some 20 kB long."""
+    path = tmp_path / "cache.bin"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _APPENDER, str(path), name], env={**os.environ, "PYTHONPATH": src})
+        for name in ("a", "b")
+    ]
+    assert [writer.wait(timeout=120) for writer in writers] == [0, 0]
+    store = ResponseStore(path)
+    assert len(store) == 600
+    for name in ("a", "b"):
+        for i in range(300):
+            key = hashlib.sha256(f"{name}-{i}".encode()).hexdigest()
+            assert store.get(key) == f"{name}-{i}:" + name * (i * 97 % 20000)
 
 
 class CountingBackend(Backend):

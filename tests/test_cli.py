@@ -588,6 +588,31 @@ class TestAblateReportCache:
         assert main(["cache", "import", "--cache", store, "--from", other]) == 0
         assert f"imported {stats['entries']}" in capsys.readouterr().out
 
+    def test_corrupt_store_exits_three_naming_cache_repair(self, tmp_path, capsys):
+        store = tmp_path / "store.bin"
+        assert main(extract_args(tmp_path, extra=["--backend", "record", "--cache", str(store)])) == 0
+        whole = store.read_bytes()
+        store.write_bytes(whole + whole[:50])  # a second copy of the first record, torn
+        capsys.readouterr()
+        replay = ["extract", "--task", "medication_status", "--dataset", MED_DATA,
+                  "--backend", "replay", "--cache", str(store), "--out", str(tmp_path / "rep")]
+        for argv in (["cache", "stats", "--cache", str(store)], replay):
+            assert main(argv) == 3
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: response store is corrupt")
+            assert f"selfverify cache repair --cache {store}" in err[0]
+
+        assert main(["cache", "repair", "--cache", str(store)]) == 0
+        assert capsys.readouterr().out == f"{store}: dropped 50 bytes holding 1 torn or invalid record(s)\n"
+        assert store.read_bytes() == whole
+        assert main(replay) == 0
+
+    def test_cache_repair_of_missing_store_exits_three(self, tmp_path, capsys):
+        missing = tmp_path / "none.bin"
+        assert main(["cache", "repair", "--cache", str(missing)]) == 3
+        assert str(missing) in capsys.readouterr().err
+        assert not missing.exists()
+
     def test_cache_export_requires_into(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             main(["cache", "export", "--cache", str(tmp_path / "s.bin")])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,11 @@ from selfverify.core import (
     normalize,
     task_by_name,
 )
+from selfverify import core
 from selfverify.parsing import locate_quote
+
+from helpers import fuzz_text
+from oracles import fixpoint_normalize
 
 
 class TestTaskKind:
@@ -126,6 +132,98 @@ class TestNormalize:
     def test_casefolded(self, raw):
         out = normalize(raw)
         assert out == out.casefold()
+
+
+# Pieces that list markers, quote pairs and trailing periods are made of.
+_STACKING = ["- ", "-", "* ", "•", "1. ", "(2) ", "3)", "12.", '"', "'", "“", "”", "‘", "’",
+             "«", "»", "`", ".", ". ", " ", "\t", "\n", "x", "ß", "İ", "Σ"]
+
+
+class TestNormalizeAgainstFixpoint:
+    """The one-rejoin normalize against the pass-until-unchanged one it replaced."""
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_fuzz_replies(self, seed):
+        rng = random.Random(seed)
+        for _ in range(20):
+            text = fuzz_text(rng)
+            assert normalize(text) == fixpoint_normalize(text), text
+
+    @given(st.lists(st.sampled_from(_STACKING), max_size=30))
+    @settings(max_examples=500)
+    def test_stacked_markers_quotes_and_periods(self, pieces):
+        text = "".join(pieces)
+        assert normalize(text) == fixpoint_normalize(text)
+
+    @given(st.text(max_size=80))
+    def test_any_text(self, text):
+        assert normalize(text) == fixpoint_normalize(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "- - .", "- . .", "- - - . .", "1. 2. 3. . . .", '- "- x".', '"x" .', '"“x”"',
+            "1. 2) • x..", "- '", "' - x '", "«»",
+        ],
+    )
+    def test_end_trimming_interleaves_with_markers(self, text):
+        assert normalize(text) == fixpoint_normalize(text)
+
+
+class _Counted:
+    """A compiled pattern whose `match` calls are counted."""
+
+    def __init__(self, pattern, counts):
+        self.pattern, self.counts = pattern, counts
+
+    def match(self, *args):
+        self.counts["passes"] += 1
+        return self.pattern.match(*args)
+
+
+class TestNormalizeWork:
+    """Stacked markers and nested quotes cost one rejoin and a bounded number of passes."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"passes": 0, "rejoins": 0}
+        once = core._normalize_once
+
+        def counted_once(s):
+            counts["rejoins"] += 1
+            return once(s)
+
+        monkeypatch.setattr(core, "_normalize_once", counted_once)
+        # Every pass, the first one included, matches one marker pattern once.
+        for name in ("_LIST_MARKER_RE", "_LIST_MARKERS_RE"):
+            monkeypatch.setattr(core, name, _Counted(getattr(core, name), counts))
+        return counts
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("- " * 4000 + "x", "x"),
+            ("1. " * 2000 + "- " * 2000 + "Aspirin", "aspirin"),
+            ('"' * 3000 + "x" + '"' * 3000, "x"),
+            ("“‘" * 1500 + "x" + "’”" * 1500, "x"),
+            ("- " * 2000 + '"' * 2000 + "X" + '"' * 2000, "x"),
+        ],
+        ids=["dashes", "numbers-then-dashes", "quotes", "nested-pairs", "dashes-then-quotes"],
+    )
+    def test_stacked_input(self, counts, text, expected):
+        assert normalize(text) == expected
+        assert counts == {"passes": 3, "rejoins": 1}
+
+    def test_trailing_periods_and_spaces_cost_a_pass_each(self, counts):
+        # One period and one space go per pass, as in the passes it replaced,
+        # but a pass only moves two offsets.
+        assert normalize("x" + " ." * 4000) == "x"
+        assert counts["rejoins"] == 1 and counts["passes"] <= 4002
+
+    def test_plain_value_takes_one_pass_after_the_first(self, counts):
+        assert normalize("  Aspirin 81   mg. ") == "aspirin 81 mg"
+        assert counts == {"passes": 2, "rejoins": 1}
 
 
 class TestEvidenceSpan:

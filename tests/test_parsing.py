@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import importlib
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     distances_for_end,
     fold_with_offsets,
@@ -16,14 +19,17 @@ from oracles import (
     normalized_distance_of_span,
     oracle_locate,
     sellers_end_distances,
+    unfiltered_end_points,
 )
 from oracles import fold_quote as per_character_fold_quote
+from selfverify import parsing
 from selfverify.core import MatchKind, StatusLabel, _fold_char, fold, normalize
 from selfverify.parsing import (
     AmbiguousVerdict,
     FUZZY_THRESHOLD_DEN,
     FUZZY_THRESHOLD_NUM,
     QuoteSearch,
+    _candidate_slices,
     _edit_rows,
     align_key,
     fold_quote,
@@ -439,17 +445,30 @@ def _edited(rng: random.Random, text: str, alphabet: str, max_len: int) -> str:
     return quote.upper() if rng.random() < 0.3 else quote
 
 
+def _same_end_points(text: str, quotes: list[str]) -> None:
+    """The filtered scan's end points equal the unfiltered scan's for every fuzzy-stage quote."""
+    search, former = QuoteSearch(text, quotes), QuoteSearch(text, quotes)
+    for quote in quotes:
+        nq = fold_quote(quote)
+        if nq and nq not in search.folded:
+            assert search.end_points(nq) == unfiltered_end_points(former, nq), (text, quote)
+
+
 def _same_as_former(text: str, quotes: list[str]) -> None:
-    """Each quote located alone and with a shared search gives the former locator's span."""
+    """Each quote located alone and with a shared search gives the former locator's span.
+
+    And the end points the q-gram filter lets through are the unfiltered scan's.
+    """
     search = QuoteSearch(text, quotes)
     for quote in quotes:
         expected = full_row_locate_quote(text, quote)
         assert locate_quote(text, quote) == expected, (text, quote)
         assert locate_quote(text, quote, search) == expected, (text, quote)
+    _same_end_points(text, quotes)
 
 
 class TestAgainstFormerLocator:
-    """The fold-once, candidate-only locator against the one it replaced."""
+    """The fold-once, filtered, candidate-only locator against the one it replaced."""
 
     @given(st.text(alphabet="abcdE .,\n\t", min_size=1, max_size=150), st.data())
     @settings(max_examples=200, deadline=None)
@@ -476,23 +495,206 @@ class TestAgainstFormerLocator:
         _same_as_former(text, quotes)
 
     def test_note_length_case(self):
-        rng = random.Random(14)
-        words = ["patient", "denies", "chest", "pain", "Aspirin", "81", "mg", "daily,", "stable."]
-        text = "".join(rng.choice(words) + rng.choice(["  ", " ", "\n", " \t "]) for _ in range(1500))
-        quotes = []
-        for kind in ("exact", "case", "edited", "edited", "spaces", "absent"):
-            a = rng.randrange(len(text) - 80)
-            quote = text[a : a + 72]
-            if kind == "case":
-                quote = quote.upper()
-            elif kind == "edited":
-                quote = _edited(random.Random(a), quote, "xyz", 72)
-            elif kind == "spaces":
-                quote = " ".join(quote.split())
-            elif kind == "absent":
-                quote = "quartz harbor violin meadow lantern glacier saffron orbit canyon whisker"
-            quotes.append(quote)
-        _same_as_former(text, quotes)
+        _same_as_former(*_long_note(random.Random(14)))
+
+
+_NOTE_WORDS = ["patient", "denies", "chest", "pain", "Aspirin", "81", "mg", "daily,", "stable."]
+
+
+def _words(rng: random.Random, count: int, vocabulary=_NOTE_WORDS) -> str:
+    return "".join(rng.choice(vocabulary) + rng.choice(["  ", " ", "\n", " \t "]) for _ in range(count))
+
+
+def _prose(rng: random.Random, chars: int) -> str:
+    """`chars` characters of the note vocabulary."""
+    text = ""
+    while len(text) < chars:
+        text += _words(rng, 100)
+    return text[:chars]
+
+
+def _long_note(rng: random.Random, words=1500, size=72, vocabulary=_NOTE_WORDS) -> tuple[str, list[str]]:
+    """A note of `words` words, and quotes of `size` characters of each planned kind."""
+    text = _words(rng, words, vocabulary)
+    quotes = []
+    for kind in ("exact", "case", "edited", "edited", "spaces", "absent"):
+        a = rng.randrange(len(text) - size - 8)
+        quote = text[a : a + size]
+        if kind == "case":
+            quote = quote.upper()
+        elif kind == "edited":
+            quote = _edited(random.Random(a), quote, "xyz", size)
+        elif kind == "spaces":
+            quote = " ".join(quote.split())
+        elif kind == "absent":
+            quote = "quartz harbor violin meadow lantern glacier saffron orbit canyon whisker"
+        quotes.append(quote)
+    return text, quotes
+
+
+class TestAgainstUnfilteredScan:
+    """Inputs on which the q-gram filter narrows most quotes, through `_same_as_former`."""
+
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz ", min_size=1, max_size=400), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_wide_alphabet_long_quotes(self, text, data):
+        # Sparse q-grams, so most quotes of 9 or more take the filtered path.
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        _same_as_former(text, [_edited(rng, text, "xyz0", 60) for _ in range(4)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_long_notes(self, seed):
+        rng = random.Random(seed)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        vocabulary = ["".join(rng.choices(letters, k=rng.randint(2, 10))) for _ in range(300)]
+        size = [9, 12, 40, 72, 150, 400][seed]
+        text, quotes = _long_note(rng, rng.randrange(300, 1500), size, vocabulary)
+        # Slices as long as the quotes, with one letter in 25 substituted.
+        edits = []
+        for _ in range(3):
+            a = rng.randrange(len(text) - size)
+            chars = list(text[a : a + size])
+            for i in rng.sample(range(size), max(1, size // 25)):
+                chars[i] = rng.choice("xyz")
+            edits.append("".join(chars))
+        _same_as_former(text, quotes + edits)
+        # Most edits and the absent quote take the filtered path, so the
+        # comparison above covers it.
+        folded = fold(text)
+        narrowed = [_candidate_slices(folded, fold_quote(q)) is not None for q in edits + quotes[5:]]
+        assert sum(narrowed) >= 3 and narrowed[-1]
+
+
+class TestFilterBounds:
+    """Matches at the edge of the q-gram lemma, in a note of sparse 3-grams.
+
+    Random text keeps the filter from falling back, and each quote is
+    placed where the filter has the least room: no 3-gram to spare, the
+    longest window, or 3-grams the quote holds several times.
+    """
+
+    M = 72
+    K = M // 4
+
+    def _check(self, placed: str, quote: str) -> list[tuple[int, int]]:
+        rng = random.Random(placed)
+        letters = "abcdefghijklmnopqrstuvw"  # never x, y or z
+        text = "".join(rng.choices(letters, k=1500)) + placed + "".join(rng.choices(letters, k=1500))
+        assert _candidate_slices(text, quote) is not None
+        ends = QuoteSearch(text, [quote]).end_points(quote)
+        assert ends == unfiltered_end_points(QuoteSearch(text, [quote]), quote)
+        return [(end - 1500, dist) for end, dist in ends]
+
+    def test_substitutions_leave_exactly_t_q_grams(self):
+        # K substitutions three apart, none within two of either end,
+        # destroy 3K of the M - 2 q-grams, so t = M - 2 - 3K are left.
+        quote = "".join(random.Random(1).choices("abcdefghijklmnopqrstuvw", k=self.M))
+        placed = "".join("x" if i % 3 == 2 and i < 3 * self.K else c for i, c in enumerate(quote))
+        assert sum(c == "x" for c in placed) == self.K
+        assert (self.M, self.K) in self._check(placed, quote)
+
+    def test_insertions_make_the_longest_window(self):
+        # K extra letters in the note: the alignment is M + K long and its
+        # end is the last candidate end.
+        quote = "".join(random.Random(2).choices("abcdefghijklmnopqrstuvw", k=self.M))
+        placed = "".join(c + "y" if i % 4 == 1 else c for i, c in enumerate(quote))
+        assert len(placed) == self.M + self.K
+        assert (self.M + self.K, self.K) in self._check(placed, quote)
+
+    def test_repeated_q_grams_count_as_often_as_the_quote_holds_them(self):
+        # Four distinct 3-grams, each 17 or 18 times in the quote.
+        quote = ("bdfh" * 18)[: self.M]
+        placed = "".join("z" if i % 4 == 2 else c for i, c in enumerate(quote))
+        assert (self.M, self.K) in self._check(placed, quote)
+
+
+def _fed_to_edit_rows(monkeypatch) -> list[tuple[int, int, bool]]:
+    """(needles, haystack characters, anchored) of every `_edit_rows` call from now on."""
+    calls: list[tuple[int, int, bool]] = []
+    scan = parsing._edit_rows
+
+    def counted(needles, haystack, anchored, caps):
+        calls.append((len(needles), len(haystack), anchored))
+        return scan(needles, haystack, anchored, caps)
+
+    monkeypatch.setattr(parsing, "_edit_rows", counted)
+    monkeypatch.setattr(oracles, "_edit_rows", counted)
+    return calls
+
+
+def _free_start_chars(calls: list[tuple[int, int, bool]]) -> int:
+    return sum(chars for _, chars, anchored in calls if not anchored)
+
+
+class TestFilterWork:
+    """What the filter saves, and that it never scans more than the scan it narrowed."""
+
+    def test_long_notes_pass_scans_a_third_or_less(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
+        longnotes = importlib.import_module("longnotes")
+        from selfverify.pipeline import PipelineConfig, run_batch
+
+        notes = longnotes.make_corpus(0)
+        documents = [note.document for note in notes]
+
+        def one_pass():
+            results = run_batch(longnotes.backend(notes), PipelineConfig(), documents, seeds=[0], workers=1)
+            return [(r.pre_prune, r.final, r.pruned) for r in results]
+
+        calls = _fed_to_edit_rows(monkeypatch)
+        filtered = one_pass()
+        filtered_chars = _free_start_chars(calls)
+        calls.clear()
+        monkeypatch.setattr(QuoteSearch, "end_points", unfiltered_end_points)
+        assert one_pass() == filtered
+        unfiltered_chars = _free_start_chars(calls)
+        # One whole-fold scan per note, shared by its edited and missing quotes.
+        assert unfiltered_chars == sum(len(fold(document.text)) for document in documents)
+        assert 3 * filtered_chars <= unfiltered_chars
+
+    def test_quotes_the_filter_cannot_narrow_share_one_scan(self, monkeypatch):
+        text = "ab" * 2000 + " the patient is stable " + "ab" * 2000
+        # Two short quotes and one whose 3-grams fill the note: none can be
+        # narrowed. One quote can, and gets its own slice scans.
+        quotes = ["abxab", "baaba", "abab" * 8 + "x", "the patienx is stable"]
+        search = QuoteSearch(text, quotes)
+        assert [_candidate_slices(search.folded, fold_quote(q)) for q in quotes[:3]] == [None] * 3
+        calls = _fed_to_edit_rows(monkeypatch)
+        for quote in quotes:
+            locate_quote(text, quote, search)
+        whole = [c for c in calls if not c[2] and c[1] == len(search.folded)]
+        assert whole == [(3, len(search.folded), False)]
+        assert locate_quote(text, quotes[3], search).match_kind is MatchKind.FUZZY
+
+    @pytest.mark.parametrize(
+        "name",
+        ["repeated_letter", "long_absent_quote", "short_absent_quote"],
+    )
+    def test_worst_cases_scan_no_more_and_count_linearly(self, monkeypatch, name):
+        rng = random.Random(name)
+        text, quote = {
+            "repeated_letter": lambda: ("a" * 20000, "a" * 119 + "b"),
+            "long_absent_quote": lambda: (_prose(rng, 50000), _prose(rng, 4000)),
+            "short_absent_quote": lambda: (_prose(rng, 20000), _prose(rng, 120)),
+        }[name]()
+        nq = fold_quote(quote)
+        calls = _fed_to_edit_rows(monkeypatch)
+        ends = QuoteSearch(text, [quote]).end_points(nq)
+        filtered_chars = _free_start_chars(calls)
+        calls.clear()
+        assert ends == unfiltered_end_points(QuoteSearch(text, [quote]), nq)
+        assert filtered_chars <= _free_start_chars(calls)
+        # The filter reads the fold once and the quote once, whatever m is.
+        drawn = [0]
+
+        def counted_zip(*iterables):
+            for item in zip(*iterables):
+                drawn[0] += 1
+                yield item
+
+        monkeypatch.setattr(parsing, "zip", counted_zip, raising=False)
+        _candidate_slices(fold(text), nq)
+        assert drawn[0] <= len(fold(text)) + len(nq)
 
 
 _ROW_ALPHABET = "abcé中 "
