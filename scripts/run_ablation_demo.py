@@ -11,8 +11,10 @@ verification instructions.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
+from selfverify.cli import CliError, check_workers, parse_seeds
 from selfverify.evaluation import render_dsv, render_text_table
 from selfverify.pipeline import PipelineConfig, run_ablation
 from selfverify.synthetic import directional_backend, directional_corpus
@@ -24,7 +26,12 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--dsv", help="also write the table to this TSV file")
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = parse_seeds(args.seeds)
+        check_workers(args.workers)
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
     documents, gold = directional_corpus()
     rows = run_ablation(

@@ -91,7 +91,7 @@ def _parse_steps(raw: str) -> tuple[str, ...]:
     return tuple(s for s in OPTIONAL_STEPS if s in wanted)
 
 
-def _parse_seeds(raw: str) -> list[int]:
+def parse_seeds(raw: str) -> list[int]:
     try:
         seeds = [int(part) for part in raw.split(",") if part.strip()]
     except ValueError:
@@ -101,6 +101,11 @@ def _parse_seeds(raw: str) -> list[int]:
     if len(set(seeds)) != len(seeds):
         raise CliError(EXIT_USAGE, f"seeds must be distinct, got {raw!r}")
     return seeds
+
+
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise CliError(EXIT_USAGE, "--workers must be at least 1")
 
 
 def _task(name: str) -> TaskKind:
@@ -231,7 +236,7 @@ def cmd_extract(args) -> int:
     config = _pipeline_config(args)
     records, _ = _load_records(args)
     backend = make_backend(args)
-    seeds = _parse_seeds(args.seeds)
+    seeds = parse_seeds(args.seeds)
     documents, demo_pool = _documents_and_pool(config, task, records)
     started = time.perf_counter()
     results = run_batch(
@@ -368,7 +373,7 @@ def cmd_ablate(args) -> int:
     task = _task(args.task)
     records, _ = _load_records(args)
     gold_values, _ = _gold_maps(records)
-    seeds = _parse_seeds(args.seeds)
+    seeds = parse_seeds(args.seeds)
     config = _pipeline_config(args)
     documents, demo_pool = _documents_and_pool(config, task, records)
     rows = run_ablation(
@@ -520,8 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.action == "import" and not getattr(args, "from"):
             parser.error("cache import requires --from")
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise CliError(EXIT_USAGE, "--workers must be at least 1")
+        check_workers(getattr(args, "workers", 1))
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,11 +14,12 @@ one evidence step share a `QuoteSearch`, so the step costs at most:
   exact stage, by `str.lower` and one `re` substitution when the note has
   neither 'İ' nor 'Σ', and a character at a time otherwise; only the
   offsets of a result are mapped back, by bisecting the whitespace runs;
-- per quote that reaches the fuzzy stage, a q-gram filter
-  (`_candidate_slices`): one pass over the folded note at C speed finds
-  where the quote's 3-grams occur, and only where enough of them gather
-  can a window within the cap end. An absent quote usually has no such
-  place, and an edited one a few slices around its match;
+- a q-gram filter (`_candidate_slices`) for the quotes that reach the
+  fuzzy stage: one pass over the folded note at C speed per eight such
+  quotes marks where each quote's 3-grams occur, one bit per quote, and
+  only where enough of one quote's 3-grams gather can a window of it
+  within the cap end. An absent quote usually has no such place, and an
+  edited one a few slices around its match;
 - free-start scans with Myers' bit-vectors (`_edit_rows`), about fifteen
   integer operations per character scanned, emitting only the end points
   whose distance could pass the threshold: each filtered quote over its
@@ -26,14 +27,17 @@ one evidence step share a `QuoteSearch`, so the step costs at most:
   quote in the same Python ints) for the quotes the filter cannot narrow,
   which are those shorter than 9 characters and those whose 3-grams are
   dense in the note;
-- per fuzzy quote, one short anchored row over the length band for each
-  such end point.
+- per fuzzy quote, short anchored rows over the length band, one per such
+  end point, lowest distance first, until the cap that the best window
+  so far sets drops the rest: usually after the first row.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from itertools import repeat
+from operator import itemgetter
 from typing import Iterable
 
 from .core import EvidenceSpan, MatchKind, StatusLabel, fold, fold_quote, normalize
@@ -383,8 +387,12 @@ def _edit_rows(
     return hits
 
 
-def _candidate_slices(folded: str, nq: str) -> list[tuple[int, int]] | None:
-    """The slices of `folded` whose scans give every end point of `nq` within m // 4.
+# _BITS[b] maps a flag byte to its bit b, for splitting a shared pass.
+_BITS = [bytes((byte >> b) & 1 for byte in range(256)) for b in range(8)]
+
+
+def _candidate_slices(folded: str, quotes: list[str]) -> list[list[tuple[int, int]] | None]:
+    """For each quote, the slices of `folded` whose scans give every end point within m // 4.
 
     A q-gram filter, with q = 3 (Jokinen & Ukkonen 1991; Ukkonen 1992;
     Navarro 2001). An edit destroys at most q of the quote's m - q + 1
@@ -399,23 +407,52 @@ def _candidate_slices(folded: str, nq: str) -> list[tuple[int, int]] | None:
     those ends the distance a scan of the whole fold does (an end outside
     the candidates is above the cap either way). Overlapping slices merge.
 
+    The quotes share one pass over the fold at C speed per eight of them:
+    each has a bit of a byte per position, set where one of its q-grams
+    occurs, and `bytes.translate` splits the bytes into one flag string
+    per quote. A lone quote tests its q-grams' set instead.
+
     None, to scan the whole fold instead: for a quote shorter than 9; when
-    the fold holds so many of the quote's q-grams (counted in one pass at
-    C speed, before any position is read) that an average window of m + k
-    holds t; and when the slices would cover more than half the fold.
+    the fold holds so many of the quote's q-grams (counted from its flags,
+    before any position is read) that an average window of m + k holds t;
+    and when the slices would cover more than half the fold.
     """
-    m = len(nq)
-    if m < 9:
-        return None
+    needs: dict[int, dict[str, int]] = {}
+    for i, nq in enumerate(quotes):
+        if len(nq) >= 9:
+            need = needs[i] = {}
+            for p in range(len(nq) - 2):
+                need[nq[p : p + 3]] = need.get(nq[p : p + 3], 0) + 1
+    slices: list[list[tuple[int, int]] | None] = [None] * len(quotes)
+    filtered = list(needs)
+    for g in range(0, len(filtered), 8):
+        group = filtered[g : g + 8]
+        grams = zip(folded, folded[1:], folded[2:])
+        if len(group) == 1:
+            flags = [bytes(map(set(map(tuple, needs[group[0]])).__contains__, grams))]
+        else:
+            bits: dict[tuple[str, ...], int] = {}
+            for b, i in enumerate(group):
+                for gram in map(tuple, needs[i]):
+                    bits[gram] = bits.get(gram, 0) | 1 << b
+            shared = bytes(map(bits.get, grams, repeat(0)))
+            flags = [shared.translate(_BITS[b]) for b in range(len(group))]
+        for i, own in zip(group, flags):
+            slices[i] = _slices_from_flags(folded, len(quotes[i]), needs[i], own)
+    return slices
+
+
+def _slices_from_flags(
+    folded: str, m: int, need: dict[str, int], flags: bytes
+) -> list[tuple[int, int]] | None:
+    """`_candidate_slices` for one quote of length m, from its q-gram counts and flags."""
     k = m // 4
     t, w, n = m - 2 - 3 * k, m + k, len(folded)
-    need: dict[str, int] = {}
-    for i in range(m - 2):
-        need[nq[i : i + 3]] = need.get(nq[i : i + 3], 0) + 1
-    grams = set(map(tuple, need))
-    flags = bytes(map(grams.__contains__, zip(folded, folded[1:], folded[2:])))
-    if flags.count(1) * w >= t * n:
+    count = flags.count(1)
+    if count * w >= t * n:
         return None
+    if count < t:  # no window can hold t of them
+        return []
     by_gram: dict[str, list[int]] = {}
     for p in map(re.Match.start, re.finditer(b"\x01", flags)):
         by_gram.setdefault(folded[p : p + 3], []).append(p)
@@ -513,11 +550,9 @@ class QuoteSearch:
             # A quote found by an earlier stage folds to a substring of the
             # fold (an exact one too), so this keeps only the fuzzy ones.
             batch = dict.fromkeys([nq] + [fold_quote(quote) for quote in self._quotes])
+            batch = [n for n in batch if n and n not in self._ends and n not in self.folded]
             whole: list[str] = []
-            for n in batch:
-                if not n or n in self._ends or n in self.folded:
-                    continue
-                slices = _candidate_slices(self.folded, n)
+            for n, slices in zip(batch, _candidate_slices(self.folded, batch)):
                 if slices is None:
                     whole.append(n)
                     continue
@@ -574,12 +609,15 @@ def locate_quote(text: str, quote: str, search: QuoteSearch | None = None) -> Ev
     # still win (ratio at most the best's) has distance at most
     # best_dist * hi_len // best_denom. The free-start distance at a
     # window's end point is a lower bound on its distance, so keeping only
-    # end points, and window lengths, within that cap loses nothing.
+    # end points, and window lengths, within that cap loses nothing. That
+    # holds in any order, and the winner is the unique minimum of (ratio,
+    # start, end), so end points go lowest distance first: the cap falls
+    # at once, and the first one above it ends the search.
     cap = m // 4
     best: tuple[int, int, int, int] | None = None  # (dist, max(m, L), start, end)
-    for end, e_j in search.end_points(nq):
+    for end, e_j in sorted(search.end_points(nq), key=itemgetter(1)):
         if e_j > cap:
-            continue
+            break
         # Every window sharing this end point, by its length, from one
         # anchored row of the reversed quote against the reversed slice.
         window = folded[max(0, end - hi_len):end][::-1]

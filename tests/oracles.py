@@ -26,6 +26,10 @@ it imports the package's quote fold: one packed free-start scan of
 the whole fold for every quote that reaches the fuzzy stage. It is the
 reference for the scan that reads only each quote's candidate slices.
 
+`per_quote_candidate_slices` is the q-gram filter as it was, body
+unchanged: one pass over the fold for each quote. It is the reference
+for the pass that a step's quotes share, one bit of a byte each.
+
 `fixpoint_normalize` is `core.normalize` as it was, with its one-pass
 helper, bodies unchanged: every pass collapses and rejoins the whole
 value and strips one list marker or quote pair, until nothing changes.
@@ -218,6 +222,76 @@ def unfiltered_end_points(self: QuoteSearch, nq: str) -> list[tuple[int, int]]:
         rows = _edit_rows(batch, self.folded, False, [len(n) // 4 for n in batch])
         self._ends.update(zip(batch, rows))
     return self._ends[nq]
+
+
+def per_quote_candidate_slices(folded: str, nq: str) -> list[tuple[int, int]] | None:
+    """The slices of `folded` whose scans give every end point of `nq` within m // 4.
+
+    A q-gram filter, with q = 3 (Jokinen & Ukkonen 1991; Ukkonen 1992;
+    Navarro 2001). An edit destroys at most q of the quote's m - q + 1
+    q-grams, so a substring within k = m // 4 edits of the quote holds at
+    least t = m - q + 1 - kq of them, each at its own position and none
+    more often than the quote does; t > 0 for every m >= 9. The substring
+    is at most m + k long, so an end j is a candidate only if positions in
+    [j - m - k, j - q] hold t of the quote's q-grams, each counted at most
+    as often as the quote holds it. A slice runs from m + k before its
+    first candidate end to its last, so every alignment within the cap
+    that ends in it starts in it, and a free-start scan of the slice gives
+    those ends the distance a scan of the whole fold does (an end outside
+    the candidates is above the cap either way). Overlapping slices merge.
+
+    None, to scan the whole fold instead: for a quote shorter than 9; when
+    the fold holds so many of the quote's q-grams (counted in one pass at
+    C speed, before any position is read) that an average window of m + k
+    holds t; and when the slices would cover more than half the fold.
+    """
+    m = len(nq)
+    if m < 9:
+        return None
+    k = m // 4
+    t, w, n = m - 2 - 3 * k, m + k, len(folded)
+    need: dict[str, int] = {}
+    for i in range(m - 2):
+        need[nq[i : i + 3]] = need.get(nq[i : i + 3], 0) + 1
+    grams = set(map(tuple, need))
+    flags = bytes(map(grams.__contains__, zip(folded, folded[1:], folded[2:])))
+    if flags.count(1) * w >= t * n:
+        return None
+    by_gram: dict[str, list[int]] = {}
+    for p in map(re.Match.start, re.finditer(b"\x01", flags)):
+        by_gram.setdefault(folded[p : p + 3], []).append(p)
+    # Position p counts toward the ends from p + 3 to p + w, but not once
+    # the window also holds as many later positions of its q-gram as the
+    # quote has: that gives the capped count. An event is 2x + 1 for the
+    # first end p counts toward and 2x for the first it no longer does, so
+    # at equal x stops sort before starts.
+    events: list[int] = []
+    for gram, ps in by_gram.items():
+        r = need[gram]
+        events += [2 * p + 7 for p in ps]
+        events += [
+            2 * later + 6 if later < p + w - 2 else 2 * (p + w + 1)
+            for p, later in zip(ps, ps[r:])
+        ]
+        events += [2 * (p + w + 1) for p in ps[-r:]]
+    events.sort()
+    slices: list[tuple[int, int]] = []
+    depth = first = 0
+    for event in events:
+        if event & 1:
+            depth += 1
+            if depth == t:
+                first = event >> 1
+        else:
+            depth -= 1
+            if depth == t - 1:
+                lo, hi = max(0, first - w), min(n, (event >> 1) - 1)
+                if slices and lo <= slices[-1][1]:
+                    lo = slices.pop()[0]
+                slices.append((lo, hi))
+    if 2 * sum(hi - lo for lo, hi in slices) > n:
+        return None
+    return slices
 
 
 _LIST_MARKER_RE = re.compile(r"^(?:[-*•·‣◦]+|\(?\d{1,3}[.)])\s+")

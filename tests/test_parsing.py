@@ -22,14 +22,14 @@ from oracles import (
     unfiltered_end_points,
 )
 from oracles import fold_quote as per_character_fold_quote
-from selfverify import parsing
+from oracles import per_quote_candidate_slices as _candidate_slices
+from selfverify import parsing, pipeline
 from selfverify.core import MatchKind, StatusLabel, _fold_char, fold, normalize
 from selfverify.parsing import (
     AmbiguousVerdict,
     FUZZY_THRESHOLD_DEN,
     FUZZY_THRESHOLD_NUM,
     QuoteSearch,
-    _candidate_slices,
     _edit_rows,
     align_key,
     fold_quote,
@@ -626,21 +626,28 @@ def _free_start_chars(calls: list[tuple[int, int, bool]]) -> int:
     return sum(chars for _, chars, anchored in calls if not anchored)
 
 
+def _long_notes(monkeypatch):
+    """The seed-0 long_notes corpus, and one pipeline pass over it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
+    longnotes = importlib.import_module("longnotes")
+    from selfverify.pipeline import PipelineConfig, run_batch
+
+    notes = longnotes.make_corpus(0)
+    documents = [note.document for note in notes]
+
+    def one_pass():
+        results = run_batch(longnotes.backend(notes), PipelineConfig(), documents, seeds=[0], workers=1)
+        return [(r.pre_prune, r.final, r.pruned) for r in results]
+
+    return notes, one_pass
+
+
 class TestFilterWork:
     """What the filter saves, and that it never scans more than the scan it narrowed."""
 
     def test_long_notes_pass_scans_a_third_or_less(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
-        longnotes = importlib.import_module("longnotes")
-        from selfverify.pipeline import PipelineConfig, run_batch
-
-        notes = longnotes.make_corpus(0)
+        notes, one_pass = _long_notes(monkeypatch)
         documents = [note.document for note in notes]
-
-        def one_pass():
-            results = run_batch(longnotes.backend(notes), PipelineConfig(), documents, seeds=[0], workers=1)
-            return [(r.pre_prune, r.final, r.pruned) for r in results]
-
         calls = _fed_to_edit_rows(monkeypatch)
         filtered = one_pass()
         filtered_chars = _free_start_chars(calls)
@@ -693,8 +700,120 @@ class TestFilterWork:
                 yield item
 
         monkeypatch.setattr(parsing, "zip", counted_zip, raising=False)
-        _candidate_slices(fold(text), nq)
+        parsing._candidate_slices(fold(text), [nq])
         assert drawn[0] <= len(fold(text)) + len(nq)
+
+    def test_long_notes_pass_shares_q_gram_passes_and_refines_best_first(self, monkeypatch):
+        notes, one_pass = _long_notes(monkeypatch)
+        located = []
+        locate = pipeline.locate_quote
+
+        def recorded(text, quote, search=None):
+            located.append((text, quote, locate(text, quote, search)))
+            return located[-1][2]
+
+        passes = [0]
+
+        def counted_zip(*iterables):
+            passes[0] += len(iterables) == 3
+            return zip(*iterables)
+
+        monkeypatch.setattr(pipeline, "locate_quote", recorded)
+        monkeypatch.setattr(parsing, "zip", counted_zip, raising=False)
+        calls = _fed_to_edit_rows(monkeypatch)
+        one_pass()
+        fuzzy_stage = [
+            (text, quote, span)
+            for text, quote, span in located
+            if span.match_kind in (MatchKind.FUZZY, MatchKind.NOT_FOUND)
+        ]
+        # Two quotes of 9 or more per evidence step reach the filter, and
+        # they share one 3-gram pass: 6, where a pass per quote made 12.
+        assert sum(len(fold_quote(quote)) >= 9 for _, quote, _ in fuzzy_stage) == 12
+        assert passes[0] == len(notes) == 6
+        # Best-first refinement: at most one anchored row per fuzzy-stage
+        # quote (107 in position order), with the former locator's spans.
+        assert sum(anchored for *_, anchored in calls) <= 12
+        for text, quote, span in fuzzy_stage:
+            assert span == full_row_locate_quote(text, quote), quote
+        spans = {(text, quote): span for text, quote, span in located}
+        for note in notes:
+            for q in note.quotes:
+                span = spans[note.document.text, q.quote]
+                assert (span.match_kind.value, span.start, span.end) == (q.kind, q.start, q.end)
+
+    def test_dense_quotes_read_no_position(self, monkeypatch):
+        # Dense quotes are decided by their flag count; only the sparse
+        # quote's flags are searched for positions, alone or in a shared pass.
+        text = fold("ab" * 2000 + " the patient is stable " + "ab" * 2000)
+        dense, sparse = ["abab" * 8 + "x", "ba" * 12 + "y"], "the patienx is stable"
+        read: list[bytes] = []
+        finditer = re.finditer
+
+        def counted(pattern, string, *args):
+            if isinstance(string, bytes):
+                read.append(string)
+            return finditer(pattern, string, *args)
+
+        monkeypatch.setattr(re, "finditer", counted)
+        for step in ([dense[0]], dense, dense + [sparse], [sparse]):
+            expected = [_candidate_slices(text, q) for q in step]
+            read.clear()
+            assert parsing._candidate_slices(text, step) == expected
+            assert len(read) == sum(s is not None for s in expected) == step.count(sparse)
+
+    def test_repeated_letter_refines_no_more_rows(self, monkeypatch):
+        # Every end point past the 90th is at distance 1, so best-first
+        # order still refines each of them: this worst case stays open.
+        text, quote = "a" * 20000, "a" * 119 + "b"
+        ends = QuoteSearch(text, [quote]).end_points(quote)
+        calls = _fed_to_edit_rows(monkeypatch)
+        span = locate_quote(text, quote)
+        assert (span.match_kind, span.start, span.end) == (MatchKind.FUZZY, 0, 119)
+        assert sum(anchored for *_, anchored in calls) <= len(ends) == 19911
+
+
+class TestSharedQGramPass:
+    """The q-gram pass a step's quotes share, against one pass per quote."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_quote_gets_its_own_slices(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        letters = "abcdefghijklmnopqrstuvw"
+        vocabulary = ["".join(rng.choices(letters, k=rng.randint(2, 8))) for _ in range(40)]
+        text = _words(rng, data.draw(st.integers(5, 400)), vocabulary)
+        if data.draw(st.booleans()):
+            text += "ab" * data.draw(st.integers(1, 500))
+        text = fold(text)
+        quotes: list[str] = []
+        # Steps of 1 to 10 quotes, so some cross the 8 bits of a byte.
+        size = data.draw(st.integers(1, 10))
+        kinds = st.sampled_from(["edited", "shared", "same", "short", "dense", "absent"])
+        for kind in data.draw(st.lists(kinds, min_size=size, max_size=size)):
+            if kind == "edited" or not quotes:
+                quotes.append(_edited(rng, text, "xyz", 80))
+            elif kind == "shared":
+                quotes.append(_edited(rng, rng.choice(quotes), "xyz", 80))
+            elif kind == "same":
+                quotes.append(rng.choice(quotes))
+            elif kind == "short":
+                quotes.append(_edited(rng, text, "xyz", 8))
+            elif kind == "dense":
+                quotes.append(("ab" * 40)[: rng.randint(9, 80)] + "x")
+            else:
+                quotes.append("".join(rng.choices("xyz ", k=rng.randint(9, 60))))
+        assert parsing._candidate_slices(text, quotes) == [_candidate_slices(text, q) for q in quotes]
+
+    def test_a_step_of_ten_crosses_the_byte(self):
+        rng = random.Random(3)
+        vocabulary = ["".join(rng.choices("abcdefghijklmnopqrstuvw", k=rng.randint(2, 8))) for _ in range(300)]
+        text = fold(_words(rng, 1500, vocabulary) + "ab" * 3000)
+        quotes = [_edited(random.Random(i), text[900 * i : 900 * i + 72], "xyz", 72) for i in range(6)]
+        quotes += [quotes[0], "ab" * 30 + "x", "short", "xyzzy quartz oxyz"]
+        slices = parsing._candidate_slices(text, quotes)
+        assert slices == [_candidate_slices(text, q) for q in quotes]
+        assert [s is None for s in slices] == [False] * 7 + [True, True, False]
 
 
 _ROW_ALPHABET = "abcé中 "

@@ -7,7 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import selfverify
+from selfverify.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = str(Path(selfverify.__file__).resolve().parent.parent)
@@ -41,6 +44,22 @@ def test_ablation_demo_prints_the_table():
     run = run_script("run_ablation_demo.py", "--workers", "2")
     assert run.returncode == 0, run.stderr
     assert run.stdout == ABLATION_TABLE
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--seeds", "0,,x"], ["--seeds", "0,0"], ["--workers", "0"], ["--workers", "-3"]],
+)
+def test_ablation_demo_rejects_what_ablate_rejects(args, capsys):
+    # One error line, the one `selfverify ablate` prints, and exit 2.
+    ablate = ["ablate", "--task", "medication_status", "--dataset",
+              str(REPO / "fixtures" / "medication_status.jsonl"), "--script",
+              str(REPO / "fixtures" / "medication_script.jsonl"), *args]
+    assert main(ablate) == 2
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: ") and expected.count("\n") == 1
+    run = run_script("run_ablation_demo.py", *args)
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", expected)
 
 
 def test_worked_demo_writes_a_report(tmp_path):
