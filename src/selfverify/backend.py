@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import struct
 import threading
 import time
@@ -176,10 +177,11 @@ class MockBackend(Backend):
     ScriptExhausted. Thread-safe; `once` consumption is atomic.
 
     Each step is filed under the one of its substrings that fewest steps
-    share (callable and `[]` matchers under `""`, which every text holds),
-    so a call costs one substring test per distinct key plus a check of each
-    candidate step, not a scan of the script. The index is built here, so a
-    later edit of a step's `response` is seen but one of its `matcher` is not.
+    share (callable and `[]` matchers under `""`, which every text holds).
+    A call finds the keys its prompt holds in one scan per first character
+    (`_key_finder`), then checks each of their steps in script order. The
+    index is built here, so a later edit of a step's `response` is seen but
+    one of its `matcher` is not.
     """
 
     def __init__(self, steps: list[ScriptStep] | None = None, default: str | None = None):
@@ -194,10 +196,12 @@ class MockBackend(Backend):
         self._by_key: dict[str, list[int]] = {}
         for i, ns in enumerate(needles):
             self._by_key.setdefault(min(ns, key=shared.__getitem__), []).append(i)
+        self._find_keys = _key_finder([key for key in self._by_key if key])
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         text = request.text
-        candidates = sorted(i for key, ids in self._by_key.items() if key in text for i in ids)
+        found = self._find_keys(text) | {""}
+        candidates = sorted(i for key in found for i in self._by_key.get(key, ()))
         with self._lock:
             self.calls.append(request)
             for i in candidates:
@@ -213,6 +217,49 @@ class MockBackend(Backend):
         raise ScriptExhausted(
             f"no script step matched request starting {request.text[:120]!r}"
         )
+
+
+def _key_finder(keys: list[str]) -> Callable[[str], set[str]]:
+    """A function giving the set of `keys` (distinct, non-empty) that a text holds.
+
+    The keys no other key holds make one regex per first character, led by
+    their common prefix, which `re` seeks at C speed; each `findall` is one
+    pass. Matches do not overlap, so a scan can miss a key inside another,
+    or one that starts inside a match and runs past it, whose first
+    character then occurs after the start of some key: those few get `in`,
+    as do keys too deep in the trie (see `_trie_branches`).
+    """
+    joined = "\0".join(keys)  # a key inside another occurs twice here
+    inner = {key for key in keys if "\0" in key or joined.count(key) > 1}
+    outer = [key for key in keys if key not in inner]
+    later = set().union(*(key[1:] for key in outer))
+    deep: set[str] = set()
+    scans = [re.compile(branch).findall for branch in _trie_branches(outer, deep)]
+    rescan = [key for key in keys if key in inner or key[0] in later or key in deep]
+    return lambda text: set().union(*[scan(text) for scan in scans], [key for key in rescan if key in text])
+
+
+def _trie_branches(keys: list[str], deep: set[str], at: int = 0, depth: int = 0) -> list[str]:
+    """One regex per character at index `at` of `keys`, which share what comes before it.
+
+    Keys (none a prefix of another) that share a prefix share a branch, as
+    in a trie. Past 16 nested branches, which no script of prompt lines
+    reaches, the keys go to `deep` instead: that bounds the branches a scan
+    tries at each position of a text.
+    """
+    if depth == 16:
+        deep.update(keys)
+        return []
+    by_next: dict[str, list[str]] = {}
+    for key in keys:
+        by_next.setdefault(key[at], []).append(key)
+    branches = []
+    for group in by_next.values():
+        head = os.path.commonprefix(group)  # the whole key when it is alone
+        rest = _trie_branches(group, deep, len(head), depth + 1) if len(group) > 1 else []
+        if len(group) == 1 or rest:
+            branches.append(re.escape(head[at:]) + (f"(?:{'|'.join(rest)})" if rest else ""))
+    return branches
 
 
 def load_script(path: str | Path) -> list[ScriptStep]:

@@ -291,7 +291,11 @@ class Origin:
 
 @dataclass(frozen=True)
 class ExtractedItem:
-    """One extraction candidate with provenance and optional grounding."""
+    """One extraction candidate with provenance and optional grounding.
+
+    `value` is `normalize(raw_value)`: the constructor (and `replace`) checks
+    it, while `from_raw` and `evolve` compute it once per new `raw_value`.
+    """
 
     raw_value: str
     value: str
@@ -313,13 +317,29 @@ class ExtractedItem:
 
     @classmethod
     def from_raw(cls, raw_value: str, **kwargs) -> "ExtractedItem":
-        return cls(raw_value=raw_value, value=normalize(raw_value), **kwargs)
+        return _BLANK_ITEM.evolve(raw_value=raw_value, **kwargs)
+
+    def evolve(self, **changes) -> "ExtractedItem":
+        """A copy with `changes`; `value` follows `raw_value`, so it is not one of them."""
+        unknown = changes.keys() - (self.__dataclass_fields__.keys() - {"value"})
+        if unknown:
+            raise TypeError(f"cannot evolve {sorted(unknown)} of an ExtractedItem")
+        item = object.__new__(type(self))  # skips the constructor's normalize
+        item.__dict__.update(self.__dict__, **changes)
+        if "raw_value" in changes:
+            item.__dict__["value"] = normalize(item.raw_value)
+        if item.pruned and not item.prune_reason:
+            raise ValueError("pruned items need a non-empty prune_reason")
+        return item
 
     @property
     def key(self) -> str:
         # Deduplication keys on the normalized value alone; a second status
         # for the same medication is a conflict, not a new item.
         return self.value
+
+
+_BLANK_ITEM = ExtractedItem("", "")
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,12 @@ def evaluate_doc(
     non-empty predictions against empty gold also score 0 across the board,
     counting every prediction as a false positive.
     """
-    pred_set = {normalize(v) for v in predicted} - {""}
-    gold_set = {normalize(v) for v in gold} - {""}
+    return evaluate_sets(doc_id, {normalize(v) for v in predicted}, {normalize(v) for v in gold})
+
+
+def evaluate_sets(doc_id: str, pred_set: set[str], gold_set: set[str]) -> DocMetrics:
+    """`evaluate_doc` on values that are normalized already; "" is ignored."""
+    pred_set, gold_set = pred_set - {""}, gold_set - {""}
     tp = len(pred_set & gold_set)
     fp = len(pred_set - gold_set)
     fn = len(gold_set - pred_set)

@@ -38,7 +38,7 @@ import re
 from bisect import bisect_right
 from itertools import repeat
 from operator import itemgetter
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .core import EvidenceSpan, MatchKind, StatusLabel, fold, fold_quote, normalize
 
@@ -216,12 +216,13 @@ def _unwrap_quote(s: str) -> str:
     return s
 
 
-def align_key(key: str, expected: list[str] | tuple[str, ...]) -> str | None:
-    """Match a normalized key from a reply line to one of `expected`.
+def align_key(key: str, expected: Collection[str]) -> str | None:
+    """Match a normalized key from a reply line to one of `expected` (distinct keys).
 
     An exact match wins; otherwise the one expected key that contains it
     or is contained in it (keys of 3+ characters only). None when there is
-    no such key, or more than one.
+    no such key, or more than one. Pass a dict or set, built once per
+    reply, so that an exact match is one lookup.
     """
     if key in expected:
         return key
@@ -241,7 +242,7 @@ def parse_evidence(
     Returns ({expected_value: quote}, warnings); values with no usable line
     are simply absent.
     """
-    expected = list(expected_values)
+    expected = dict.fromkeys(expected_values)
     mapping: dict[str, str] = {}
     warnings: list[str] = []
     for line in parse_bulleted_list(text):

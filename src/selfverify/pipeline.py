@@ -364,7 +364,7 @@ class ExtractionPipeline:
             else:
                 span = locate_quote(document.text, quote, search)
                 flags = () if span.located else ("quote_not_found",)
-            updated.append(replace(item, evidence=span, flags=item.flags + flags))
+            updated.append(item.evolve(evidence=span, flags=item.flags + flags))
         summary = f"{sum(item.evidence.located for item in updated)} of {len(updated)} quotes located"
         self._trace(log, "evidence", prompt, response, summary, warnings)
         return ExtractionSet(tuple(updated))
@@ -394,12 +394,12 @@ class ExtractionPipeline:
                 keep = True
                 summary = "ambiguous, kept"
                 warnings.append(f"ambiguous verdict for {item.key!r}; keeping")
-                item = replace(item, flags=item.flags + ("ambiguous_verdict",))
+                item = item.evolve(flags=item.flags + ("ambiguous_verdict",))
             if keep:
                 kept.append(item)
             else:
                 reason = response.strip().splitlines()[0][:200] if response.strip() else "removed"
-                pruned.append(replace(item, pruned=True, prune_reason=reason))
+                pruned.append(item.evolve(pruned=True, prune_reason=reason))
             self._trace(log, f"prune[{item.key}]", prompt, response, summary, warnings)
         return ExtractionSet(tuple(kept)), tuple(pruned)
 
@@ -413,9 +413,10 @@ class ExtractionPipeline:
         response = self._call(prompt, self.config.max_output_tokens_extract)
         warnings: list[str] = []
         code_by_key: dict[str, str | None] = {}
+        expected = dict.fromkeys(current.keys())
         for line in parse_bulleted_list(response):
             left, sep, right = line.partition(":")
-            key = align_key(normalize(left), current.keys())
+            key = align_key(normalize(left), expected)
             if key is None:
                 warnings.append(f"code line for unknown diagnosis {left.strip()!r}")
                 continue
@@ -434,14 +435,14 @@ class ExtractionPipeline:
         dropped = 0
         for item in current:
             if item.key not in code_by_key:
-                mapped.append(replace(item, flags=item.flags + ("unmapped_code",)))
+                mapped.append(item.evolve(flags=item.flags + ("unmapped_code",)))
                 continue
             code = code_by_key[item.key]
             if code is None:
                 dropped += 1
                 warnings.append(f"diagnosis {item.key!r} reported uncodable; dropped")
                 continue
-            mapped.append(replace(item, raw_value=code, value=normalize(code), icd_code=code))
+            mapped.append(item.evolve(raw_value=code, icd_code=code))
         current, _, merge_warnings = merge(ExtractionSet.empty(), mapped)
         summary = f"{len(current)} codes, {dropped} uncodable"
         self._trace(log, "icd_map", prompt, response, summary, warnings + merge_warnings)
@@ -518,6 +519,7 @@ def run_ablation(
     variants: dict[str, tuple[str, ...] | None] = dict(ABLATION_PRESETS)
     if with_megaprompt:
         variants["Megaprompt"] = None
+    gold_sets = {doc.id: {normalize(v) for v in gold[doc.id]} for doc in documents}
     per_variant = {}
     for name, steps in variants.items():
         variant = config if steps is None else replace(config, steps=steps)
@@ -527,7 +529,7 @@ def run_ablation(
                 make_backend(), variant, documents, [seed], demo_pool, workers, megaprompt=steps is None
             )
             per_doc = [
-                evaluation.evaluate_doc(r.doc_id, [i.value for i in r.final], gold[r.doc_id])
+                evaluation.evaluate_sets(r.doc_id, {i.value for i in r.final}, gold_sets[r.doc_id])
                 for r in results
             ]
             macros.append(evaluation.macro_average(per_doc))

@@ -39,6 +39,14 @@ It is the reference for the pass that strips whole runs on offsets.
 every script step in order, kept as the reference for the substring index
 that now picks the candidate steps.
 
+`per_key_filter` is the scripted backend's former key filter, body
+unchanged: one `in` test of the whole prompt for every index key. It is
+the reference for the one regex scan that finds the keys a prompt holds.
+
+`list_align_key` is `parsing.align_key` as it was, body unchanged: the
+exact test scans a list of the expected keys. It is the reference for
+the exact hit looked up in a dict built once per reply.
+
 `pool_map_run_batch` is the batch runner's former scheduler, which starts
 `workers` document threads for every batch, kept as the reference for the
 one that runs documents on the calling thread until a model call is slow.
@@ -522,6 +530,24 @@ def linear_mock_complete(steps, consumed: set[int], request, default: str | None
     raise ScriptExhausted(
         f"no script step matched request starting {request.text[:120]!r}"
     )
+
+
+def per_key_filter(by_key: dict[str, list[int]], text: str) -> list[int]:
+    """The indices filed under every key of `by_key` that `text` holds, in order."""
+    return sorted(i for key, ids in by_key.items() if key in text for i in ids)
+
+
+def list_align_key(key: str, expected: list[str] | tuple[str, ...]) -> str | None:
+    """Match a normalized key from a reply line to one of `expected`.
+
+    An exact match wins; otherwise the one expected key that contains it
+    or is contained in it (keys of 3+ characters only). None when there is
+    no such key, or more than one.
+    """
+    if key in expected:
+        return key
+    contains = [v for v in expected if len(key) >= 3 and (key in v or v in key)]
+    return contains[0] if len(contains) == 1 else None
 
 
 def pool_map_run_batch(backend, config, documents, seeds, demo_pool=None, workers=4, megaprompt=False):

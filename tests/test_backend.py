@@ -16,8 +16,9 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import backend_for_cases
-from oracles import linear_mock_complete
+from oracles import linear_mock_complete, per_key_filter
 
+from selfverify import backend as backend_module
 from selfverify.backend import (
     Backend,
     BackendError,
@@ -47,9 +48,14 @@ def chat(text: str = "hello", **kwargs) -> LlmRequest:
     return LlmRequest.chat("m1", text, **kwargs)
 
 
-# Overlapping substrings: prefixes of longer needles, and markers that share a prefix.
+# Overlapping substrings: prefixes of longer needles, markers that share a
+# prefix, regex metacharacters, keys that overlap in a text ("aba", "bab")
+# or sit inside one another ("xab", "ab"), keys ending in a newline, and
+# non-ASCII and case variants that a case-sensitive scan must keep apart.
 _NEEDLES = [
     "", "a", "ab", "b", "Candidate medication: ", "Candidate medication: x", "Case 1.", "Case 10.",
+    "(1)", ".", "*", "\\", "|", "aba", "bab", "xab", "ab\n", "Case 1.\n", "\u0130", "\u00df", "SS",
+    "Candidate Medication:",
 ]
 
 
@@ -71,6 +77,9 @@ _matchers = st.one_of(
     st.sampled_from([_has_ab, _long, _never]),
 )
 _texts = st.lists(st.sampled_from(_NEEDLES[1:] + [" ", "x", "0"]), max_size=5).map("".join)
+_KEY_CHARS = "ab.x|(\n\u0130\u00dfsS"
+_keys = st.lists(st.sampled_from(_NEEDLES[1:]) | st.text(_KEY_CHARS, min_size=1, max_size=4), unique=True,
+                 max_size=12)
 
 
 class TestLlmRequest:
@@ -219,6 +228,20 @@ class TestMockBackend:
             assert got == want, text
             assert backend._consumed == consumed
 
+    @given(keys=_keys, texts=st.lists(_texts | st.text(_KEY_CHARS, max_size=30), min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_scan_finds_the_candidates_of_a_per_key_filter(self, keys, texts):
+        backend = MockBackend([ScriptStep(key, key) for key in [""] + keys])
+        for text in texts:
+            found = backend._find_keys(text) | {""}
+            assert sorted(i for key in found for i in backend._by_key[key]) == per_key_filter(
+                backend._by_key, text), text
+
+    def test_scan_is_case_sensitive(self):
+        backend = MockBackend([ScriptStep("\u0130", "dotted"), ScriptStep("SS", "upper")], default="none")
+        assert backend._find_keys("i\u0307 \u00df ss Ss") == set()
+        assert backend.complete(chat("Candidate medication: \u0130")).text == "dotted"
+
     def test_call_checks_only_steps_of_its_own_case(self, monkeypatch):
         cases = [plan_case(random.Random(0), n) for n in range(500)]
         late = next(c for c in reversed(cases) if any(
@@ -239,6 +262,50 @@ class TestMockBackend:
             checks[0] = 0
             backend.complete(request)
             assert checks[0] <= len(late.steps), f"{checks[0]} checks in {len(backend.steps)} steps"
+
+
+def _python_steps(fn, *args):
+    """`fn(*args)` and the trace events its frames in `selfverify.backend` raised."""
+    steps = [0]
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != backend_module.__file__:
+            return None
+        steps[0] += 1
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, steps[0]
+
+
+class TestKeyScanWork:
+    """On adversarial keys the scan's Python-level work does not grow with the prompt.
+
+    Each occurrence is handled inside `re.findall`; what runs as Python is
+    one step per key that must be tested with `in`. Counted, not timed.
+    """
+
+    @pytest.mark.parametrize("keys", [
+        ["a"],  # one key at every position of the prompt
+        ["a" * k for k in range(1, 201)],  # 200 keys, each inside the longer ones
+        ["a" * i + "b" + "a" * (199 - i) for i in range(200)],  # 200 keys whose ends overlap
+        ["x" + "a" * i + "b" for i in range(30)],  # a trie 30 branches deep
+    ], ids=["one_char", "nested", "overlapping", "deep"])
+    def test_python_steps_do_not_grow_with_the_prompt(self, keys):
+        backend = MockBackend([ScriptStep(key, key) for key in keys])
+        counts = []
+        for n in (10_000, 20_000):
+            for text in ("a" * n, "a" * (n // 2) + keys[-1] + "a" * (n // 2)):
+                found, steps = _python_steps(backend._find_keys, text)
+                assert found == {key for key in keys if key in text}
+                counts.append(steps)
+        assert counts[:2] == counts[2:]
+        assert max(counts) <= 3 * len(keys) + 10
 
 
 class TestLoadScript:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,34 @@ class TestExtractedItem:
             ExtractedItem.from_raw("aspirin", pruned=True)
         item = ExtractedItem.from_raw("aspirin", pruned=True, prune_reason="not supported")
         assert item.pruned
+
+    def test_copies_keep_raw_value_and_value_without_normalizing(self, monkeypatch):
+        item = ExtractedItem.from_raw("- Aspirin 81mg.", status=StatusLabel.ACTIVE)
+        span = EvidenceSpan("aspirin 81mg", 0, 12, MatchKind.EXACT)
+        monkeypatch.setattr(core, "normalize", lambda raw: pytest.fail("normalized again"))
+        copies = [
+            item.evolve(evidence=span, flags=item.flags + ("quote_not_found",)),  # evidence
+            item.evolve(flags=item.flags + ("ambiguous_verdict",)),  # flags
+            item.evolve(pruned=True, prune_reason="not supported"),  # prune
+        ]
+        for copy in copies:
+            assert (copy.raw_value, copy.value, copy.status) == ("- Aspirin 81mg.", "aspirin 81mg", item.status)
+        assert copies[0].evidence == span and copies[2].pruned
+        assert item.flags == () and not item.pruned  # the original is untouched
+        monkeypatch.undo()
+        assert copies == [replace(item, **changes) for changes in (
+            {"evidence": span, "flags": ("quote_not_found",)}, {"flags": ("ambiguous_verdict",)},
+            {"pruned": True, "prune_reason": "not supported"})]
+
+    def test_evolve_normalizes_a_new_raw_value_and_checks_the_rest(self):
+        item = ExtractedItem.from_raw("aspirin").evolve(raw_value="- I10.", icd_code="I10")
+        assert (item.raw_value, item.value, item.icd_code) == ("- I10.", "i10", "I10")
+        with pytest.raises(ValueError):
+            item.evolve(pruned=True)
+        with pytest.raises(TypeError):
+            item.evolve(value="i10")
+        with pytest.raises(TypeError):
+            item.evolve(colour="red")
 
     def test_key_ignores_status(self):
         a = ExtractedItem.from_raw("aspirin", status=StatusLabel.ACTIVE)

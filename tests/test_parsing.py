@@ -16,6 +16,7 @@ from oracles import (
     distances_for_end,
     fold_with_offsets,
     full_row_locate_quote,
+    list_align_key,
     normalized_distance_of_span,
     oracle_locate,
     sellers_end_distances,
@@ -209,6 +210,41 @@ class TestAlignKey:
         assert align_key("metf", expected) is None  # inside two keys
         assert align_key("as", expected) is None  # too short to contain
         assert align_key("warfarin", expected) is None
+
+
+class _CountedKey(str):
+    """A str whose == comparisons are counted."""
+
+    comparisons = 0
+    __hash__ = str.__hash__
+
+    def __eq__(self, other):
+        _CountedKey.comparisons += 1
+        return str.__eq__(self, other)
+
+
+class TestAlignKeyLookup:
+    @given(
+        key=st.text("abc ", max_size=6),
+        expected=st.lists(st.text("abc ", min_size=1, max_size=6), unique=True, max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_the_list_scan(self, key, expected):
+        want = list_align_key(key, expected)
+        assert align_key(key, dict.fromkeys(expected)) == want
+        assert align_key(key, set(expected)) == want
+
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    def test_exact_keys_cost_one_comparison_each(self, n):
+        expected = [_CountedKey(f"item {i}") for i in range(n)]
+        reply = "".join(f'- item {i}: "quote {i}"\n' for i in reversed(range(n)))
+        _CountedKey.comparisons = 0
+        mapping, warnings = parse_evidence(reply, expected)
+        assert mapping == {f"item {i}": f"quote {i}" for i in range(n)} and warnings == []
+        assert _CountedKey.comparisons <= 2 * n
+        _CountedKey.comparisons = 0  # the list scan it replaced: n for the last key alone
+        assert list_align_key(f"item {n - 1}", expected) == f"item {n - 1}"
+        assert _CountedKey.comparisons == n
 
 
 class TestParseVerdict:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import selfverify
-from selfverify import parsing
+from selfverify import core, evaluation, parsing
 from selfverify import pipeline as pipeline_module
 from selfverify.backend import (
     Backend,
@@ -32,6 +32,7 @@ from selfverify.backend import (
 )
 from selfverify.core import (
     Document,
+    ExtractionSet,
     MatchKind,
     StatusLabel,
     clinical_trial_arm_task,
@@ -447,6 +448,26 @@ class TestIcdMapping:
         result = ExtractionPipeline(backend, config).run(ICD_DOC)
         assert result.final.keys() == ("j44.9", "hypertension")
         assert "unmapped_code" in result.final.get("hypertension").flags
+
+    def test_code_lines_find_their_diagnosis_without_a_scan_per_line(self, monkeypatch):
+        names = [f"diagnosis {i}" for i in range(300)]
+        backend = MockBackend([
+            ScriptStep("List every diagnosis", "".join(f"- {name}\n" for name in names)),
+            ScriptStep("Convert each diagnosis", "".join(f"- {name}: J{i % 90 + 10}.{i // 90}\n"
+                                                         for i, name in enumerate(names))),
+        ])
+        pipeline = ExtractionPipeline(backend, PipelineConfig(steps=(), demonstrations_k=0))
+        key_lists = Counter()
+        keys = ExtractionSet.keys
+
+        def counted(self):
+            key_lists[len(self)] += 1
+            return keys(self)
+
+        monkeypatch.setattr(ExtractionSet, "keys", counted)
+        result = pipeline.run(ICD_DOC)
+        assert len(result.final) == 300 and result.warnings == ()
+        assert key_lists[300] <= 2  # once per reply, not once per code line
 
     def test_mapping_can_be_disabled(self):
         config = PipelineConfig(steps=(), demonstrations_k=0, icd_mapping=False)
@@ -864,6 +885,31 @@ class TestRunAblation:
         assert by_name["+ Omission"].precision == pytest.approx(0.5)
         assert by_name["+ Full SV"].precision == pytest.approx(1.0)
         assert by_name["Megaprompt"].f1 == pytest.approx(1.0)
+
+
+class TestNormalizeOnce:
+    def test_ablation_demo_normalizes_at_most_four_and_a_half_times_per_call(self, monkeypatch):
+        calls = Counter()
+        normalize = core.normalize
+
+        def counted(raw):
+            calls["normalize"] += 1
+            return normalize(raw)
+
+        for module in (core, parsing, pipeline_module, evaluation):
+            monkeypatch.setattr(module, "normalize", counted)
+        backends = []
+
+        def make_backend():
+            backends.append(directional_backend())
+            return backends[-1]
+
+        documents, gold = directional_corpus()
+        run_ablation(make_backend, PipelineConfig(demonstrations_k=0), documents, gold, [0, 1, 2],
+                     workers=2, with_megaprompt=True)
+        model_calls = sum(len(b.calls) for b in backends)
+        assert model_calls == 2925
+        assert calls["normalize"] <= 4.5 * model_calls  # 7.9 per call when every copy re-checked
 
 
 def _digest(results) -> str:
