@@ -143,13 +143,14 @@ def fold(text: str) -> str:
     all use it. `str.lower` on a whole string gives the same characters
     except at 'İ' (two characters) and 'Σ' (final sigma depends on its
     neighbours), so only a text holding one of those two is lowered a
-    character at a time.
+    character at a time. One split and join collapses the runs, and two
+    sentinels keep a run at either end as one ' '.
     """
     if "\u0130" in text or "\u03a3" in text:
         text = "".join(map(_fold_char, text))
     else:
         text = text.lower()
-    return re.sub(r"\s+", " ", text)
+    return " ".join(f"^{text}^".split())[1:-1]
 
 
 def fold_quote(quote: str) -> str:

@@ -11,13 +11,16 @@ whitespace-insensitive match, then a bounded fuzzy search that minimizes
 edit distance normalized by the longer of quote and window. The calls of
 one evidence step share a `QuoteSearch`, so the step costs at most:
 - one fold of the note (`core.fold`), made only when a quote misses the
-  exact stage, by `str.lower` and one `re` substitution when the note has
+  exact stage, by `str.lower` and one split and join when the note has
   neither 'İ' nor 'Σ', and a character at a time otherwise; only the
   offsets of a result are mapped back, by bisecting the whitespace runs;
-- a q-gram filter (`_candidate_slices`) for the quotes that reach the
-  fuzzy stage: one pass over the folded note at C speed per eight such
-  quotes marks where each quote's 3-grams occur, one bit per quote, and
-  only where enough of one quote's 3-grams gather can a window of it
+- per fuzzy quote of 24 or more characters, short scans around where
+  `str.find` finds one of its six pieces (`_piece_end_points`), which
+  settle a near-verbatim quote before anything below;
+- a q-gram filter (`_candidate_slices`) for the other quotes that reach
+  the fuzzy stage: one pass over the folded note at C speed per eight
+  such quotes marks where each quote's 3-grams occur, one bit per quote,
+  and only where enough of one quote's 3-grams gather can a window of it
   within the cap end. An absent quote usually has no such place, and an
   edited one a few slices around its match;
 - free-start scans with Myers' bit-vectors (`_edit_rows`), about fifteen
@@ -37,7 +40,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Collection, Iterable
 
 from .core import EvidenceSpan, MatchKind, StatusLabel, fold, fold_quote, normalize
@@ -89,6 +92,9 @@ _SENTINEL_RE = re.compile(
     r"(?: (?:found|identified|missed|mentioned|listed|present|extracted))?"
     r")$"
 )
+# `normalize` drops only whitespace, list markers, quote pairs and periods, and
+# casefolding turns no other character into these: an item with one is not empty.
+_MAYBE_EMPTY_RE = re.compile(r"""[\s.\d()*•·‣◦"'“”‘’«»`-]*""")
 
 
 def _is_sentinel(line: str) -> bool:
@@ -118,7 +124,7 @@ def parse_bulleted_list(text: str) -> list[str]:
         if stripped and stripped[0].endswith(":"):
             stripped = stripped[1:]
         items = stripped
-    items = [it for it in items if normalize(it)]
+    items = [it for it in items if not _MAYBE_EMPTY_RE.fullmatch(it) or normalize(it)]
     if len(items) == 1 and _is_sentinel(items[0]):
         return []
     return items
@@ -454,8 +460,13 @@ def _slices_from_flags(
         return None
     if count < t:  # no window can hold t of them
         return []
+    ps = list(map(re.Match.start, re.finditer(b"\x01", flags)))
+    # The ends from p + 3 to p + w count position p, so t positions count
+    # toward one end only if they lie within w - 3 of one another.
+    if min(map(sub, ps[t - 1 :], ps)) > w - 3:
+        return []
     by_gram: dict[str, list[int]] = {}
-    for p in map(re.Match.start, re.finditer(b"\x01", flags)):
+    for p in ps:
         by_gram.setdefault(folded[p : p + 3], []).append(p)
     # Position p counts toward the ends from p + 3 to p + w, but not once
     # the window also holds as many later positions of its q-gram as the
@@ -491,6 +502,89 @@ def _slices_from_flags(
     return slices
 
 
+def _scan_slices(folded: str, nq: str, slices: list[tuple[int, int]], cap: int) -> list[tuple[int, int]]:
+    """The (end, distance) pairs within `cap` of free-start scans of `nq` over `slices` of `folded`."""
+    return [(lo + j, d) for lo, hi in slices for j, d in _edit_rows([nq], folded[lo:hi], False, [cap])[0]]
+
+
+# The pieces step cuts a folded quote into this many pieces.
+PIECES = 6
+_Window = tuple[int, int, int, int]  # (dist, max(m, L), start, end)
+
+
+def _piece_end_points(folded: str, nq: str) -> list[tuple[int, int]] | None:
+    """Every end point of `nq` in `folded` within k = PIECES - 1, lowest distance first.
+
+    A substring within k edits of a quote cut into k + 1 pieces holds one
+    piece exactly (Wu & Manber 1992; Baeza-Yates & Navarro 1999). If the
+    piece at offset a occurs at p, the substring ends within k of p - a + m
+    and starts at most m + k before its end, so scans of the slices around
+    those ends, merged where they overlap, give every end point within k
+    with its whole-fold distance. None, to fall back: when m // 4 <= k, and
+    when the pieces occur so often (`str.count`) that the slices could
+    cover half the fold.
+    """
+    m, k, n = len(nq), PIECES - 1, len(folded)
+    if m // 4 <= k:
+        return None
+    cuts = [i * m // PIECES for i in range(PIECES + 1)]
+    pieces = [(nq[a:b], a) for a, b in zip(cuts, cuts[1:])]
+    if 2 * (m + 3 * k) * sum(folded.count(piece) for piece, _ in pieces) > n:
+        return None
+    implied: set[int] = set()
+    for piece, a in pieces:
+        p = folded.find(piece)
+        while p >= 0:
+            implied.add(p - a + m)
+            p = folded.find(piece, p + 1)
+    slices: list[tuple[int, int]] = []
+    for end in sorted(implied):
+        lo, hi = max(0, end - m - 2 * k), min(n, end + k)
+        if slices and lo <= slices[-1][1]:
+            lo = slices.pop()[0]
+        slices.append((lo, hi))
+    return sorted(_scan_slices(folded, nq, slices, k), key=itemgetter(1))
+
+
+def _refine(
+    folded: str, nq: str, ends: list[tuple[int, int]], best: _Window | None, cap: int
+) -> tuple[_Window | None, int]:
+    """The best window of `nq` from `best` and `cap` on, refining `ends` in their order, and its cap.
+
+    Any window inside the band that passes the threshold has raw distance
+    at most floor(m/4), and once a best window is known, any that could
+    still win (ratio at most the best's) has distance at most
+    best_dist * hi_len // best_denom. The free-start distance at a
+    window's end point is a lower bound on its distance, so keeping only
+    end points, and window lengths, within that cap loses nothing. That
+    holds in any order, and the winner is the unique minimum of (ratio,
+    start, end), so end points go lowest distance first: the cap falls at
+    once, and the first one above it ends the search.
+    """
+    m = len(nq)
+    lo_len, hi_len = window_band(m)
+    rq = nq[::-1]
+    for end, e_j in ends:
+        if e_j > cap:
+            break
+        # Every window sharing this end point, by its length, from one
+        # anchored row of the reversed quote against the reversed slice.
+        window = folded[max(0, end - hi_len):end][::-1]
+        for length, dist in _edit_rows([rq], window, True, [cap])[0]:
+            if length < lo_len or not passes_threshold(dist, m, length):
+                continue
+            start = end - length
+            denom = max(m, length)
+            if best is not None:
+                lhs = dist * best[1]
+                rhs = best[0] * denom
+                if not (lhs < rhs or (lhs == rhs and (start, end) < (best[2], best[3]))):
+                    continue
+            best = (dist, denom, start, end)
+            cap = min(cap, dist * hi_len // denom)
+    return best, cap
+
+
 class QuoteSearch:
     """What the `locate_quote` calls on one text share.
 
@@ -509,6 +603,7 @@ class QuoteSearch:
         self._after: list[int] | None = None
         self._shift: list[int] = []
         self._ends: dict[str, list[tuple[int, int]]] = {}
+        self._pieces: dict[str, tuple[_Window | None, int, int | None]] = {}
 
     @property
     def folded(self) -> str:
@@ -539,29 +634,47 @@ class QuoteSearch:
         i = bisect_right(self._after, k)
         return k + self._shift[i - 1] if i else k
 
+    def _from_pieces(self, nq: str) -> tuple[_Window | None, int, int | None]:
+        """The pieces step's window of `nq`, its cap, and the distance its end points reach.
+
+        That is -1 when it falls back, and None when it settles the quote: a
+        window whose cap is at most that distance leaves no end point to refine.
+        """
+        if nq not in self._pieces:
+            ends = _piece_end_points(self.folded, nq)
+            best, cap = _refine(self.folded, nq, ends or [], None, len(nq) // 4)
+            done = -1 if ends is None else PIECES - 1
+            self._pieces[nq] = best, cap, None if best is not None and cap <= done else done
+        return self._pieces[nq]
+
+    def window(self, nq: str) -> _Window | None:
+        """The best window of the folded quote `nq`, or None: the pieces step's, or refined on from it."""
+        best, cap, done = self._from_pieces(nq)
+        if done is not None:
+            rest = [(j, d) for j, d in self.end_points(nq) if d > done]
+            best, cap = _refine(self.folded, nq, sorted(rest, key=itemgetter(1)), best, cap)
+        return best
+
     def end_points(self, nq: str) -> list[tuple[int, int]]:
         """Free-start end points of the folded quote `nq` within its raw cap.
 
         The first call handles `nq` and every other quote given that misses
-        the exact and case-insensitive stages: each is scanned over its
-        candidate slices of the fold, and those the filter does not narrow
-        share one scan of the whole fold.
+        the exact and case-insensitive stages and the pieces step: each is
+        scanned over its candidate slices of the fold, and those the filter
+        does not narrow share one scan of the whole fold.
         """
         if nq not in self._ends:
             # A quote found by an earlier stage folds to a substring of the
             # fold (an exact one too), so this keeps only the fuzzy ones.
             batch = dict.fromkeys([nq] + [fold_quote(quote) for quote in self._quotes])
             batch = [n for n in batch if n and n not in self._ends and n not in self.folded]
+            batch = [n for n in batch if n == nq or self._from_pieces(n)[2] is not None]
             whole: list[str] = []
             for n, slices in zip(batch, _candidate_slices(self.folded, batch)):
                 if slices is None:
                     whole.append(n)
                     continue
-                self._ends[n] = [
-                    (lo + j, d)
-                    for lo, hi in slices
-                    for j, d in _edit_rows([n], self.folded[lo:hi], False, [len(n) // 4])[0]
-                ]
+                self._ends[n] = _scan_slices(self.folded, n, slices, len(n) // 4)
             if whole:
                 rows = _edit_rows(whole, self.folded, False, [len(n) // 4 for n in whole])
                 self._ends.update(zip(whole, rows))
@@ -599,41 +712,7 @@ def locate_quote(text: str, quote: str, search: QuoteSearch | None = None) -> Ev
             match_kind=MatchKind.CASE_INSENSITIVE,
         )
 
-    m = len(nq)
-    lo_len, hi_len = window_band(m)
-    if lo_len > len(folded):
-        return EvidenceSpan.not_found(quote)
-
-    rq = nq[::-1]
-    # Any window inside the band that passes the threshold has raw distance
-    # at most floor(m/4), and once a best window is known, any that could
-    # still win (ratio at most the best's) has distance at most
-    # best_dist * hi_len // best_denom. The free-start distance at a
-    # window's end point is a lower bound on its distance, so keeping only
-    # end points, and window lengths, within that cap loses nothing. That
-    # holds in any order, and the winner is the unique minimum of (ratio,
-    # start, end), so end points go lowest distance first: the cap falls
-    # at once, and the first one above it ends the search.
-    cap = m // 4
-    best: tuple[int, int, int, int] | None = None  # (dist, max(m, L), start, end)
-    for end, e_j in sorted(search.end_points(nq), key=itemgetter(1)):
-        if e_j > cap:
-            break
-        # Every window sharing this end point, by its length, from one
-        # anchored row of the reversed quote against the reversed slice.
-        window = folded[max(0, end - hi_len):end][::-1]
-        for length, dist in _edit_rows([rq], window, True, [cap])[0]:
-            if length < lo_len or not passes_threshold(dist, m, length):
-                continue
-            start = end - length
-            denom = max(m, length)
-            if best is not None:
-                lhs = dist * best[1]
-                rhs = best[0] * denom
-                if not (lhs < rhs or (lhs == rhs and (start, end) < (best[2], best[3]))):
-                    continue
-            best = (dist, denom, start, end)
-            cap = min(cap, dist * hi_len // denom)
+    best = None if window_band(len(nq))[0] > len(folded) else search.window(nq)
     if best is None:
         return EvidenceSpan.not_found(quote)
     _, _, s, e = best

@@ -30,6 +30,20 @@ reference for the scan that reads only each quote's candidate slices.
 unchanged: one pass over the fold for each quote. It is the reference
 for the pass that a step's quotes share, one bit of a byte each.
 
+`sweep_slices_from_flags` is the filter's per-quote step as it was, body
+unchanged: it reads every flagged position into a dict per 3-gram and
+sweeps their events. It is the reference for the count bound that returns
+no slice before any of that is built.
+
+`regex_fold` is `core.fold` as it was, body unchanged: `str.lower` and
+one `re` substitution of each whitespace run. It is the reference for the
+fold that splits and joins at C speed.
+
+`normalizing_parse_bulleted_list` is `parsing.parse_bulleted_list` as it
+was, body unchanged: it normalises every item only to drop the empty
+ones. It is the reference for the emptiness test that normalises only
+items made of characters that `normalize` can drop.
+
 `fixpoint_normalize` is `core.normalize` as it was, with its one-pass
 helper, bodies unchanged: every pass collapses and rejoins the whole
 value and strips one list marker or quote pair, until nothing changes.
@@ -61,8 +75,15 @@ from fractions import Fraction
 import numpy as np
 
 from selfverify.backend import FinishReason, LlmResponse, ScriptExhausted
-from selfverify.core import EvidenceSpan, MatchKind, _fold_char
-from selfverify.parsing import QuoteSearch, _edit_rows, passes_threshold, window_band
+from selfverify.core import EvidenceSpan, MatchKind, _fold_char, normalize
+from selfverify.parsing import (
+    _BULLET_LINE_RE,
+    QuoteSearch,
+    _edit_rows,
+    _is_sentinel,
+    passes_threshold,
+    window_band,
+)
 from selfverify.parsing import fold_quote as package_fold_quote
 from selfverify.pipeline import ExtractionPipeline
 
@@ -300,6 +321,101 @@ def per_quote_candidate_slices(folded: str, nq: str) -> list[tuple[int, int]] | 
     if 2 * sum(hi - lo for lo, hi in slices) > n:
         return None
     return slices
+
+
+def sweep_slices_from_flags(
+    folded: str, m: int, need: dict[str, int], flags: bytes
+) -> list[tuple[int, int]] | None:
+    """`_candidate_slices` for one quote of length m, from its q-gram counts and flags."""
+    k = m // 4
+    t, w, n = m - 2 - 3 * k, m + k, len(folded)
+    count = flags.count(1)
+    if count * w >= t * n:
+        return None
+    if count < t:  # no window can hold t of them
+        return []
+    by_gram: dict[str, list[int]] = {}
+    for p in map(re.Match.start, re.finditer(b"\x01", flags)):
+        by_gram.setdefault(folded[p : p + 3], []).append(p)
+    # Position p counts toward the ends from p + 3 to p + w, but not once
+    # the window also holds as many later positions of its q-gram as the
+    # quote has: that gives the capped count. An event is 2x + 1 for the
+    # first end p counts toward and 2x for the first it no longer does, so
+    # at equal x stops sort before starts.
+    events: list[int] = []
+    for gram, ps in by_gram.items():
+        r = need[gram]
+        events += [2 * p + 7 for p in ps]
+        events += [
+            2 * later + 6 if later < p + w - 2 else 2 * (p + w + 1)
+            for p, later in zip(ps, ps[r:])
+        ]
+        events += [2 * (p + w + 1) for p in ps[-r:]]
+    events.sort()
+    slices: list[tuple[int, int]] = []
+    depth = first = 0
+    for event in events:
+        if event & 1:
+            depth += 1
+            if depth == t:
+                first = event >> 1
+        else:
+            depth -= 1
+            if depth == t - 1:
+                lo, hi = max(0, first - w), min(n, (event >> 1) - 1)
+                if slices and lo <= slices[-1][1]:
+                    lo = slices.pop()[0]
+                slices.append((lo, hi))
+    if 2 * sum(hi - lo for lo, hi in slices) > n:
+        return None
+    return slices
+
+
+def regex_fold(text: str) -> str:
+    """The one text-folding definition: lowercase, one ' ' per whitespace run.
+
+    Each character becomes its lowercase form when that is one character
+    (so 'İ' stays as it is), and each whitespace run (`str.isspace`, which
+    is also what `\\s` matches) becomes a single ' '. The locator's
+    case-insensitive and fuzzy stages, `fold_quote` and the span re-check
+    all use it. `str.lower` on a whole string gives the same characters
+    except at 'İ' (two characters) and 'Σ' (final sigma depends on its
+    neighbours), so only a text holding one of those two is lowered a
+    character at a time.
+    """
+    if "\u0130" in text or "\u03a3" in text:
+        text = "".join(map(_fold_char, text))
+    else:
+        text = text.lower()
+    return re.sub(r"\s+", " ", text)
+
+
+def normalizing_parse_bulleted_list(text: str) -> list[str]:
+    """Extract item strings from a (possibly bulleted) reply.
+
+    Lines carrying a list marker (-, *, bullets, "3." or "3)") win; any
+    preamble before the first marker is dropped. With no markers at all,
+    every non-empty line is an item, except a first line ending in a colon,
+    which is taken as preamble. A reply consisting of a single sentinel
+    line ("none", "n/a", "no medications found", ...) yields an empty list.
+    """
+    lines = text.splitlines()
+    items: list[str] = []
+    saw_marker = False
+    for line in lines:
+        m = _BULLET_LINE_RE.match(line)
+        if m:
+            saw_marker = True
+            items.append(m.group(1))
+    if not saw_marker:
+        stripped = [ln.strip() for ln in lines if ln.strip()]
+        if stripped and stripped[0].endswith(":"):
+            stripped = stripped[1:]
+        items = stripped
+    items = [it for it in items if normalize(it)]
+    if len(items) == 1 and _is_sentinel(items[0]):
+        return []
+    return items
 
 
 _LIST_MARKER_RE = re.compile(r"^(?:[-*•·‣◦]+|\(?\d{1,3}[.)])\s+")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib
 import random
 import re
+from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -12,19 +14,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import fuzz_text
 from oracles import (
     distances_for_end,
     fold_with_offsets,
     full_row_locate_quote,
     list_align_key,
     normalized_distance_of_span,
+    normalizing_parse_bulleted_list,
     oracle_locate,
+    regex_fold,
     sellers_end_distances,
+    sweep_slices_from_flags,
     unfiltered_end_points,
 )
 from oracles import fold_quote as per_character_fold_quote
 from oracles import per_quote_candidate_slices as _candidate_slices
-from selfverify import parsing, pipeline
+from selfverify import core, parsing, pipeline
 from selfverify.core import MatchKind, StatusLabel, _fold_char, fold, normalize
 from selfverify.parsing import (
     AmbiguousVerdict,
@@ -91,6 +97,21 @@ class TestParseBulletedList:
     def test_empty_input(self):
         assert parse_bulleted_list("") == []
         assert parse_bulleted_list("\n\n  \n") == []
+
+    def test_drops_the_items_the_normalizing_filter_drops(self):
+        assert parse_bulleted_list('- .\n- ""\n- 81\n- (1) x\n- «».') == ["81", "(1) x"]
+        rng = random.Random(9)
+        for _ in range(20_000):
+            text = fuzz_text(rng)
+            assert parse_bulleted_list(text) == normalizing_parse_bulleted_list(text), text
+
+    def test_only_items_of_droppable_characters_can_normalize_to_nothing(self):
+        # `normalize` drops whitespace, list markers, quote pairs and periods.
+        maybe_empty = parsing._MAYBE_EMPTY_RE.fullmatch
+        assert maybe_empty("-*•·‣◦(0123456789). \t\u3000" + "".join(a + b for a, b in core._QUOTE_PAIRS.items()))
+        # Casefolding makes no other character into only those.
+        every = map(chr, range(0x110000))
+        assert [c for c in every if not maybe_empty(c) and maybe_empty(c.casefold())] == []
 
 
 class TestParseStatusPairs:
@@ -325,7 +346,7 @@ class TestFolding:
     def test_offsets_cover_text(self, text):
         search = QuoteSearch(text)
         folded, starts, ends = fold_with_offsets(text)
-        assert search.folded == folded
+        assert search.folded == folded == regex_fold(text)
         bounds = [search.original(k) for k in range(len(folded) + 1)]
         assert bounds == starts + [len(text)]
         assert bounds[1:] == ends
@@ -335,7 +356,7 @@ class TestFolding:
     def test_fold_matches_per_character_fold(self, text):
         search = QuoteSearch(text)
         folded, starts, ends = fold_with_offsets(text)
-        assert fold(text) == search.folded == folded
+        assert fold(text) == search.folded == folded == regex_fold(text)
         assert fold_quote(text) == per_character_fold_quote(text)
         assert [search.original(k) for k in range(len(folded) + 1)] == starts + [len(text)]
 
@@ -356,6 +377,16 @@ class TestFolding:
         assert every.lower() == "".join(map(_fold_char, every))
         assert [c for c in every if c.isspace()] == re.findall(r"\s", every)
         assert all(c.isspace() == c.lower().isspace() for c in every)
+
+    def test_split_drops_the_whitespace_that_lowering_keeps(self):
+        # The fold splits the lowered text: over every code point, `str.split`
+        # drops exactly the `str.isspace` characters, which are what `\s`
+        # matches, and lowering a character makes whitespace of none.
+        every = "".join(map(chr, range(0x110000)))
+        space = [c for c in every if c.isspace()]
+        assert space == re.findall(r"\s", every)
+        assert "".join(every.split()) == "".join(c for c in every if not c.isspace())
+        assert [c for c in every if any(map(str.isspace, c.lower()))] == space
 
 
 class TestWindowBand:
@@ -688,6 +719,8 @@ class TestFilterWork:
         filtered = one_pass()
         filtered_chars = _free_start_chars(calls)
         calls.clear()
+        # The former locator: no pieces step, no filter.
+        monkeypatch.setattr(parsing, "_piece_end_points", lambda folded, nq: None)
         monkeypatch.setattr(QuoteSearch, "end_points", unfiltered_end_points)
         assert one_pass() == filtered
         unfiltered_chars = _free_start_chars(calls)
@@ -763,10 +796,16 @@ class TestFilterWork:
             for text, quote, span in located
             if span.match_kind in (MatchKind.FUZZY, MatchKind.NOT_FOUND)
         ]
-        # Two quotes of 9 or more per evidence step reach the filter, and
-        # they share one 3-gram pass: 6, where a pass per quote made 12.
+        # Two quotes of 9 or more per evidence step reach the fuzzy stage.
+        # The pieces step settles the edited one, so only the absent one
+        # makes a 3-gram pass: 6, where a pass per quote made 12.
         assert sum(len(fold_quote(quote)) >= 9 for _, quote, _ in fuzzy_stage) == 12
         assert passes[0] == len(notes) == 6
+        # One slice scan per edited quote, and the absent quotes stop at the
+        # count bound: 6 scans over 522 characters, where the filter alone
+        # made 47 over 7,109.
+        free_start = [chars for _, chars, anchored in calls if not anchored]
+        assert len(free_start) <= 8 and sum(free_start) <= 1000
         # Best-first refinement: at most one anchored row per fuzzy-stage
         # quote (107 in position order), with the former locator's spans.
         assert sum(anchored for *_, anchored in calls) <= 12
@@ -812,6 +851,55 @@ class TestFilterWork:
 class TestSharedQGramPass:
     """The q-gram pass a step's quotes share, against one pass per quote."""
 
+    @staticmethod
+    def _sweep_inputs(folded: str, nq: str) -> tuple[str, int, dict[str, int], bytes]:
+        need = Counter(nq[p : p + 3] for p in range(len(nq) - 2))
+        grams = set(map(tuple, need))
+        return folded, len(nq), need, bytes(map(grams.__contains__, zip(folded, folded[1:], folded[2:])))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_count_bound_keeps_the_sweep_slices(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        vocabulary = ["".join(rng.choices("abcdefghijklmnopqrstuvw", k=rng.randint(2, 8))) for _ in range(40)]
+        folded = fold(_words(rng, data.draw(st.integers(5, 400)), vocabulary))
+        # Edited slices, and words of the note in another order: their
+        # 3-grams occur often, but seldom close together.
+        kind = data.draw(st.sampled_from(["edited", "words", "absent"]))
+        if kind == "edited":
+            nq = fold_quote(_edited(rng, folded, "xyz", 80))
+        elif kind == "words":
+            nq = fold_quote(_words(rng, rng.randint(2, 12), vocabulary))
+        else:
+            nq = "".join(rng.choices("xyz ", k=rng.randint(9, 60)))
+        if len(nq) >= 9:
+            inputs = self._sweep_inputs(folded, nq)
+            assert parsing._slices_from_flags(*inputs) == sweep_slices_from_flags(*inputs)
+
+    def test_absent_long_notes_quotes_stop_at_the_count_bound(self, monkeypatch):
+        notes, _ = _long_notes(monkeypatch)
+        inputs = [
+            self._sweep_inputs(fold(note.document.text), fold_quote(q.quote))
+            for note in notes
+            for q in note.quotes
+            if q.kind == "not_found" and len(fold_quote(q.quote)) >= 9
+        ]
+        # Enough of each quote's 3-grams occur for the count, but no t of
+        # them lie close enough, so no per-gram list or event is built.
+        assert len(inputs) == 6
+        assert all(flags.count(1) >= m - 2 - 3 * (m // 4) for _, m, _, flags in inputs)
+        sweeps = [0]
+
+        def counted_zip(*iterables):
+            sweeps[0] += 1
+            return zip(*iterables)
+
+        monkeypatch.setattr(parsing, "zip", counted_zip, raising=False)
+        for folded, m, need, flags in inputs:
+            assert parsing._slices_from_flags(folded, m, need, flags) == []
+            assert sweep_slices_from_flags(folded, m, need, flags) == []
+        assert sweeps == [0]
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_each_quote_gets_its_own_slices(self, data):
@@ -850,6 +938,115 @@ class TestSharedQGramPass:
         slices = parsing._candidate_slices(text, quotes)
         assert slices == [_candidate_slices(text, q) for q in quotes]
         assert [s is None for s in slices] == [False] * 7 + [True, True, False]
+
+
+def _with_edits(rng: random.Random, text: str, edits: int, alphabet: str) -> str:
+    """`text` with `edits` random insertions, deletions and substitutions from `alphabet`."""
+    chars = list(text)
+    for _ in range(edits):
+        i = rng.randrange(len(chars) + 1)
+        kind = rng.randrange(3) if i < len(chars) else 0
+        if kind == 0:
+            chars.insert(i, rng.choice(alphabet))
+        elif kind == 1:
+            chars[i] = rng.choice(alphabet)
+        else:
+            del chars[i]
+    return "".join(chars)
+
+
+class _CountedText(str):
+    """A str whose `find` and `count` calls are counted."""
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self.calls = Counter()
+        return self
+
+    def find(self, *args):
+        self.calls["find"] += 1
+        return str.find(self, *args)
+
+    def count(self, *args):
+        self.calls["count"] += 1
+        return str.count(self, *args)
+
+
+class TestPiecesStep:
+    """The exact-pieces step against the former locator, and the work it saves."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_former_locator(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        alphabet = data.draw(st.sampled_from(["abcdefghijklmnopqrstuvw ", "abc ", _FOLD_ALPHABET + "bc"]))
+        size = data.draw(st.integers(40, 1000))
+        if data.draw(st.booleans()):
+            unit = "".join(rng.choices(alphabet, k=rng.randint(1, 6)))
+            text = _with_edits(rng, unit * (size // len(unit) + 1), rng.randint(0, 12), alphabet)
+        else:
+            text = "".join(rng.choices(alphabet, k=size))
+        # Slices of 24 characters or more, with 0 to m // 4 edits.
+        quotes = []
+        for _ in range(3):
+            m = rng.randint(24, 80)
+            a = rng.randrange(max(1, len(text) - m))
+            quotes.append(_with_edits(rng, text[a : a + m], rng.randint(0, m // 4), alphabet + "xyz"))
+        _same_as_former(text, quotes)
+        # Where the pieces step runs, it gives the end points within
+        # PIECES - 1, in the order refinement takes them.
+        folded = fold(text)
+        for quote in quotes:
+            nq = fold_quote(quote)
+            pieces = parsing._piece_end_points(folded, nq) if nq and nq not in folded else None
+            if pieces is not None:
+                ends = unfiltered_end_points(QuoteSearch(text, [quote]), nq)
+                assert pieces == sorted([e for e in ends if e[1] < parsing.PIECES], key=itemgetter(1))
+
+    def test_near_verbatim_quote_makes_no_q_gram_pass(self, monkeypatch):
+        rng = random.Random(20)
+        vocabulary = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(2, 10))) for _ in range(300)]
+        text = _words(rng, 3000, vocabulary)[:20000]
+        passage = text[9000:9072]
+        # Two substitutions, which the pieces step settles; and twelve, one
+        # in each sixth of the quote, which fall back to the filter.
+        near = "".join("0" if i in (10, 50) else c for i, c in enumerate(passage))
+        far = "".join("0" if i % 6 == 3 else c for i, c in enumerate(passage))
+        passes = [0]
+
+        def counted_zip(*iterables):
+            passes[0] += len(iterables) == 3
+            return zip(*iterables)
+
+        monkeypatch.setattr(parsing, "zip", counted_zip, raising=False)
+        calls = _fed_to_edit_rows(monkeypatch)
+        for quote, q_gram_passes in ((near, 0), (far, 1)):
+            passes[0] = 0
+            calls.clear()
+            span = locate_quote(text, quote)
+            assert span.match_kind is MatchKind.FUZZY and span == full_row_locate_quote(text, quote)
+            assert passes[0] == q_gram_passes
+            if quote is near:
+                # One slice around the end the pieces imply, and one row.
+                nq = fold_quote(near)
+                k = parsing.PIECES - 1
+                assert [c for c in calls if not c[2]] == [(1, len(nq) + 3 * k, False)]
+                assert sum(anchored for *_, anchored in calls) == 1
+
+    def test_dense_pieces_are_decided_by_their_count(self):
+        # The repeated-letter worst case: each piece occurs about a
+        # thousand times, so six `str.count` calls send the quote to the
+        # filter before any occurrence is looked for.
+        folded = _CountedText("a" * 20000)
+        assert parsing._piece_end_points(folded, "a" * 119 + "b") is None
+        assert folded.calls == {"count": 6}
+        # A sparse quote looks for each occurrence once, and one more time
+        # per piece to find that there are no more.
+        rng = random.Random(6)
+        folded = _CountedText("".join(rng.choices("abcdefghijklmnopqrstuvw", k=5000)))
+        nq = folded[1000:1072]
+        assert parsing._piece_end_points(folded, nq)[0] == (1072, 0)
+        assert folded.calls == {"count": 6, "find": 6 + 6}
 
 
 _ROW_ALPHABET = "abcé中 "
