@@ -362,6 +362,8 @@ class HttpBackend(Backend):
             text = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion payload: {exc}") from None
+        if text is not None and not isinstance(text, str):
+            raise BackendError(f"malformed completion payload: content is {type(text).__name__}")
         raw_reason = str(choice.get("finish_reason", "stop")).lower()
         if raw_reason in ("stop", "end_turn", "stop_sequence"):
             reason = FinishReason.STOP
@@ -372,10 +374,13 @@ class HttpBackend(Backend):
         usage = None
         if isinstance(data.get("usage"), dict):
             u = data["usage"]
-            usage = Usage(
-                prompt_tokens=int(u.get("prompt_tokens", 0)),
-                completion_tokens=int(u.get("completion_tokens", 0)),
-            )
+            try:  # counts that int() cannot read mean no usage, not a failed call
+                usage = Usage(
+                    prompt_tokens=int(u.get("prompt_tokens", 0)),
+                    completion_tokens=int(u.get("completion_tokens", 0)),
+                )
+            except (TypeError, ValueError):
+                pass
         return LlmResponse(text=text or "", finish_reason=reason, usage=usage)
 
     def complete(self, request: LlmRequest) -> LlmResponse:

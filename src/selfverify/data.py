@@ -123,7 +123,7 @@ def _parse_line(line_no: int, raw: str) -> DatasetRecord:
             ok = (
                 isinstance(s, list)
                 and len(s) == 2
-                and all(isinstance(x, int) for x in s)
+                and all(type(x) is int for x in s)
                 and 0 <= s[0] <= s[1] <= len(text)
             )
             if not ok:

@@ -8,40 +8,40 @@ crash.
 The locator resolves a model-returned quote to character offsets in the
 source text through three stages: exact substring, case- and
 whitespace-insensitive match, then a bounded fuzzy search that minimizes
-edit distance normalized by the longer of quote and window. The calls of
-one evidence step share a `QuoteSearch`, so the step costs at most:
-- one fold of the note (`core.fold`), made only when a quote misses the
-  exact stage, by `str.lower` and one split and join when the note has
-  neither 'İ' nor 'Σ', and a character at a time otherwise; only the
-  offsets of a result are mapped back, by bisecting the whitespace runs;
-- per fuzzy quote of 24 or more characters, short scans around where
-  `str.find` finds one of its six pieces (`_piece_end_points`), which
-  settle a near-verbatim quote before anything below;
-- a q-gram filter (`_candidate_slices`) for the other quotes that reach
-  the fuzzy stage: one pass over the folded note at C speed per eight
-  such quotes marks where each quote's 3-grams occur, one bit per quote,
-  and only where enough of one quote's 3-grams gather can a window of it
+edit distance normalized by the longer of quote and window. Each quote is
+located on its own. The calls on one note share a `QuoteSearch`, which
+holds the note's fold and each fuzzy-stage quote's window, so a quote
+costs at most:
+- one fold of the note (`core.fold`), made once per note and only when a
+  quote misses the exact stage, by `str.lower` and one split and join
+  when the note has neither 'İ' nor 'Σ', and a character at a time
+  otherwise; only the offsets of a result are mapped back, by bisecting
+  the whitespace runs;
+- for a fuzzy-stage quote of 24 or more characters, short scans around
+  where `str.find` finds one of its six pieces (`_piece_end_points`),
+  which settle a near-verbatim quote before anything below;
+- for a quote they do not settle, a q-gram filter (`_candidate_slices`):
+  one pass over the folded note at C speed marks where the quote's
+  3-grams occur, and only where enough of them gather can a window
   within the cap end. An absent quote usually has no such place, and an
   edited one a few slices around its match;
-- free-start scans with Myers' bit-vectors (`_edit_rows`), about fifteen
+- free-start scans with Myers' bit-vectors (`_edit_rows`), about a dozen
   integer operations per character scanned, emitting only the end points
-  whose distance could pass the threshold: each filtered quote over its
-  candidate slices, and one packed scan of the whole fold (one field per
-  quote in the same Python ints) for the quotes the filter cannot narrow,
-  which are those shorter than 9 characters and those whose 3-grams are
-  dense in the note;
-- per fuzzy quote, short anchored rows over the length band, one per such
-  end point, lowest distance first, until the cap that the best window
-  so far sets drops the rest: usually after the first row.
+  whose distance could pass the threshold: over the quote's candidate
+  slices, or over the whole fold when the filter cannot narrow it (a
+  quote shorter than 9 characters, or one whose 3-grams are dense in the
+  note);
+- short anchored rows over the length band, one per such end point,
+  lowest distance first, until the cap that the best window so far sets
+  drops the rest: usually after the first row.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from itertools import repeat
 from operator import itemgetter, sub
-from typing import Collection, Iterable
+from typing import Collection
 
 from .core import EvidenceSpan, MatchKind, StatusLabel, fold, fold_quote, normalize
 
@@ -329,77 +329,45 @@ def passes_threshold(dist: int, m: int, length: int) -> bool:
     return dist * FUZZY_THRESHOLD_DEN <= max(m, length) * FUZZY_THRESHOLD_NUM
 
 
-def _edit_rows(
-    needles: list[str], haystack: str, anchored: bool, caps: list[int]
-) -> list[list[tuple[int, int]]]:
-    """End points in `haystack` where each needle is within its edit-distance cap.
+def _edit_rows(needle: str, haystack: str, anchored: bool, cap: int) -> list[tuple[int, int]]:
+    """The (j, d) for j from 1 to len(haystack) whose distance d is at most `cap` (at least 0).
 
-    For each needle, the (j, d) for j from 1 to len(haystack) whose
-    distance d is at most the needle's cap (a cap is at least 0): d is the
-    distance to the best substring ending at j (free start, the standard
-    semi-global alignment) or, when `anchored`, to haystack[:j]. That is
-    the last row of the edit-distance table, computed with Myers'
-    bit-vectors (Myers 1999; Hyyro 2003 for the score) on Python ints in
-    one pass over the haystack, whatever the needles' lengths.
-
-    The needles share the pass (Hyyro, Fredriksson & Navarro 2005). Each
-    has a field of the vectors, with clear bits above it so that no carry
-    or shift crosses into the next field. Its score is a counter field of
-    `counts` whose lowest bit sits at the needle's top bit, so one add and
-    one subtract update every score. A counter holds 2**(b-1) + cap -
-    score, so its top bit is set exactly when the score is within the cap.
-    Anchoring shifts a carry of 1 into each field's lowest bit, since row 0
-    is then 0, 1, 2, ... rather than all zeros. Needles must not be empty.
+    d is the distance from `needle` to the best substring of `haystack`
+    ending at j (free start, the standard semi-global alignment) or, when
+    `anchored`, to haystack[:j]. That is the last row of the edit-distance
+    table, computed with Myers' bit-vectors (Myers 1999; Hyyro 2003 for
+    the score) on Python ints in one pass over the haystack, whatever the
+    needle's length. Anchoring shifts a carry of 1 into the lowest bit,
+    since row 0 is then 0, 1, 2, ... rather than all zeros. The needle
+    must not be empty.
     """
     peq: dict[str, int] = {}
-    lows = highs = tops = mask = counts = 0
-    fired_field: dict[int, tuple[int, int, int, int]] = {}
-    off = 0
-    for i, (needle, cap) in enumerate(zip(needles, caps)):
-        m = len(needle)
-        for p, c in enumerate(needle):
-            peq[c] = peq.get(c, 0) | (1 << (off + p))
-        # A score never exceeds m (free start) or m + len(haystack).
-        b = max(m + len(haystack) * anchored, cap).bit_length() + 1
-        high = off + m - 1
-        base = (1 << (b - 1)) + cap
-        lows |= 1 << off
-        highs |= 1 << high
-        tops |= 1 << (high + b - 1)
-        mask |= ((1 << m) - 1) << off
-        counts += (base - m) << high
-        fired_field[1 << (high + b - 1)] = (i, high, (1 << b) - 1, base)
-        if i + 1 < len(needles):
-            off += m + max(1, b - len(needles[i + 1]))
-    carry = lows if anchored else 0
-    inner = mask & ~lows
-    pv, mv = mask, 0
-    hits: list[list[tuple[int, int]]] = [[] for _ in needles]
+    for p, c in enumerate(needle):
+        peq[c] = peq.get(c, 0) | (1 << p)
+    m = len(needle)
+    mask, high, carry = (1 << m) - 1, 1 << (m - 1), int(anchored)
+    pv, mv, score = mask, 0, m
+    hits: list[tuple[int, int]] = []
     for j, c in enumerate(haystack, 1):
         eq = peq.get(c, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | ~(xh | pv)
         mh = pv & xh
-        counts += (mh & highs) - (ph & highs)
-        fired = counts & tops
-        while fired:
-            top = fired & -fired
-            fired ^= top
-            i, high, field, base = fired_field[top]
-            hits[i].append((j, base - ((counts >> high) & field)))
-        ph = (ph << 1) & inner | carry
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        if score <= cap:
+            hits.append((j, score))
+        ph = (ph << 1) & mask | carry
         pv = ((mh << 1) | ~(xv | ph)) & mask
         mv = ph & xv
     return hits
 
 
-# _BITS[b] maps a flag byte to its bit b, for splitting a shared pass.
-_BITS = [bytes((byte >> b) & 1 for byte in range(256)) for b in range(8)]
-
-
-def _candidate_slices(folded: str, quotes: list[str]) -> list[list[tuple[int, int]] | None]:
-    """For each quote, the slices of `folded` whose scans give every end point within m // 4.
+def _candidate_slices(folded: str, nq: str) -> list[tuple[int, int]] | None:
+    """The slices of `folded` whose scans give every end point of `nq` within m // 4.
 
     A q-gram filter, with q = 3 (Jokinen & Ukkonen 1991; Ukkonen 1992;
     Navarro 2001). An edit destroys at most q of the quote's m - q + 1
@@ -414,39 +382,21 @@ def _candidate_slices(folded: str, quotes: list[str]) -> list[list[tuple[int, in
     those ends the distance a scan of the whole fold does (an end outside
     the candidates is above the cap either way). Overlapping slices merge.
 
-    The quotes share one pass over the fold at C speed per eight of them:
-    each has a bit of a byte per position, set where one of its q-grams
-    occurs, and `bytes.translate` splits the bytes into one flag string
-    per quote. A lone quote tests its q-grams' set instead.
-
-    None, to scan the whole fold instead: for a quote shorter than 9; when
-    the fold holds so many of the quote's q-grams (counted from its flags,
-    before any position is read) that an average window of m + k holds t;
-    and when the slices would cover more than half the fold.
+    One pass over the fold at C speed flags where the quote's q-grams
+    occur. None, to scan the whole fold instead: for a quote shorter than
+    9; when the fold holds so many of the quote's q-grams (counted from
+    its flags, before any position is read) that an average window of
+    m + k holds t; and when the slices would cover more than half the fold.
     """
-    needs: dict[int, dict[str, int]] = {}
-    for i, nq in enumerate(quotes):
-        if len(nq) >= 9:
-            need = needs[i] = {}
-            for p in range(len(nq) - 2):
-                need[nq[p : p + 3]] = need.get(nq[p : p + 3], 0) + 1
-    slices: list[list[tuple[int, int]] | None] = [None] * len(quotes)
-    filtered = list(needs)
-    for g in range(0, len(filtered), 8):
-        group = filtered[g : g + 8]
-        grams = zip(folded, folded[1:], folded[2:])
-        if len(group) == 1:
-            flags = [bytes(map(set(map(tuple, needs[group[0]])).__contains__, grams))]
-        else:
-            bits: dict[tuple[str, ...], int] = {}
-            for b, i in enumerate(group):
-                for gram in map(tuple, needs[i]):
-                    bits[gram] = bits.get(gram, 0) | 1 << b
-            shared = bytes(map(bits.get, grams, repeat(0)))
-            flags = [shared.translate(_BITS[b]) for b in range(len(group))]
-        for i, own in zip(group, flags):
-            slices[i] = _slices_from_flags(folded, len(quotes[i]), needs[i], own)
-    return slices
+    m = len(nq)
+    if m < 9:
+        return None
+    need: dict[str, int] = {}
+    for p in range(m - 2):
+        need[nq[p : p + 3]] = need.get(nq[p : p + 3], 0) + 1
+    grams = set(map(tuple, need))
+    flags = bytes(map(grams.__contains__, zip(folded, folded[1:], folded[2:])))
+    return _slices_from_flags(folded, m, need, flags)
 
 
 def _slices_from_flags(
@@ -504,7 +454,7 @@ def _slices_from_flags(
 
 def _scan_slices(folded: str, nq: str, slices: list[tuple[int, int]], cap: int) -> list[tuple[int, int]]:
     """The (end, distance) pairs within `cap` of free-start scans of `nq` over `slices` of `folded`."""
-    return [(lo + j, d) for lo, hi in slices for j, d in _edit_rows([nq], folded[lo:hi], False, [cap])[0]]
+    return [(lo + j, d) for lo, hi in slices for j, d in _edit_rows(nq, folded[lo:hi], False, cap)]
 
 
 # The pieces step cuts a folded quote into this many pieces.
@@ -570,7 +520,7 @@ def _refine(
         # Every window sharing this end point, by its length, from one
         # anchored row of the reversed quote against the reversed slice.
         window = folded[max(0, end - hi_len):end][::-1]
-        for length, dist in _edit_rows([rq], window, True, [cap])[0]:
+        for length, dist in _edit_rows(rq, window, True, cap):
             if length < lo_len or not passes_threshold(dist, m, length):
                 continue
             start = end - length
@@ -588,22 +538,19 @@ def _refine(
 class QuoteSearch:
     """What the `locate_quote` calls on one text share.
 
-    That is the text's fold, made at most once, and the free-start scans
-    of the given quotes that reach the fuzzy stage, all made on the first
-    call that needs one. Build one with every quote to be located in the
-    text and pass it to each call.
-    Nothing is computed before a call needs it, so a text whose quotes are
-    all exact substrings is never folded. Not for use by several threads.
+    That is the text's fold and its map back to the text's offsets, each
+    made at most once, and the window found for each fuzzy-stage quote.
+    Build one per text and pass it to each call. Nothing is computed
+    before a call needs it, so a text whose quotes are all exact
+    substrings is never folded. Not for use by several threads.
     """
 
-    def __init__(self, text: str, quotes: Iterable[str] = ()):
+    def __init__(self, text: str):
         self.text = text
-        self._quotes = tuple(quotes)
         self._folded: str | None = None
         self._after: list[int] | None = None
         self._shift: list[int] = []
-        self._ends: dict[str, list[tuple[int, int]]] = {}
-        self._pieces: dict[str, tuple[_Window | None, int, int | None]] = {}
+        self._windows: dict[str, _Window | None] = {}
 
     @property
     def folded(self) -> str:
@@ -634,51 +581,33 @@ class QuoteSearch:
         i = bisect_right(self._after, k)
         return k + self._shift[i - 1] if i else k
 
-    def _from_pieces(self, nq: str) -> tuple[_Window | None, int, int | None]:
-        """The pieces step's window of `nq`, its cap, and the distance its end points reach.
+    def window(self, nq: str) -> _Window | None:
+        """The best window of the folded quote `nq`, or None.
 
-        That is -1 when it falls back, and None when it settles the quote: a
-        window whose cap is at most that distance leaves no end point to refine.
+        The pieces step gives every end point within PIECES - 1, and once
+        the best window's cap is that low no other end point can win. Else
+        the end points it did not give, from `end_points`, are refined on.
         """
-        if nq not in self._pieces:
+        if nq not in self._windows:
             ends = _piece_end_points(self.folded, nq)
             best, cap = _refine(self.folded, nq, ends or [], None, len(nq) // 4)
             done = -1 if ends is None else PIECES - 1
-            self._pieces[nq] = best, cap, None if best is not None and cap <= done else done
-        return self._pieces[nq]
-
-    def window(self, nq: str) -> _Window | None:
-        """The best window of the folded quote `nq`, or None: the pieces step's, or refined on from it."""
-        best, cap, done = self._from_pieces(nq)
-        if done is not None:
-            rest = [(j, d) for j, d in self.end_points(nq) if d > done]
-            best, cap = _refine(self.folded, nq, sorted(rest, key=itemgetter(1)), best, cap)
-        return best
+            if best is None or cap > done:
+                rest = [(j, d) for j, d in self.end_points(nq) if d > done]
+                best, _ = _refine(self.folded, nq, sorted(rest, key=itemgetter(1)), best, cap)
+            self._windows[nq] = best
+        return self._windows[nq]
 
     def end_points(self, nq: str) -> list[tuple[int, int]]:
         """Free-start end points of the folded quote `nq` within its raw cap.
 
-        The first call handles `nq` and every other quote given that misses
-        the exact and case-insensitive stages and the pieces step: each is
-        scanned over its candidate slices of the fold, and those the filter
-        does not narrow share one scan of the whole fold.
+        Scans of its candidate slices of the fold, or of the whole fold
+        when the q-gram filter cannot narrow it.
         """
-        if nq not in self._ends:
-            # A quote found by an earlier stage folds to a substring of the
-            # fold (an exact one too), so this keeps only the fuzzy ones.
-            batch = dict.fromkeys([nq] + [fold_quote(quote) for quote in self._quotes])
-            batch = [n for n in batch if n and n not in self._ends and n not in self.folded]
-            batch = [n for n in batch if n == nq or self._from_pieces(n)[2] is not None]
-            whole: list[str] = []
-            for n, slices in zip(batch, _candidate_slices(self.folded, batch)):
-                if slices is None:
-                    whole.append(n)
-                    continue
-                self._ends[n] = _scan_slices(self.folded, n, slices, len(n) // 4)
-            if whole:
-                rows = _edit_rows(whole, self.folded, False, [len(n) // 4 for n in whole])
-                self._ends.update(zip(whole, rows))
-        return self._ends[nq]
+        slices = _candidate_slices(self.folded, nq)
+        if slices is None:
+            slices = [(0, len(self.folded))]
+        return _scan_slices(self.folded, nq, slices, len(nq) // 4)
 
 
 def locate_quote(text: str, quote: str, search: QuoteSearch | None = None) -> EvidenceSpan:
@@ -701,7 +630,7 @@ def locate_quote(text: str, quote: str, search: QuoteSearch | None = None) -> Ev
 
     nq = fold_quote(quote)
     if search is None:
-        search = QuoteSearch(text, (quote,))
+        search = QuoteSearch(text)
     folded = search.folded
     k = folded.find(nq)
     if k >= 0:

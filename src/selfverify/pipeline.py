@@ -355,7 +355,7 @@ class ExtractionPipeline:
         prompt = build_evidence_prompt(document.task, document.text, current)
         response = self._call(prompt, cfg.max_output_tokens_extract)
         mapping, warnings = parse_evidence(response, list(current.keys()))
-        search = QuoteSearch(document.text, mapping.values())
+        search = QuoteSearch(document.text)
         updated: list[ExtractedItem] = []
         for item in current:
             quote = mapping.get(item.key)

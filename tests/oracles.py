@@ -20,15 +20,14 @@ the reference for the fold made with `str.lower` and one `re`
 substitution, mapped back by bisecting whitespace runs, and for the scan
 that keeps only candidate end points.
 
-`unfiltered_end_points` is `parsing.QuoteSearch.end_points` as it was
-before the q-gram filter, body unchanged but for the name under which
-it imports the package's quote fold: one packed free-start scan of
-the whole fold for every quote that reaches the fuzzy stage. It is the
-reference for the scan that reads only each quote's candidate slices.
+`unfiltered_end_points` is `parsing.QuoteSearch.end_points` without the
+q-gram filter: one free-start scan of the whole fold for `nq`. It is the
+reference for the scan that reads only the quote's candidate slices.
 
 `per_quote_candidate_slices` is the q-gram filter as it was, body
-unchanged: one pass over the fold for each quote. It is the reference
-for the pass that a step's quotes share, one bit of a byte each.
+unchanged: one pass over the fold, then the sweep of every flagged
+position. It is the reference for the filter that stops at a count
+bound or a gap check before it reads any position.
 
 `sweep_slices_from_flags` is the filter's per-quote step as it was, body
 unchanged: it reads every flagged position into a dict per 3-gram and
@@ -84,7 +83,6 @@ from selfverify.parsing import (
     passes_threshold,
     window_band,
 )
-from selfverify.parsing import fold_quote as package_fold_quote
 from selfverify.pipeline import ExtractionPipeline
 
 _BIG = 10**6
@@ -238,19 +236,8 @@ def full_row_locate_quote(text: str, quote: str) -> EvidenceSpan:
 
 
 def unfiltered_end_points(self: QuoteSearch, nq: str) -> list[tuple[int, int]]:
-    """Free-start end points of the folded quote `nq` within its raw cap.
-
-    The first call scans the fold once for `nq` and for every other
-    quote given that misses the exact and case-insensitive stages.
-    """
-    if nq not in self._ends:
-        # A quote found by an earlier stage folds to a substring of the
-        # fold (an exact one too), so this keeps only the fuzzy ones.
-        batch = dict.fromkeys([nq] + [package_fold_quote(quote) for quote in self._quotes])
-        batch = [n for n in batch if n and n not in self._ends and n not in self.folded]
-        rows = _edit_rows(batch, self.folded, False, [len(n) // 4 for n in batch])
-        self._ends.update(zip(batch, rows))
-    return self._ends[nq]
+    """Free-start end points of the folded quote `nq` within its raw cap, from the whole fold."""
+    return _edit_rows(nq, self.folded, False, len(nq) // 4)
 
 
 def per_quote_candidate_slices(folded: str, nq: str) -> list[tuple[int, int]] | None:

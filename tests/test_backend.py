@@ -524,6 +524,25 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="malformed"):
             backend.complete(chat())
 
+    @pytest.mark.parametrize("count", [None, "12k", [3], {}])
+    def test_unreadable_usage_counts_mean_no_usage(self, count):
+        payload = chat_payload()
+        payload["usage"]["prompt_tokens"] = count
+        backend, _, _ = make_backend([FakeHttpResponse(payload=payload)])
+        resp = backend.complete(chat())
+        assert (resp.text, resp.usage) == ("the answer", None)
+
+    @pytest.mark.parametrize("content", [["a"], {"text": "a"}, 3, True])
+    def test_content_that_is_not_text_is_malformed(self, content):
+        backend, session, _ = make_backend([FakeHttpResponse(payload=chat_payload(text=content))])
+        with pytest.raises(BackendError, match="malformed completion payload"):
+            backend.complete(chat())
+        assert len(session.posts) == 1
+
+    def test_null_content_is_an_empty_reply(self):
+        backend, _, _ = make_backend([FakeHttpResponse(payload=chat_payload(text=None))])
+        assert backend.complete(chat()).text == ""
+
     def test_invalid_json(self):
         backend, _, _ = make_backend([FakeHttpResponse(payload=None)])
         with pytest.raises(BackendError, match="JSON"):

@@ -103,6 +103,14 @@ class TestLoadDataset:
                 '{"doc_id": "d", "text": "xy", "gold": [{"value": "a"}], "gold_spans": [[2, 1]]}',
                 "within the text",
             ),
+            (
+                '{"doc_id": "d", "text": "xy", "gold": [{"value": "a"}], "gold_spans": [[false, true]]}',
+                "within the text",
+            ),
+            (
+                '{"doc_id": "d", "text": "xy", "gold": [{"value": "a"}], "gold_spans": [[0, true]]}',
+                "within the text",
+            ),
         ],
     )
     def test_format_errors(self, tmp_path, line, fragment):

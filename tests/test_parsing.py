@@ -514,7 +514,7 @@ def _edited(rng: random.Random, text: str, alphabet: str, max_len: int) -> str:
 
 def _same_end_points(text: str, quotes: list[str]) -> None:
     """The filtered scan's end points equal the unfiltered scan's for every fuzzy-stage quote."""
-    search, former = QuoteSearch(text, quotes), QuoteSearch(text, quotes)
+    search, former = QuoteSearch(text), QuoteSearch(text)
     for quote in quotes:
         nq = fold_quote(quote)
         if nq and nq not in search.folded:
@@ -526,7 +526,7 @@ def _same_as_former(text: str, quotes: list[str]) -> None:
 
     And the end points the q-gram filter lets through are the unfiltered scan's.
     """
-    search = QuoteSearch(text, quotes)
+    search = QuoteSearch(text)
     for quote in quotes:
         expected = full_row_locate_quote(text, quote)
         assert locate_quote(text, quote) == expected, (text, quote)
@@ -648,8 +648,8 @@ class TestFilterBounds:
         letters = "abcdefghijklmnopqrstuvw"  # never x, y or z
         text = "".join(rng.choices(letters, k=1500)) + placed + "".join(rng.choices(letters, k=1500))
         assert _candidate_slices(text, quote) is not None
-        ends = QuoteSearch(text, [quote]).end_points(quote)
-        assert ends == unfiltered_end_points(QuoteSearch(text, [quote]), quote)
+        ends = QuoteSearch(text).end_points(quote)
+        assert ends == unfiltered_end_points(QuoteSearch(text), quote)
         return [(end - 1500, dist) for end, dist in ends]
 
     def test_substitutions_leave_exactly_t_q_grams(self):
@@ -675,28 +675,33 @@ class TestFilterBounds:
         assert (self.M, self.K) in self._check(placed, quote)
 
 
-def _fed_to_edit_rows(monkeypatch) -> list[tuple[int, int, bool]]:
-    """(needles, haystack characters, anchored) of every `_edit_rows` call from now on."""
-    calls: list[tuple[int, int, bool]] = []
+def _fed_to_edit_rows(monkeypatch) -> list[tuple[str, int, bool]]:
+    """(needle, haystack characters, anchored) of every `_edit_rows` call from now on."""
+    calls: list[tuple[str, int, bool]] = []
     scan = parsing._edit_rows
 
-    def counted(needles, haystack, anchored, caps):
-        calls.append((len(needles), len(haystack), anchored))
-        return scan(needles, haystack, anchored, caps)
+    def counted(needle, haystack, anchored, cap):
+        calls.append((needle, len(haystack), anchored))
+        return scan(needle, haystack, anchored, cap)
 
     monkeypatch.setattr(parsing, "_edit_rows", counted)
     monkeypatch.setattr(oracles, "_edit_rows", counted)
     return calls
 
 
-def _free_start_chars(calls: list[tuple[int, int, bool]]) -> int:
+def _free_start_chars(calls: list[tuple[str, int, bool]]) -> int:
     return sum(chars for _, chars, anchored in calls if not anchored)
+
+
+def _longnotes(monkeypatch):
+    """The benchmark's long_notes module."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
+    return importlib.import_module("longnotes")
 
 
 def _long_notes(monkeypatch):
     """The seed-0 long_notes corpus, and one pipeline pass over it."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmark"))
-    longnotes = importlib.import_module("longnotes")
+    longnotes = _longnotes(monkeypatch)
     from selfverify.pipeline import PipelineConfig, run_batch
 
     notes = longnotes.make_corpus(0)
@@ -724,22 +729,23 @@ class TestFilterWork:
         monkeypatch.setattr(QuoteSearch, "end_points", unfiltered_end_points)
         assert one_pass() == filtered
         unfiltered_chars = _free_start_chars(calls)
-        # One whole-fold scan per note, shared by its edited and missing quotes.
-        assert unfiltered_chars == sum(len(fold(document.text)) for document in documents)
+        # One whole-fold scan for each note's edited quote and its missing one.
+        assert unfiltered_chars == 2 * sum(len(fold(document.text)) for document in documents)
         assert 3 * filtered_chars <= unfiltered_chars
 
-    def test_quotes_the_filter_cannot_narrow_share_one_scan(self, monkeypatch):
+    def test_quotes_the_filter_cannot_narrow_scan_the_whole_fold(self, monkeypatch):
         text = "ab" * 2000 + " the patient is stable " + "ab" * 2000
         # Two short quotes and one whose 3-grams fill the note: none can be
-        # narrowed. One quote can, and gets its own slice scans.
+        # narrowed, so each gets one scan of the whole fold. One quote can,
+        # and gets its own slice scans.
         quotes = ["abxab", "baaba", "abab" * 8 + "x", "the patienx is stable"]
-        search = QuoteSearch(text, quotes)
+        search = QuoteSearch(text)
         assert [_candidate_slices(search.folded, fold_quote(q)) for q in quotes[:3]] == [None] * 3
         calls = _fed_to_edit_rows(monkeypatch)
         for quote in quotes:
             locate_quote(text, quote, search)
         whole = [c for c in calls if not c[2] and c[1] == len(search.folded)]
-        assert whole == [(3, len(search.folded), False)]
+        assert whole == [(fold_quote(q), len(search.folded), False) for q in quotes[:3]]
         assert locate_quote(text, quotes[3], search).match_kind is MatchKind.FUZZY
 
     @pytest.mark.parametrize(
@@ -755,10 +761,10 @@ class TestFilterWork:
         }[name]()
         nq = fold_quote(quote)
         calls = _fed_to_edit_rows(monkeypatch)
-        ends = QuoteSearch(text, [quote]).end_points(nq)
+        ends = QuoteSearch(text).end_points(nq)
         filtered_chars = _free_start_chars(calls)
         calls.clear()
-        assert ends == unfiltered_end_points(QuoteSearch(text, [quote]), nq)
+        assert ends == unfiltered_end_points(QuoteSearch(text), nq)
         assert filtered_chars <= _free_start_chars(calls)
         # The filter reads the fold once and the quote once, whatever m is.
         drawn = [0]
@@ -769,7 +775,7 @@ class TestFilterWork:
                 yield item
 
         monkeypatch.setattr(parsing, "zip", counted_zip, raising=False)
-        parsing._candidate_slices(fold(text), [nq])
+        parsing._candidate_slices(fold(text), nq)
         assert drawn[0] <= len(fold(text)) + len(nq)
 
     def test_long_notes_pass_shares_q_gram_passes_and_refines_best_first(self, monkeypatch):
@@ -819,7 +825,7 @@ class TestFilterWork:
 
     def test_dense_quotes_read_no_position(self, monkeypatch):
         # Dense quotes are decided by their flag count; only the sparse
-        # quote's flags are searched for positions, alone or in a shared pass.
+        # quote's flags are searched for positions.
         text = fold("ab" * 2000 + " the patient is stable " + "ab" * 2000)
         dense, sparse = ["abab" * 8 + "x", "ba" * 12 + "y"], "the patienx is stable"
         read: list[bytes] = []
@@ -831,17 +837,17 @@ class TestFilterWork:
             return finditer(pattern, string, *args)
 
         monkeypatch.setattr(re, "finditer", counted)
-        for step in ([dense[0]], dense, dense + [sparse], [sparse]):
-            expected = [_candidate_slices(text, q) for q in step]
+        for nq in dense + [sparse]:
+            expected = _candidate_slices(text, nq)
             read.clear()
-            assert parsing._candidate_slices(text, step) == expected
-            assert len(read) == sum(s is not None for s in expected) == step.count(sparse)
+            assert parsing._candidate_slices(text, nq) == expected
+            assert len(read) == (expected is not None) == (nq == sparse)
 
     def test_repeated_letter_refines_no_more_rows(self, monkeypatch):
         # Every end point past the 90th is at distance 1, so best-first
         # order still refines each of them: this worst case stays open.
         text, quote = "a" * 20000, "a" * 119 + "b"
-        ends = QuoteSearch(text, [quote]).end_points(quote)
+        ends = QuoteSearch(text).end_points(quote)
         calls = _fed_to_edit_rows(monkeypatch)
         span = locate_quote(text, quote)
         assert (span.match_kind, span.start, span.end) == (MatchKind.FUZZY, 0, 119)
@@ -849,7 +855,7 @@ class TestFilterWork:
 
 
 class TestSharedQGramPass:
-    """The q-gram pass a step's quotes share, against one pass per quote."""
+    """The q-gram filter, one pass per quote, against the filter it replaced."""
 
     @staticmethod
     def _sweep_inputs(folded: str, nq: str) -> tuple[str, int, dict[str, int], bytes]:
@@ -911,7 +917,7 @@ class TestSharedQGramPass:
             text += "ab" * data.draw(st.integers(1, 500))
         text = fold(text)
         quotes: list[str] = []
-        # Steps of 1 to 10 quotes, so some cross the 8 bits of a byte.
+        # Steps of 1 to 10 quotes, some sharing text with an earlier one.
         size = data.draw(st.integers(1, 10))
         kinds = st.sampled_from(["edited", "shared", "same", "short", "dense", "absent"])
         for kind in data.draw(st.lists(kinds, min_size=size, max_size=size)):
@@ -927,17 +933,58 @@ class TestSharedQGramPass:
                 quotes.append(("ab" * 40)[: rng.randint(9, 80)] + "x")
             else:
                 quotes.append("".join(rng.choices("xyz ", k=rng.randint(9, 60))))
-        assert parsing._candidate_slices(text, quotes) == [_candidate_slices(text, q) for q in quotes]
+        for quote in quotes:
+            assert parsing._candidate_slices(text, quote) == _candidate_slices(text, quote), quote
 
-    def test_a_step_of_ten_crosses_the_byte(self):
+    def test_a_step_of_ten_quotes(self):
         rng = random.Random(3)
         vocabulary = ["".join(rng.choices("abcdefghijklmnopqrstuvw", k=rng.randint(2, 8))) for _ in range(300)]
         text = fold(_words(rng, 1500, vocabulary) + "ab" * 3000)
         quotes = [_edited(random.Random(i), text[900 * i : 900 * i + 72], "xyz", 72) for i in range(6)]
         quotes += [quotes[0], "ab" * 30 + "x", "short", "xyzzy quartz oxyz"]
-        slices = parsing._candidate_slices(text, quotes)
+        slices = [parsing._candidate_slices(text, q) for q in quotes]
         assert slices == [_candidate_slices(text, q) for q in quotes]
         assert [s is None for s in slices] == [False] * 7 + [True, True, False]
+
+
+class TestSeveralFuzzyQuotesPerStep:
+    """Steps of several quotes far from verbatim in one repetitive note.
+
+    Each is a 72-character passage of a long_notes note with 4 to 10
+    characters replaced by letters, or 72 characters of the note's own
+    words that the note does not hold. The pieces step settles almost
+    none of them, so nearly all make a 3-gram pass and then scan slices
+    or the whole fold: the case that scans of several quotes packed into
+    the same ints once served.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_each_quote_scans_alone_and_matches_the_former_locator(self, monkeypatch, seed):
+        [note] = _longnotes(monkeypatch).make_corpus(seed, n_notes=1)
+        text = note.document.text
+        rng = random.Random(seed)
+        words = text.split()
+        quotes = []
+        for _ in range(rng.randint(5, 8)):
+            if rng.random() < 0.25:
+                quotes.append(" ".join(rng.choice(words) for _ in range(20))[:72])
+                continue
+            a = rng.randrange(len(text) - 72)
+            chars = list(text[a : a + 72])
+            for i in rng.sample(range(72), rng.randint(4, 10)):
+                chars[i] = rng.choice([c for c in "abcdefghijklmnopqrstuvwxyz" if c != chars[i].lower()])
+            quotes.append("".join(chars))
+        calls = _fed_to_edit_rows(monkeypatch)
+        search = QuoteSearch(text)
+        for quote in quotes:
+            calls.clear()
+            span = locate_quote(text, quote, search)
+            assert span == full_row_locate_quote(text, quote), quote
+            # Its own free-start scans, and every row of this quote alone:
+            # its fold, or reversed.
+            nq = fold_quote(quote)
+            assert any(not anchored for *_, anchored in calls), quote
+            assert {needle for needle, *_ in calls} <= {nq, nq[::-1]}, quote
 
 
 def _with_edits(rng: random.Random, text: str, edits: int, alphabet: str) -> str:
@@ -1000,7 +1047,7 @@ class TestPiecesStep:
             nq = fold_quote(quote)
             pieces = parsing._piece_end_points(folded, nq) if nq and nq not in folded else None
             if pieces is not None:
-                ends = unfiltered_end_points(QuoteSearch(text, [quote]), nq)
+                ends = unfiltered_end_points(QuoteSearch(text), nq)
                 assert pieces == sorted([e for e in ends if e[1] < parsing.PIECES], key=itemgetter(1))
 
     def test_near_verbatim_quote_makes_no_q_gram_pass(self, monkeypatch):
@@ -1030,7 +1077,7 @@ class TestPiecesStep:
                 # One slice around the end the pieces imply, and one row.
                 nq = fold_quote(near)
                 k = parsing.PIECES - 1
-                assert [c for c in calls if not c[2]] == [(1, len(nq) + 3 * k, False)]
+                assert [c for c in calls if not c[2]] == [(nq, len(nq) + 3 * k, False)]
                 assert sum(anchored for *_, anchored in calls) == 1
 
     def test_dense_pieces_are_decided_by_their_count(self):
@@ -1071,30 +1118,15 @@ class TestEditRow:
         # Caps from no end point passing (cap 0 on a text without the
         # needle) to every end point passing.
         cap = data.draw(st.integers(0, len(needle)))
-        assert _edit_rows([needle], haystack, False, [cap]) == [
-            _within(sellers_end_distances(needle, haystack), cap)
-        ]
+        assert _edit_rows(needle, haystack, False, cap) == _within(sellers_end_distances(needle, haystack), cap)
         # The locator's per-end refinement; a slice shorter than the band
         # (max_len below its top, or an end point near the start) included.
         end = data.draw(st.integers(0, len(haystack)))
         max_len = data.draw(st.integers(0, window_band(len(needle))[1]))
         window = haystack[max(0, end - max_len) : end][::-1]
-        assert _edit_rows([needle[::-1]], window, True, [cap]) == [
-            _within(distances_for_end(needle, haystack, end, max_len), cap)
-        ]
-
-    @given(
-        st.lists(st.text(alphabet=_ROW_ALPHABET, min_size=1, max_size=40), min_size=1, max_size=5),
-        st.text(alphabet=_ROW_ALPHABET + _ROW_EXTRA, max_size=200),
-        st.booleans(),
-        st.data(),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_packed_needles_match_one_scan_each(self, needles, haystack, anchored, data):
-        caps = [data.draw(st.integers(0, 2 * len(n) + 2)) for n in needles]
-        assert _edit_rows(needles, haystack, anchored, caps) == [
-            _edit_rows([n], haystack, anchored, [cap])[0] for n, cap in zip(needles, caps)
-        ]
+        assert _edit_rows(needle[::-1], window, True, cap) == _within(
+            distances_for_end(needle, haystack, end, max_len), cap
+        )
 
     def test_note_length_row_matches_oracle(self):
         rng = random.Random(11)
@@ -1104,18 +1136,14 @@ class TestEditRow:
         for i in rng.sample(range(72), 3):
             quote[i] = "#"
         quote = "".join(quote)
-        [hits] = _edit_rows([quote], text, False, [72 // 4])
+        hits = _edit_rows(quote, text, False, 72 // 4)
         assert hits == _within(sellers_end_distances(quote, text), 72 // 4)
         assert dict(hits)[start + 72] <= 3
         hi_len = window_band(72)[1]
         window = text[start + 72 - hi_len : start + 72][::-1]
-        [by_len] = _edit_rows([quote[::-1]], window, True, [hi_len])
+        by_len = _edit_rows(quote[::-1], window, True, hi_len)
         assert by_len == _within(distances_for_end(quote, text, start + 72, hi_len), hi_len)
         assert dict(by_len)[72] == 3
-        # Packed with two other quotes, the same end points come out.
-        others = [text[100:160].upper(), "zz" * 30]
-        packed = _edit_rows([others[0], quote, others[1]], text, False, [15, 72 // 4, 15])
-        assert packed[1] == hits
 
 
 class TestParserRobustness:

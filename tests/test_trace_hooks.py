@@ -7,7 +7,11 @@ benchmark run; this test catches it in the ordinary suite.
 from __future__ import annotations
 
 import importlib
+import random
+from dataclasses import replace
 from pathlib import Path
+
+from selfverify.parsing import fold_quote
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -50,3 +54,66 @@ def test_tracer_sees_one_locate_span_per_quote(monkeypatch):
     spans = [s for s in tracer.spans if s.name == "parsing.locate_quote"]
     assert sorted(kind for _, kind in (s.info for s in spans)) == sorted(longnotes.KINDS)
     assert {chars for chars, _ in (s.info for s in spans)} == {len(note.document.text)}
+
+
+def test_each_locate_does_only_its_own_quotes_work(monkeypatch):
+    """Per-quote locator work falls inside that quote's `pipeline.locate_quote` call.
+
+    One long note whose evidence reply has two quotes that reach the 3-gram
+    filter: a passage with ten letters substituted and one written in the
+    note's own words. Each call filters and scans only its own quote, so
+    the per-kind locator times measure each quote's own work.
+    """
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    longnotes = importlib.import_module("longnotes")
+    from selfverify import parsing, pipeline
+    from selfverify.pipeline import PipelineConfig, run_batch
+
+    [note] = longnotes.make_corpus(0, n_notes=1)
+    text = note.document.text
+    rng = random.Random(0)
+    words = text.split()
+    own_words = " ".join(rng.choice(words) for _ in range(20))[:72]
+    quotes = []
+    for q in note.quotes:
+        if q.kind == "fuzzy":
+            chars = list(text[q.start : q.end])
+            for i in range(3, 69, 7):
+                chars[i] = "#"
+            q = replace(q, quote="".join(chars))
+        elif q.kind == "not_found":
+            q = replace(q, quote=own_words)
+        quotes.append(q)
+    note = replace(note, quotes=tuple(quotes))
+
+    work: list[tuple[str, str]] = []
+    filtered, scanned = parsing._candidate_slices, parsing._edit_rows
+
+    def counted_filter(folded, nq):
+        work.append(("filter", nq))
+        return filtered(folded, nq)
+
+    def counted_scan(needle, haystack, anchored, cap):
+        work.append(("anchored" if anchored else "free", needle))
+        return scanned(needle, haystack, anchored, cap)
+
+    located = []
+    locate = pipeline.locate_quote
+
+    def recorded(text, quote, search=None):
+        work.clear()
+        span = locate(text, quote, search)
+        located.append((quote, span, list(work)))
+        return span
+
+    monkeypatch.setattr(parsing, "_candidate_slices", counted_filter)
+    monkeypatch.setattr(parsing, "_edit_rows", counted_scan)
+    monkeypatch.setattr(pipeline, "locate_quote", recorded)
+    run_batch(longnotes.backend([note]), PipelineConfig(), [note.document], seeds=[0], workers=1)
+    filtering = [(quote, calls) for quote, _, calls in located if ("filter", fold_quote(quote)) in calls]
+    assert len(filtering) == 2
+    for quote, calls in filtering:
+        nq = fold_quote(quote)
+        assert ("free", nq) in calls
+        assert {needle for _, needle in calls} <= {nq, nq[::-1]}, quote
+    assert all(not calls for quote, span, calls in located if span.match_kind.value == "exact")
