@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import re
 import struct
@@ -19,13 +20,14 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:
     import requests
 
+_log = logging.getLogger(__name__)
 DEFAULT_TEMPERATURE = 0.1
 DEFAULT_MAX_OUTPUT_TOKENS = 1024
 
@@ -154,12 +156,13 @@ class ScriptStep:
     response: str | LlmResponse | Callable[[LlmRequest], str]
     once: bool = False
 
-    def matches(self, request: LlmRequest) -> bool:
+    def matches(self, request: LlmRequest, found: set[str]) -> bool:
+        """Whether the step answers `request`, whose text holds `""` and the script's substrings in `found`."""
         if callable(self.matcher):
             return bool(self.matcher(request))
         if isinstance(self.matcher, str):
-            return self.matcher in request.text
-        return all(s in request.text for s in self.matcher)
+            return self.matcher in found
+        return all(s in found for s in self.matcher)
 
     def render(self, request: LlmRequest) -> LlmResponse:
         r = self.response
@@ -178,10 +181,12 @@ class MockBackend(Backend):
 
     Each step is filed under the one of its substrings that fewest steps
     share (callable and `[]` matchers under `""`, which every text holds).
-    A call finds the keys its prompt holds in one scan per first character
-    (`_key_finder`), then checks each of their steps in script order. The
-    index is built here, so a later edit of a step's `response` is seen but
-    one of its `matcher` is not.
+    A call finds every substring of the script that its prompt holds in
+    one scan per first character (`_key_finder`, built once per script's
+    substrings), then checks the steps filed under them in script order
+    against that set: the prompt is not read again. The index is built
+    here, so a later edit of a step's `response` is seen but one of its
+    `matcher` is not.
     """
 
     def __init__(self, steps: list[ScriptStep] | None = None, default: str | None = None):
@@ -196,11 +201,10 @@ class MockBackend(Backend):
         self._by_key: dict[str, list[int]] = {}
         for i, ns in enumerate(needles):
             self._by_key.setdefault(min(ns, key=shared.__getitem__), []).append(i)
-        self._find_keys = _key_finder([key for key in self._by_key if key])
+        self._find_keys = _key_finder(tuple(n for n in shared if n))
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        text = request.text
-        found = self._find_keys(text) | {""}
+        found = self._find_keys(request.text) | {""}
         candidates = sorted(i for key in found for i in self._by_key.get(key, ()))
         with self._lock:
             self.calls.append(request)
@@ -208,7 +212,7 @@ class MockBackend(Backend):
                 if i in self._consumed:
                     continue
                 step = self.steps[i]
-                if step.matches(request):
+                if step.matches(request, found):
                     if step.once:
                         self._consumed.add(i)
                     return step.render(request)
@@ -219,23 +223,28 @@ class MockBackend(Backend):
         )
 
 
-def _key_finder(keys: list[str]) -> Callable[[str], set[str]]:
+@lru_cache
+def _key_finder(keys: tuple[str, ...]) -> Callable[[str], set[str]]:
     """A function giving the set of `keys` (distinct, non-empty) that a text holds.
 
     The keys no other key holds make one regex per first character, led by
     their common prefix, which `re` seeks at C speed; each `findall` is one
-    pass. Matches do not overlap, so a scan can miss a key inside another,
-    or one that starts inside a match and runs past it, whose first
-    character then occurs after the start of some key: those few get `in`,
-    as do keys too deep in the trie (see `_trie_branches`).
+    pass. A key alone under its first character gets `in` instead, which
+    finds one literal faster. Matches do not overlap, so a scan can miss a
+    key inside another, or one that starts only inside matches of other
+    keys of its own first character, which then occurs again in one of
+    them: those few get `in` too, as do keys too deep in the trie (see
+    `_trie_branches`). Cached, so the backends of one script share one finder.
     """
     joined = "\0".join(keys)  # a key inside another occurs twice here
     inner = {key for key in keys if "\0" in key or joined.count(key) > 1}
     outer = [key for key in keys if key not in inner]
-    later = set().union(*(key[1:] for key in outer))
+    firsts = Counter(key[0] for key in outer)
+    recurs = Counter(key[0] for key in outer if key[0] in key[1:])  # minus the key itself below
     deep: set[str] = set()
-    scans = [re.compile(branch).findall for branch in _trie_branches(outer, deep)]
-    rescan = [key for key in keys if key in inner or key[0] in later or key in deep]
+    scans = [re.compile(b).findall for b in _trie_branches([k for k in outer if firsts[k[0]] > 1], deep)]
+    rescan = [key for key in keys if key in inner or key in deep or firsts[key[0]] == 1
+              or recurs[key[0]] > (key[0] in key[1:])]
     return lambda text: set().union(*[scan(text) for scan in scans], [key for key in rescan if key in text])
 
 
@@ -315,7 +324,8 @@ class HttpBackend(Backend):
 
     Transient failures (connection errors, 5xx) retry with exponential
     backoff up to max_attempts. 429 responses honor Retry-After through a
-    cooldown shared by all threads using this backend instance.
+    cooldown shared by all threads using this backend instance. Each retry
+    and each cooldown is logged at DEBUG.
     """
 
     def __init__(
@@ -398,6 +408,8 @@ class HttpBackend(Backend):
             self._wait_for_cooldown()
             if attempt:
                 delay = min(self.config.backoff_base_s * 2 ** (attempt - 1), self.config.backoff_cap_s)
+                _log.debug("attempt %d of %d in %.3g s, after: %s", attempt + 1, self.config.max_attempts,
+                           delay, last_error)
                 self._sleep(delay)
             started = self._clock()
             try:
@@ -414,6 +426,7 @@ class HttpBackend(Backend):
                     self.config.backoff_base_s * 2**attempt, self.config.backoff_cap_s
                 )
                 self._enter_cooldown(cooldown)
+                _log.debug("rate limited (429): cooling down for %.3g s", cooldown)
                 last_error = RateLimited("rate limited (429)", retry_after=retry_after)
                 continue
             if resp.status_code in _RETRYABLE_STATUS:
@@ -480,12 +493,13 @@ class ResponseStore:
        4 bytes  big-endian unsigned UTF-8 byte length of the text
        N bytes  the response text, UTF-8
 
-    The file is read once on open and every text is kept in memory, so
-    lookups never touch the file; a truncated or structurally invalid tail
-    raises StoreCorrupt, and `repair` cuts the file back to its last whole
-    record. Writes are at-most-once per key and thread-safe, and each
-    record goes to the file in one append under an exclusive `flock`, so
-    several processes can record into the same file.
+    The file is read once on open, under a shared `flock`, and every text
+    is kept in memory, so lookups never touch the file; a truncated or
+    structurally invalid tail raises StoreCorrupt, and `repair` cuts the
+    file back to its last whole record. Writes are at-most-once per key and
+    thread-safe, and each record goes to the file in one append under an
+    exclusive `flock`, so several processes can record into the same file
+    and one opening it waits for an append in flight.
     """
 
     def __init__(self, path: str | Path):
@@ -494,7 +508,11 @@ class ResponseStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if not self.path.exists():
             self.path.touch()
-        self._index, end, problem = _read_records(self.path.read_bytes())
+        import fcntl  # POSIX only, and only the store needs it
+
+        with open(self.path, "rb") as f:
+            fcntl.flock(f, fcntl.LOCK_SH)
+            self._index, end, problem = _read_records(f.read())
         if problem:
             raise StoreCorrupt(self.path, f"{problem} at byte {end}")
 
@@ -578,7 +596,7 @@ class ResponseStore:
             return removed
 
     def merge_from(self, other_path: str | Path) -> int:
-        """Copy records absent here from another store file; returns count added."""
+        """Copy records absent here from another store file, read as on open; returns count added."""
         other = ResponseStore(other_path)
         return sum(self.put(key, other.get(key)) for key in other.keys())
 

@@ -50,7 +50,11 @@ It is the reference for the pass that strips whole runs on offsets.
 
 `linear_mock_complete` is the scripted backend's former call, which tests
 every script step in order, kept as the reference for the substring index
-that now picks the candidate steps.
+that now picks the candidate steps. It tests each step with
+`substring_matches`, the former `ScriptStep.matches`, body unchanged: one
+`in` test of the whole prompt per substring of the matcher. That is the
+reference for deciding a step by membership in the set of substrings one
+scan of the prompt finds.
 
 `per_key_filter` is the scripted backend's former key filter, body
 unchanged: one `in` test of the whole prompt for every index key. It is
@@ -624,7 +628,7 @@ def linear_mock_complete(steps, consumed: set[int], request, default: str | None
     for i, step in enumerate(steps):
         if i in consumed:
             continue
-        if step.matches(request):
+        if substring_matches(step, request):
             if step.once:
                 consumed.add(i)
             return step.render(request)
@@ -633,6 +637,15 @@ def linear_mock_complete(steps, consumed: set[int], request, default: str | None
     raise ScriptExhausted(
         f"no script step matched request starting {request.text[:120]!r}"
     )
+
+
+def substring_matches(step, request) -> bool:
+    """Whether `step`'s matcher accepts `request`, each substring tested with `in`."""
+    if callable(step.matcher):
+        return bool(step.matcher(request))
+    if isinstance(step.matcher, str):
+        return step.matcher in request.text
+    return all(s in request.text for s in step.matcher)
 
 
 def per_key_filter(by_key: dict[str, list[int]], text: str) -> list[int]:

@@ -253,9 +253,9 @@ class TestMockBackend:
         checks = [0]
         matches = ScriptStep.matches
 
-        def counting(step, request):
+        def counting(step, request, found):
             checks[0] += 1
-            return matches(step, request)
+            return matches(step, request, found)
 
         monkeypatch.setattr(ScriptStep, "matches", counting)
         for request in (solo.calls[0], prune):
@@ -306,6 +306,60 @@ class TestKeyScanWork:
                 counts.append(steps)
         assert counts[:2] == counts[2:]
         assert max(counts) <= 3 * len(keys) + 10
+
+
+# Needles over a three-letter alphabet nest, share prefixes and start
+# inside one another, in their own first-character group ("axa", "ab") and
+# across groups ("xab", "ab"). The ladder's keys share ever longer
+# prefixes: together they make a trie 18 branches deep.
+_SMALL = "abx"
+_LADDER = ["x" + "a" * i + "b" for i in range(18)]
+_small_needles = st.text(_SMALL, max_size=5) | st.sampled_from(_LADDER)
+_small_script = st.lists(st.tuples(
+    _small_needles | st.lists(_small_needles, max_size=3) | st.sampled_from([_has_ab, _never]),
+    st.booleans(),
+), max_size=12)
+_small_texts = st.lists(st.lists(_small_needles, max_size=6).map("".join), min_size=1, max_size=6)
+
+
+class TestSubstringSet:
+    """A call decides every step by the set of substrings one scan of its prompt finds."""
+
+    def test_the_ladder_reaches_past_the_trie_depth(self):
+        deep: set[str] = set()
+        backend_module._trie_branches(_LADDER, deep)
+        assert deep
+
+    @given(script=_small_script, ladder=st.booleans(), texts=_small_texts)
+    @settings(max_examples=400, deadline=None)
+    def test_scan_and_calls_agree_with_in_tests(self, script, ladder, texts):
+        script = script + [(key, False) for key in _LADDER] * ladder
+        steps = [ScriptStep(m, f"step {i}", once=once) for i, (m, once) in enumerate(script)]
+        needles = {n for m, _ in script if not callable(m) for n in ([m] if isinstance(m, str) else m)} - {""}
+        backend = MockBackend(steps, default=None)
+        consumed: set[int] = set()
+        for text in texts:
+            assert backend._find_keys(text) == {n for n in needles if n in text}, text
+            request = chat(text)
+            try:
+                want = linear_mock_complete(steps, consumed, request, None).text
+            except ScriptExhausted:
+                want = ScriptExhausted
+            try:
+                got = backend.complete(request).text
+            except ScriptExhausted:
+                got = ScriptExhausted
+            assert got == want, text
+
+    def test_a_key_starting_inside_another_of_its_group_is_found(self):
+        backend = MockBackend([ScriptStep(["ab", "axa"], "both"), ScriptStep("axa", "axa only")])
+        assert backend._find_keys("axab") == {"axa", "ab"}
+        assert backend.complete(chat("axab")).text == "both"
+        assert backend.complete(chat("axax")).text == "axa only"
+
+    def test_one_finder_serves_every_backend_of_a_script(self):
+        steps = [ScriptStep(["Case 1.", "List"], "a"), ScriptStep("Case 10.", "b")]
+        assert MockBackend(steps)._find_keys is MockBackend(list(steps))._find_keys
 
 
 class TestLoadScript:
@@ -475,6 +529,22 @@ class TestHttpBackend:
         resp = backend.complete(chat())
         assert resp.text == "the answer"
         assert clock.t >= 3.0
+
+    def test_retries_and_cooldowns_are_logged_at_debug(self, caplog):
+        backend, _, _ = make_backend([
+            FakeHttpResponse(status_code=503),
+            requests.ConnectionError("boom"),
+            FakeHttpResponse(status_code=429, headers={"Retry-After": "3"}),
+            FakeHttpResponse(payload=chat_payload()),
+        ])
+        with caplog.at_level("DEBUG", logger="selfverify.backend"):
+            backend.complete(chat())
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("DEBUG", "attempt 2 of 4 in 0.5 s, after: server error 503"),
+            ("DEBUG", "attempt 3 of 4 in 1 s, after: request failed: boom"),
+            ("DEBUG", "rate limited (429): cooling down for 3 s"),
+            ("DEBUG", "attempt 4 of 4 in 2 s, after: rate limited (429)"),
+        ]
 
     def test_rate_limit_exhaustion_raises_rate_limited(self):
         backend, _, _ = make_backend(
@@ -730,6 +800,43 @@ def test_two_recording_processes_never_interleave_records(tmp_path):
         for i in range(300):
             key = hashlib.sha256(f"{name}-{i}".encode()).hexdigest()
             assert store.get(key) == f"{name}-{i}:" + name * (i * 97 % 20000)
+
+
+def _merged(path: Path) -> ResponseStore:
+    store = ResponseStore(path.with_name("merged.bin"))
+    store.merge_from(path)
+    return store
+
+
+@pytest.mark.parametrize("open_store", [ResponseStore, _merged], ids=["open", "merge_from"])
+def test_opening_a_store_waits_for_an_append_in_flight(tmp_path, open_store):
+    """A store opened while another writer holds the lock mid-record reads the whole record."""
+    import fcntl
+
+    path = tmp_path / "cache.bin"
+    ResponseStore(path).put(KEY_A, "before")
+    record = bytes.fromhex(KEY_B) + struct.pack(">QI", 0, 6) + b"during"
+    opened: list[object] = []
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        os.write(fd, record[:40])
+        reader = threading.Thread(target=lambda: opened.append(_outcome(open_store, path)))
+        reader.start()
+        reader.join(timeout=0.3)  # a reader that does not wait has read the torn tail by now
+        os.write(fd, record[40:])
+    finally:
+        os.close(fd)  # releases the lock
+    reader.join(timeout=10)
+    assert opened and not isinstance(opened[0], Exception), opened
+    assert (opened[0].get(KEY_A), opened[0].get(KEY_B)) == ("before", "during")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the test reports it
+        return exc
 
 
 class CountingBackend(Backend):

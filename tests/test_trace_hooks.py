@@ -117,3 +117,29 @@ def test_each_locate_does_only_its_own_quotes_work(monkeypatch):
         assert ("free", nq) in calls
         assert {needle for _, needle in calls} <= {nq, nq[::-1]}, quote
     assert all(not calls for quote, span, calls in located if span.match_kind.value == "exact")
+
+
+def test_tracer_counts_every_match_check(monkeypatch):
+    """`backend.mock.match_checks_per_call` reads the tracer's count of `ScriptStep.matches` calls.
+
+    The last note of long_notes seed 0, run against the script of all six
+    notes, makes 13 mock calls whose candidate steps take 54 checks: a
+    call tries the steps of every note filed under the same substring
+    until its own note's step. A backend that decided steps without
+    `ScriptStep.matches` would make that metric read 0.
+    """
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    longnotes = importlib.import_module("longnotes")
+    from selfverify.pipeline import PipelineConfig, run_batch
+
+    notes = longnotes.make_corpus(0)
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        run_batch(longnotes.backend(notes), PipelineConfig(), [notes[-1].document], seeds=[0], workers=1)
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert sum(s.name == "backend.mock.complete" for s in tracer.spans) == 13
+    assert tracer.counts()["backend.mock.match_check"] == 54
