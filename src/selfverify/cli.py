@@ -235,6 +235,9 @@ def cmd_extract(args) -> int:
     task = _task(args.task)
     config = _pipeline_config(args)
     records, _ = _load_records(args)
+    out_dir = Path(args.out)
+    if out_dir.exists():  # before any model call is paid for
+        raise CliError(EXIT_USAGE, f"run directory already exists: {out_dir}")
     backend = make_backend(args)
     seeds = parse_seeds(args.seeds)
     documents, demo_pool = _documents_and_pool(config, task, records)
@@ -249,7 +252,6 @@ def cmd_extract(args) -> int:
         megaprompt=args.megaprompt,
     )
     wall_seconds = time.perf_counter() - started
-    out_dir = Path(args.out)
     manifest = RunManifest(
         run_id=out_dir.name,
         task=task.name,
@@ -266,7 +268,7 @@ def cmd_extract(args) -> int:
     )
     try:
         write_run(out_dir, manifest, results, include_traces=not args.no_traces)
-    except RunExists:
+    except RunExists:  # made while the run went on
         raise CliError(EXIT_USAGE, f"run directory already exists: {out_dir}")
     print(f"wrote {len(results)} results to {out_dir}")
     return EXIT_OK

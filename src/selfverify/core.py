@@ -9,8 +9,9 @@ case-insensitive exact matching in evaluation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import lru_cache
 
 
 class TaskFamily(str, Enum):
@@ -216,12 +217,18 @@ def _normalize_once(s: str) -> str:
     return s.strip()
 
 
+@lru_cache(maxsize=4096)
 def normalize(raw: str) -> str:
-    """Canonical form of an extracted value.
+    """Canonical form of an extracted value, memoised per process.
 
     Collapses Unicode whitespace, strips list markers and surrounding quote
     pairs, casefolds, and drops trailing periods: `_normalize_once` applied
     to a fixpoint, so the result is idempotent by construction.
+
+    A run normalises few distinct values, again on every call (status
+    tokens, item values re-checked by `evolve` and the parsers), so a memo
+    of 4096 entries serves them; it is bounded because unique inputs, such
+    as adversarial replies, only pass through it.
 
     After one pass the text is casefolded, with single spaces and none at
     either end, and later passes keep it so; all they still do is strip a
@@ -322,7 +329,7 @@ class ExtractedItem:
 
     def evolve(self, **changes) -> "ExtractedItem":
         """A copy with `changes`; `value` follows `raw_value`, so it is not one of them."""
-        unknown = changes.keys() - (self.__dataclass_fields__.keys() - {"value"})
+        unknown = changes.keys() - _EVOLVABLE
         if unknown:
             raise TypeError(f"cannot evolve {sorted(unknown)} of an ExtractedItem")
         item = object.__new__(type(self))  # skips the constructor's normalize
@@ -340,6 +347,7 @@ class ExtractedItem:
         return self.value
 
 
+_EVOLVABLE = frozenset(f.name for f in fields(ExtractedItem)) - {"value"}
 _BLANK_ITEM = ExtractedItem("", "")
 
 

@@ -2,7 +2,9 @@
 
 Templates live in catalog/<task_family>/<step>.txt and use
 string.Template placeholders (${document}, ${items}, ...), which keeps
-literal braces in clinical text harmless. The catalog VERSION string is
+literal braces in clinical text harmless; each is compiled once, on first
+use, to a str.format string that fills in what Template.substitute would,
+in C. The catalog VERSION string is
 recorded in run manifests so result files identify the prompt wording they
 were produced with.
 """
@@ -10,7 +12,7 @@ were produced with.
 from __future__ import annotations
 
 import random
-import string
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -32,19 +34,37 @@ def catalog_version() -> str:
     return (CATALOG_ROOT / "VERSION").read_text(encoding="utf-8").strip()
 
 
+def compile_template(text: str) -> str:
+    """The str.format string that fills `text`'s string.Template placeholders.
+
+    $$, $name and ${name} become what format fills in for them, literal
+    braces are doubled, and any other $ is invalid. The pattern compiles on
+    first use, as import time is start-up time.
+    """
+
+    def token(match: re.Match) -> str:
+        escaped, named, braced, brace = match.groups()
+        if not (escaped or named or braced or brace):
+            raise ValueError(f"invalid placeholder at offset {match.start()} of a prompt template")
+        return brace * 2 if brace else escaped or "{" + (named or braced) + "}"
+
+    pattern = r"\$(?:(\$)|([_a-z][_a-z0-9]*)|\{([_a-z][_a-z0-9]*)\}|)|([{}])"
+    return re.sub(pattern, token, text, flags=re.I | re.A)
+
+
 @lru_cache(maxsize=None)
-def _template(family_dir: str, step: str) -> string.Template:
-    """Read each template once per process; the catalog is fixed at install."""
-    return string.Template((CATALOG_ROOT / family_dir / f"{step}.txt").read_text(encoding="utf-8"))
+def _template(family_dir: str, step: str) -> str:
+    """Read and compile each template once per process; the catalog is fixed at install."""
+    return compile_template((CATALOG_ROOT / family_dir / f"{step}.txt").read_text(encoding="utf-8"))
 
 
-def family_template(family: TaskFamily, step: str) -> string.Template:
+def family_template(family: TaskFamily, step: str) -> str:
     if step not in FAMILY_STEPS and step != "icd_map":
         raise ValueError(f"unknown prompt step {step!r}")
     return _template(family.value, step)
 
 
-def shared_template(step: str) -> string.Template:
+def shared_template(step: str) -> str:
     if step not in SHARED_STEPS:
         raise ValueError(f"unknown shared prompt {step!r}")
     return _template("shared", step)
@@ -108,21 +128,21 @@ def build_original_prompt(
     document_text: str,
     demonstrations: list[DemoExample] | None = None,
 ) -> str:
-    return family_template(task.family, "original").substitute(
+    return family_template(task.family, "original").format(
         demonstrations=render_demonstrations(demonstrations or []),
         document=document_text,
     )
 
 
 def build_omission_prompt(task: TaskKind, document_text: str, items: ExtractionSet | list[str]) -> str:
-    return family_template(task.family, "omission").substitute(
+    return family_template(task.family, "omission").format(
         document=document_text,
         items=_items_block(items, with_status=task.wants_status),
     )
 
 
 def build_evidence_prompt(task: TaskKind, document_text: str, items: ExtractionSet | list[str]) -> str:
-    return family_template(task.family, "evidence").substitute(
+    return family_template(task.family, "evidence").format(
         document=document_text,
         items=_items_block(items),
     )
@@ -131,10 +151,10 @@ def build_evidence_prompt(task: TaskKind, document_text: str, items: ExtractionS
 def build_prune_prompt(task: TaskKind, document_text: str, item_value: str, quote: str | None = None) -> str:
     """Per-item keep/discard question; with a quote when grounding ran."""
     if quote is not None:
-        return family_template(task.family, "prune").substitute(
+        return family_template(task.family, "prune").format(
             document=document_text, item=item_value, quote=quote
         )
-    return family_template(task.family, "prune_no_evidence").substitute(
+    return family_template(task.family, "prune_no_evidence").format(
         document=document_text, item=item_value
     )
 
@@ -142,7 +162,7 @@ def build_prune_prompt(task: TaskKind, document_text: str, item_value: str, quot
 def build_icd_map_prompt(task: TaskKind, items: ExtractionSet | list[str]) -> str:
     if task.family is not TaskFamily.ICD_CODE:
         raise ValueError("code mapping only applies to ICD tasks")
-    return family_template(task.family, "icd_map").substitute(
+    return family_template(task.family, "icd_map").format(
         items=_items_block(items),
         icd_version=str(task.icd_version),
     )
@@ -155,7 +175,7 @@ def build_megaprompt(
 ) -> str:
     """Single-call variant: the original prompt plus verification postscript."""
     base = build_original_prompt(task, document_text, demonstrations)
-    postscript = shared_template("megaprompt_postscript").substitute(
+    postscript = shared_template("megaprompt_postscript").format(
         item_noun=task.item_noun,
         source_noun=task.source_noun,
     )

@@ -56,6 +56,23 @@ class TestExtract:
         assert main(extract_args(tmp_path)) == 0
         assert main(extract_args(tmp_path)) == 2
 
+    def test_refuses_existing_run_dir_before_any_model_call(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "run").mkdir()
+        calls = []
+        complete = cli.MockBackend.complete
+
+        def counted(backend, request):
+            calls.append(request)
+            return complete(backend, request)
+
+        monkeypatch.setattr(cli.MockBackend, "complete", counted)
+        store = tmp_path / "b.bin"
+        args = extract_args(tmp_path, extra=["--backend", "record", "--cache", str(store)])
+        assert main(args) == 2
+        assert "run directory already exists" in capsys.readouterr().err
+        assert calls == []
+        assert not store.exists() or store.stat().st_size == 0
+
     def test_no_traces(self, tmp_path):
         assert main(extract_args(tmp_path, extra=["--no-traces"])) == 0
         line = (tmp_path / "run" / "results.jsonl").read_text().splitlines()[0]

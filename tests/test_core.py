@@ -30,7 +30,7 @@ from selfverify import core
 from selfverify.parsing import locate_quote
 
 from helpers import fuzz_text
-from oracles import fixpoint_normalize
+from oracles import fixpoint_normalize, unmemoised_normalize
 
 
 class TestTaskKind:
@@ -172,6 +172,26 @@ class TestNormalizeAgainstFixpoint:
         assert normalize(text) == fixpoint_normalize(text)
 
 
+class TestNormalizeMemo:
+    """The memo returns what the body computes, however inputs repeat."""
+
+    @given(st.lists(st.lists(st.sampled_from(_STACKING), max_size=4).map("".join) | st.text(max_size=12),
+                    max_size=20))
+    @settings(max_examples=300)
+    def test_matches_unmemoised_body(self, values):
+        # Each value again in reverse order, and interleaved with the others.
+        for value in values + values[::-1] + [v for pair in zip(values, reversed(values)) for v in pair]:
+            assert normalize(value) == unmemoised_normalize(value)
+
+    def test_memo_is_bounded(self):
+        normalize.cache_clear()
+        for n in range(5000):
+            assert normalize(f"- Item {n}.") == f"item {n}"
+        assert normalize.cache_info().currsize == normalize.cache_info().maxsize == 4096
+        assert normalize("- Item 0.") == "item 0"  # evicted, so computed again
+        assert normalize.cache_info().misses == 5001
+
+
 class _Counted:
     """A compiled pattern whose `match` calls are counted."""
 
@@ -188,6 +208,7 @@ class TestNormalizeWork:
 
     @pytest.fixture
     def counts(self, monkeypatch):
+        core.normalize.cache_clear()  # a memoised input would count nothing
         counts = {"passes": 0, "rejoins": 0}
         once = core._normalize_once
 

@@ -6,7 +6,10 @@ import builtins
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import template_substitute
 from selfverify.core import (
     ExtractedItem,
     ExtractionSet,
@@ -17,6 +20,7 @@ from selfverify.core import (
     medication_status_task,
 )
 from selfverify.prompts import (
+    CATALOG_ROOT,
     DEFAULT_DEMONSTRATIONS,
     DemoExample,
     FAMILY_STEPS,
@@ -27,6 +31,7 @@ from selfverify.prompts import (
     build_original_prompt,
     build_prune_prompt,
     catalog_version,
+    compile_template,
     family_template,
     render_answer,
     render_demonstrations,
@@ -103,6 +108,67 @@ class TestTemplatesLoadOnce:
             m.setattr(builtins, "open", refuse)
             again = every_prompt()
         assert again == first
+
+
+# Text that a format string or a Template would read as syntax if it parsed
+# a value; both must insert it verbatim.
+_HOSTILE = "a $ b ${x} {c} {0} }{ %s $$ {{d}}"
+
+
+class _Values(dict):
+    """A hostile value for any placeholder name."""
+
+    def __missing__(self, name: str) -> str:
+        return f"<{name}: {_HOSTILE}>"
+
+
+_VALUES = _Values()
+# Template syntax, literal braces and format syntax, plus letters that match
+# [a-z] only when case folds beyond ASCII (long s, Kelvin sign, dotless i).
+_TEMPLATE_PIECES = ("$$", "$", "${a}", "$a", "$b_1", "${b_1}x", "${", "$1", "${ a}", "{", "}",
+                    "{0}", "{a}", "{{", "%s", " ", "x", "\n", "ſ", "\u212a", "ı", "é")
+
+
+class TestCompiledTemplates:
+    """A compiled template fills in the bytes that string.Template's substitute did."""
+
+    def test_every_catalog_template(self):
+        paths = sorted(CATALOG_ROOT.glob("*/*.txt"))
+        assert len(paths) == 17
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            expected = template_substitute(text, _VALUES)
+            assert compile_template(text).format_map(_VALUES) == expected, path
+            assert _HOSTILE in expected
+
+    def test_builders_insert_values_verbatim(self):
+        task = medication_status_task()
+        text = (CATALOG_ROOT / task.family.value / "prune.txt").read_text(encoding="utf-8")
+        values = {"document": f"doc {_HOSTILE}", "item": f"item {_HOSTILE}", "quote": f"quote {_HOSTILE}"}
+        built = build_prune_prompt(task, values["document"], values["item"], quote=values["quote"])
+        assert built == template_substitute(text, values)
+
+    def test_literal_braces_and_escaped_dollars(self):
+        text = "{x} {{a}} $$ $$a ${a}{0} $b_1}} %s $$$x {"
+        compiled = compile_template(text)
+        assert compiled == "{{x}} {{{{a}}}} $ $a {a}{{0}} {b_1}}}}} %s ${x} {{"
+        assert compiled.format_map(_VALUES) == template_substitute(text, _VALUES)
+
+    @given(st.lists(st.sampled_from(_TEMPLATE_PIECES), max_size=12).map("".join))
+    @settings(max_examples=400)
+    def test_matches_substitute_or_raises_alike(self, text):
+        try:
+            expected = template_substitute(text, _VALUES)
+        except ValueError:
+            with pytest.raises(ValueError, match="invalid placeholder"):
+                compile_template(text)
+            return
+        assert compile_template(text).format_map(_VALUES) == expected
+
+    def test_invalid_placeholder_fails_at_compile_time(self):
+        for text in ("cost: $5", "trailing $", "${unclosed", "${ a}"):
+            with pytest.raises(ValueError, match="invalid placeholder"):
+                compile_template(text)
 
 
 class TestRendering:
