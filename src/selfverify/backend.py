@@ -18,11 +18,12 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:
     import requests
@@ -484,6 +485,19 @@ def _read_records(data: bytes) -> tuple[dict[str, str], int, str | None]:
     return index, offset, None
 
 
+@contextmanager
+def _writer_lock(path: str | Path, flags: int) -> Iterator[int]:
+    """A descriptor of the store file, open with `flags`, under the writers' exclusive `flock`."""
+    import fcntl  # POSIX only, and only the store needs it
+
+    fd = os.open(path, flags)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield fd
+    finally:
+        os.close(fd)
+
+
 class ResponseStore:
     """Append-only binary store of (cache key -> response text).
 
@@ -523,11 +537,7 @@ class ResponseStore:
         Returns the bytes and the records dropped; a partial record counts
         as one. Holds the writers' lock while it works.
         """
-        import fcntl  # POSIX only, and only the store's writers need it
-
-        fd = os.open(path, os.O_RDWR)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
+        with _writer_lock(path, os.O_RDWR) as fd:
             data = Path(path).read_bytes()
             _, end, _ = _read_records(data)
             dropped, offset = 0, end
@@ -535,8 +545,6 @@ class ResponseStore:
                 dropped += 1
                 offset += _STORE_HEADER_LEN + int.from_bytes(data[offset + 40 : offset + 44], "big")
             os.ftruncate(fd, end)
-        finally:
-            os.close(fd)
         return len(data) - end, dropped
 
     @staticmethod
@@ -574,24 +582,23 @@ class ResponseStore:
         with self._lock:
             if key in self._index:
                 return False
-            import fcntl  # POSIX only, and only the store's writers need it
-
             record = memoryview(digest + struct.pack(">QI", ts, len(payload)) + payload)
-            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
+            with _writer_lock(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT) as fd:
                 while record:
                     record = record[os.write(fd, record) :]
-            finally:
-                os.close(fd)
             self._index[key] = text
             return True
 
     def purge(self) -> int:
-        """Delete every record; returns how many were removed."""
+        """Delete every record; returns how many were removed.
+
+        Holds the writers' lock while it truncates, so an append in flight
+        ends before the file is cut rather than after, at offset 0.
+        """
         with self._lock:
             removed = len(self._index)
-            self.path.write_bytes(b"")
+            with _writer_lock(self.path, os.O_WRONLY | os.O_CREAT) as fd:
+                os.ftruncate(fd, 0)
             self._index = {}
             return removed
 

@@ -41,13 +41,12 @@ from .data import (
 )
 from .evaluation import (
     DocMetrics,
-    aggregate_variants,
     evaluate_doc,
     filter_values,
-    macro_average,
     render_dsv,
     render_text_table,
     rows_to_records,
+    score_run,
     status_accuracy,
     top_k_codes,
 )
@@ -167,9 +166,17 @@ def _load_records(args) -> tuple[list[DatasetRecord], list[str]]:
     return records, warnings
 
 
+def _require_store(path: str) -> None:
+    """Exit 3 unless a store file exists at `path`: opening one would create it."""
+    if not Path(path).exists():
+        raise CliError(EXIT_DATA, f"response store not found: {path}")
+
+
 def _store(args) -> ResponseStore:
     if not getattr(args, "cache", None):
         raise CliError(EXIT_USAGE, f"--cache is required for backend {args.backend!r}")
+    if args.backend == "replay":  # answers only from what was recorded
+        _require_store(args.cache)
     try:
         return ResponseStore(args.cache)
     except StoreCorrupt as exc:
@@ -336,7 +343,7 @@ def cmd_evaluate(args) -> int:
     if args.top_k is not None:
         allowed = set(top_k_codes(gold_values.values(), k=args.top_k))
 
-    by_seed: dict[int, list[DocMetrics]] = {}
+    scores: list[tuple[int, DocMetrics]] = []
     status_pairs: list[float] = []
     for record in run_records:
         predicted = [item["value"] for item in record["final"]]
@@ -345,7 +352,7 @@ def cmd_evaluate(args) -> int:
             predicted = filter_values(predicted, allowed)
             gold = filter_values(gold, allowed)
         metrics = evaluate_doc(record["doc_id"], predicted, gold)
-        by_seed.setdefault(record["seed"], []).append(metrics)
+        scores.append((record["seed"], metrics))
         if args.per_doc:
             print(
                 f"seed={record['seed']} doc={record['doc_id']} "
@@ -357,8 +364,7 @@ def cmd_evaluate(args) -> int:
             if accuracy is not None:
                 status_pairs.append(accuracy)
 
-    macros = [macro_average(by_seed[seed]) for seed in sorted(by_seed)]
-    row = aggregate_variants({manifest.get("run_id", "run"): macros})[0]
+    row = score_run(manifest.get("run_id", "run"), scores)
     print(render_text_table([row]))
     if args.status:
         if status_pairs:
@@ -405,10 +411,13 @@ def cmd_report(args) -> int:
 
 
 def cmd_cache(args) -> int:
+    # Each action reads one store that must exist; only import's --cache and
+    # export's --into are created when missing.
+    _require_store(getattr(args, "from") if args.action == "import" else args.cache)
     if args.action == "repair":
         try:
             dropped_bytes, dropped_records = ResponseStore.repair(args.cache)
-        except FileNotFoundError:
+        except FileNotFoundError:  # removed since the check
             raise CliError(EXIT_DATA, f"response store not found: {args.cache}")
         print(
             f"{args.cache}: dropped {dropped_bytes} bytes holding"

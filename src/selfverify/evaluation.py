@@ -4,6 +4,9 @@ Values are compared by case-insensitive exact match after normalization
 (see core.normalize). Per-document precision/recall/F1 are macro-averaged:
 the reported F1 is the mean of per-document F1 scores, not the harmonic
 mean of macro precision and recall.
+
+`evaluate` and `ablate` build their tables the same way: one row per run
+via `score_run`, from each document's metrics and seed.
 """
 
 from __future__ import annotations
@@ -60,6 +63,13 @@ def evaluate_sets(doc_id: str, pred_set: set[str], gold_set: set[str]) -> DocMet
     return DocMetrics(doc_id, precision, recall, f1, tp, fp, fn)
 
 
+# The scored metrics, in column order: a macro average holds each one's mean
+# over documents, a table row its mean and SEM across seeds, and every
+# renderer lists its columns from this.
+METRICS = ("precision", "recall", "f1")
+_STAT_COLUMNS = tuple(column for metric in METRICS for column in (metric, f"{metric}_sem"))
+
+
 @dataclass(frozen=True)
 class MacroMetrics:
     precision: float
@@ -72,12 +82,8 @@ def macro_average(metrics: Sequence[DocMetrics]) -> MacroMetrics:
     if not metrics:
         raise ValueError("cannot macro-average zero documents")
     n = len(metrics)
-    return MacroMetrics(
-        precision=sum(m.precision for m in metrics) / n,
-        recall=sum(m.recall for m in metrics) / n,
-        f1=sum(m.f1 for m in metrics) / n,
-        n_docs=n,
-    )
+    means = {metric: sum(getattr(m, metric) for m in metrics) / n for metric in METRICS}
+    return MacroMetrics(**means, n_docs=n)
 
 
 def sem(values: Sequence[float]) -> float:
@@ -191,48 +197,34 @@ class AblationRow:
     n_seeds: int
 
 
-def aggregate_variants(per_variant: dict[str, Sequence[MacroMetrics]]) -> list[AblationRow]:
-    """Collapse per-seed macro metrics into one row per variant.
+def score_run(name: str, scores: Iterable[tuple[int, DocMetrics]]) -> AblationRow:
+    """One run's table row from its (seed, document metrics) pairs.
 
-    Means and SEMs are taken across seeds; insertion order of the dict is
-    preserved so tables list variants the way the caller staged them.
+    Pairs may come in any order. Each seed's documents are macro-averaged
+    in the order given, and the row holds each metric's mean and SEM across
+    the seeds, taken in sorted order.
     """
-    rows: list[AblationRow] = []
-    for name, macros in per_variant.items():
-        if not macros:
-            raise ValueError(f"variant {name!r} has no seed runs")
-        ps = [m.precision for m in macros]
-        rs = [m.recall for m in macros]
-        fs = [m.f1 for m in macros]
-        rows.append(
-            AblationRow(
-                name=name,
-                precision=sum(ps) / len(ps),
-                precision_sem=sem(ps),
-                recall=sum(rs) / len(rs),
-                recall_sem=sem(rs),
-                f1=sum(fs) / len(fs),
-                f1_sem=sem(fs),
-                n_seeds=len(macros),
-            )
-        )
-    return rows
+    by_seed: dict[int, list[DocMetrics]] = {}
+    for seed, metrics in scores:
+        by_seed.setdefault(seed, []).append(metrics)
+    if not by_seed:
+        raise ValueError(f"variant {name!r} has no seed runs")
+    macros = [macro_average(by_seed[seed]) for seed in sorted(by_seed)]
+    columns: dict[str, float] = {}
+    for metric in METRICS:
+        values = [getattr(macro, metric) for macro in macros]
+        columns[metric] = sum(values) / len(values)
+        columns[f"{metric}_sem"] = sem(values)
+    return AblationRow(name=name, n_seeds=len(macros), **columns)
 
 
 def render_text_table(rows: Sequence[AblationRow]) -> str:
     """Aligned, human-readable variant table with mean +/- SEM columns."""
-    headers = ["Variant", "Precision", "Recall", "F1", "Seeds"]
-    body: list[list[str]] = []
-    for row in rows:
-        body.append(
-            [
-                row.name,
-                f"{row.precision:.3f} ± {row.precision_sem:.3f}",
-                f"{row.recall:.3f} ± {row.recall_sem:.3f}",
-                f"{row.f1:.3f} ± {row.f1_sem:.3f}",
-                str(row.n_seeds),
-            ]
-        )
+    headers = ["Variant", *(metric.title() for metric in METRICS), "Seeds"]
+    body = [
+        [row.name, *(f"{getattr(row, m):.3f} ± {getattr(row, f'{m}_sem'):.3f}" for m in METRICS), str(row.n_seeds)]
+        for row in rows
+    ]
     widths = [max(len(h), *(len(line[i]) for line in body)) if body else len(h) for i, h in enumerate(headers)]
     def fmt(cells: list[str]) -> str:
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
@@ -241,27 +233,12 @@ def render_text_table(rows: Sequence[AblationRow]) -> str:
     return "\n".join(lines)
 
 
-def render_dsv(rows: Sequence[AblationRow], delimiter: str = "\t") -> str:
-    """Delimiter-separated variant table for spreadsheets and scripts."""
-    header = delimiter.join(
-        ["variant", "precision", "precision_sem", "recall", "recall_sem", "f1", "f1_sem", "n_seeds"]
-    )
-    lines = [header]
+def render_dsv(rows: Sequence[AblationRow]) -> str:
+    """Tab-separated variant table for spreadsheets and scripts."""
+    lines = ["\t".join(["variant", *_STAT_COLUMNS, "n_seeds"])]
     for row in rows:
-        lines.append(
-            delimiter.join(
-                [
-                    row.name,
-                    f"{row.precision:.6f}",
-                    f"{row.precision_sem:.6f}",
-                    f"{row.recall:.6f}",
-                    f"{row.recall_sem:.6f}",
-                    f"{row.f1:.6f}",
-                    f"{row.f1_sem:.6f}",
-                    str(row.n_seeds),
-                ]
-            )
-        )
+        cells = (f"{getattr(row, column):.6f}" for column in _STAT_COLUMNS)
+        lines.append("\t".join([row.name, *cells, str(row.n_seeds)]))
     return "\n".join(lines)
 
 
@@ -270,12 +247,7 @@ def rows_to_records(rows: Sequence[AblationRow]) -> list[dict]:
     return [
         {
             "variant": row.name,
-            "precision": row.precision,
-            "precision_sem": row.precision_sem,
-            "recall": row.recall,
-            "recall_sem": row.recall_sem,
-            "f1": row.f1,
-            "f1_sem": row.f1_sem,
+            **{column: getattr(row, column) for column in _STAT_COLUMNS},
             "n_seeds": row.n_seeds,
         }
         for row in rows

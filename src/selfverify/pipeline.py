@@ -19,7 +19,7 @@ import math
 import threading
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 from . import evaluation
@@ -129,15 +129,11 @@ class PipelineConfig:
     def describe(self, task: TaskKind) -> dict:
         """Effective settings for this task, for run manifests."""
         return {
-            "model_id": self.model_id,
+            **asdict(self),
             "steps": list(self.steps),
             "demonstrations_k": self.resolved_k(task),
             "omission_min_iters": self.resolved_min_iters(task),
-            "omission_max_iters": self.omission_max_iters,
             "icd_mapping": self.resolved_icd_mapping(task),
-            "temperature": self.temperature,
-            "max_output_tokens_extract": self.max_output_tokens_extract,
-            "max_output_tokens_prune": self.max_output_tokens_prune,
         }
 
 
@@ -520,18 +516,17 @@ def run_ablation(
     if with_megaprompt:
         variants["Megaprompt"] = None
     gold_sets = {doc.id: {normalize(v) for v in gold[doc.id]} for doc in documents}
-    per_variant = {}
+    rows = []
     for name, steps in variants.items():
         variant = config if steps is None else replace(config, steps=steps)
-        macros = []
+        scores = []
         for seed in seeds:
             results = run_batch(
                 make_backend(), variant, documents, [seed], demo_pool, workers, megaprompt=steps is None
             )
-            per_doc = [
-                evaluation.evaluate_sets(r.doc_id, {i.value for i in r.final}, gold_sets[r.doc_id])
+            scores.extend(
+                (r.seed, evaluation.evaluate_sets(r.doc_id, {i.value for i in r.final}, gold_sets[r.doc_id]))
                 for r in results
-            ]
-            macros.append(evaluation.macro_average(per_doc))
-        per_variant[name] = macros
-    return evaluation.aggregate_variants(per_variant)
+            )
+        rows.append(evaluation.score_run(name, scores))
+    return rows

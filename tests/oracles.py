@@ -74,6 +74,10 @@ for the template compiled once to a `str.format` string.
 
 `unmemoised_normalize` is `core.normalize`'s body without its memo, the
 reference for the memoised function.
+
+`aggregate_variants` is the former table builder, body unchanged: it took
+each variant's per-seed macro averages, grouped by its callers, and spelled
+out every column. It is the reference for `evaluation.score_run`.
 """
 
 from __future__ import annotations
@@ -82,11 +86,13 @@ import re
 import string
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from selfverify.backend import FinishReason, LlmResponse, ScriptExhausted
 from selfverify.core import EvidenceSpan, MatchKind, _fold_char, normalize
+from selfverify.evaluation import AblationRow, MacroMetrics, sem
 from selfverify.parsing import (
     _BULLET_LINE_RE,
     QuoteSearch,
@@ -702,3 +708,31 @@ def template_substitute(text: str, values: dict[str, str]) -> str:
 
 
 unmemoised_normalize = normalize.__wrapped__
+
+
+def aggregate_variants(per_variant: dict[str, Sequence[MacroMetrics]]) -> list[AblationRow]:
+    """Collapse per-seed macro metrics into one row per variant.
+
+    Means and SEMs are taken across seeds; insertion order of the dict is
+    preserved so tables list variants the way the caller staged them.
+    """
+    rows: list[AblationRow] = []
+    for name, macros in per_variant.items():
+        if not macros:
+            raise ValueError(f"variant {name!r} has no seed runs")
+        ps = [m.precision for m in macros]
+        rs = [m.recall for m in macros]
+        fs = [m.f1 for m in macros]
+        rows.append(
+            AblationRow(
+                name=name,
+                precision=sum(ps) / len(ps),
+                precision_sem=sem(ps),
+                recall=sum(rs) / len(rs),
+                recall_sem=sem(rs),
+                f1=sum(fs) / len(fs),
+                f1_sem=sem(fs),
+                n_seeds=len(macros),
+            )
+        )
+    return rows

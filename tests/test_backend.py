@@ -832,6 +832,31 @@ def test_opening_a_store_waits_for_an_append_in_flight(tmp_path, open_store):
     assert (opened[0].get(KEY_A), opened[0].get(KEY_B)) == ("before", "during")
 
 
+def test_purge_waits_for_an_append_in_flight(tmp_path):
+    """Purging while another writer holds the lock mid-record cuts the file after the record, not under it."""
+    import fcntl
+
+    path = tmp_path / "cache.bin"
+    store = ResponseStore(path)
+    store.put(KEY_A, "before")
+    record = bytes.fromhex(KEY_B) + struct.pack(">QI", 0, 6) + b"during"
+    purged: list[object] = []
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        os.write(fd, record[:40])
+        purger = threading.Thread(target=lambda: purged.append(_outcome(store.purge)))
+        purger.start()
+        purger.join(timeout=0.3)  # a purge that does not wait has truncated by now
+        os.write(fd, record[40:])
+    finally:
+        os.close(fd)  # releases the lock
+    purger.join(timeout=10)
+    assert purged == [1]
+    assert path.stat().st_size == 0
+    assert len(ResponseStore(path)) == 0
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from selfverify import cli
+from selfverify.backend import ResponseStore
 from selfverify.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -629,6 +630,30 @@ class TestAblateReportCache:
         assert main(["cache", "repair", "--cache", str(missing)]) == 3
         assert str(missing) in capsys.readouterr().err
         assert not missing.exists()
+
+    @pytest.mark.parametrize("command", ["stats", "purge", "export", "import", "replay"])
+    def test_reading_a_missing_store_exits_three_and_creates_nothing(self, tmp_path, capsys, command):
+        missing = tmp_path / "typo" / "store.bin"
+        argv = {
+            "stats": ["cache", "stats", "--cache", str(missing)],
+            "purge": ["cache", "purge", "--cache", str(missing)],
+            "export": ["cache", "export", "--cache", str(missing), "--into", str(tmp_path / "out.bin")],
+            "import": ["cache", "import", "--cache", str(tmp_path / "in.bin"), "--from", str(missing)],
+            "replay": ["extract", "--task", "medication_status", "--dataset", MED_DATA,
+                       "--backend", "replay", "--cache", str(missing), "--out", str(tmp_path / "rep")],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: response store not found: {missing}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_import_and_export_create_their_destination(self, tmp_path):
+        store = str(tmp_path / "store.bin")
+        assert main(extract_args(tmp_path, extra=["--backend", "record", "--cache", store])) == 0
+        into, fresh = tmp_path / "a" / "into.bin", tmp_path / "b" / "fresh.bin"
+        assert main(["cache", "export", "--cache", store, "--into", str(into)]) == 0
+        assert main(["cache", "import", "--cache", str(fresh), "--from", store]) == 0
+        texts = [{key: s.get(key) for key in s.keys()} for s in map(ResponseStore, (store, into, fresh))]
+        assert texts[0] and texts[0] == texts[1] == texts[2]
 
     def test_cache_export_requires_into(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_intervals_overlap, oracle_prf
+from oracles import aggregate_variants, oracle_intervals_overlap, oracle_prf
 from selfverify.evaluation import (
     AblationRow,
     DocMetrics,
     SpanCase,
-    aggregate_variants,
     evaluate_doc,
     evaluate_spans,
     filter_values,
@@ -24,6 +23,7 @@ from selfverify.evaluation import (
     render_dsv,
     render_text_table,
     rows_to_records,
+    score_run,
     sem,
     span_token_length,
     status_accuracy,
@@ -237,15 +237,17 @@ class TestEvaluateSpans:
         assert report.considered == 0
 
 
+def _seed_scores(per_seed: list[tuple[float, float, float]]) -> list[tuple[int, DocMetrics]]:
+    """One document per seed whose scores are the seed's macro average."""
+    return [(seed, DocMetrics(f"d{seed}", p, r, f, 0, 0, 0)) for seed, (p, r, f) in enumerate(per_seed)]
+
+
 class TestAblationTable:
     def make_rows(self):
-        from selfverify.evaluation import MacroMetrics
-
-        per_variant = {
-            "Original": [MacroMetrics(0.8, 0.6, 0.68, 10), MacroMetrics(0.82, 0.62, 0.70, 10)],
-            "+ Full SV": [MacroMetrics(0.9, 0.8, 0.84, 10), MacroMetrics(0.92, 0.82, 0.86, 10)],
-        }
-        return aggregate_variants(per_variant)
+        return [
+            score_run("Original", _seed_scores([(0.8, 0.6, 0.68), (0.82, 0.62, 0.70)])),
+            score_run("+ Full SV", _seed_scores([(0.9, 0.8, 0.84), (0.92, 0.82, 0.86)])),
+        ]
 
     def test_aggregation_means_and_sems(self):
         rows = self.make_rows()
@@ -256,8 +258,8 @@ class TestAblationTable:
         assert rows[0].n_seeds == 2
 
     def test_empty_variant_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_variants({"Original": []})
+        with pytest.raises(ValueError, match="'Original' has no seed runs"):
+            score_run("Original", [])
 
     def test_text_table_aligned(self):
         text = render_text_table(self.make_rows())
@@ -268,7 +270,7 @@ class TestAblationTable:
         assert "±" in lines[2]
 
     def test_dsv(self):
-        out = render_dsv(self.make_rows(), delimiter="\t")
+        out = render_dsv(self.make_rows())
         lines = out.splitlines()
         assert lines[0].split("\t") == [
             "variant", "precision", "precision_sem", "recall", "recall_sem", "f1", "f1_sem", "n_seeds",
@@ -284,3 +286,25 @@ class TestAblationTable:
     def test_row_is_plain_data(self):
         row = AblationRow("x", 1, 0, 1, 0, 1, 0, 1)
         assert row.name == "x"
+        # Cells are formatted by column, so integer scores still print as floats.
+        assert render_dsv([row]).splitlines()[1] == "x\t1.000000\t0.000000\t1.000000\t0.000000\t1.000000\t0.000000\t1"
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_count = st.integers(0, 5)
+_doc_metrics = st.builds(DocMetrics, st.text(max_size=3), _unit, _unit, _unit, _count, _count, _count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(st.tuples(st.integers(-3, 3), _doc_metrics), min_size=1, max_size=20),
+    order=st.randoms(use_true_random=False),
+)
+def test_score_run_matches_per_seed_grouping(scores, order):
+    """score_run equals the former path: group by seed, macro-average each seed in sorted order, aggregate."""
+    order.shuffle(scores)
+    by_seed: dict[int, list[DocMetrics]] = {}
+    for seed, metrics in scores:
+        by_seed.setdefault(seed, []).append(metrics)
+    macros = [macro_average(by_seed[seed]) for seed in sorted(by_seed)]
+    assert score_run("run", iter(scores)) == aggregate_variants({"run": macros})[0]

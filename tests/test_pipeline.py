@@ -12,7 +12,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -559,6 +559,12 @@ class TestPipelineConfig:
         assert long["omission_min_iters"] == 5
         assert long["icd_mapping"] is True
         assert short["icd_mapping"] is False
+
+    def test_describe_lists_every_field(self):
+        """A manifest records every setting, in field order, so a new field cannot be left out."""
+        described = PipelineConfig(steps=("prune",)).describe(medication_status_task())
+        assert list(described) == [f.name for f in fields(PipelineConfig)]
+        assert described["steps"] == ["prune"]
 
     def test_presets(self):
         assert set(ABLATION_PRESETS) == {"Original", "+ Omission", "+ Prune", "+ Full SV"}
