@@ -461,18 +461,18 @@ def _parse_retry_after(value: str | None) -> float | None:
 _STORE_HEADER_LEN = 32 + 8 + 4  # digest + timestamp + text length
 
 
-def _read_records(data: bytes) -> tuple[dict[str, str], int, str | None]:
-    """The texts of a store file's whole records, by key, first record winning.
+def _read_records(data: bytes) -> tuple[dict[str, tuple[int, str]], int, str | None]:
+    """The (timestamp, text) of a store file's whole records, by key, first record winning.
 
     Also the offset where the whole records end, and what is wrong with
     the bytes from there (None when nothing follows them).
     """
-    index: dict[str, str] = {}
+    index: dict[str, tuple[int, str]] = {}
     offset = 0
     while offset < len(data):
         if offset + _STORE_HEADER_LEN > len(data):
             return index, offset, "truncated record header"
-        (text_len,) = struct.unpack(">I", data[offset + 40 : offset + 44])
+        timestamp, text_len = struct.unpack(">QI", data[offset + 32 : offset + 44])
         end = offset + _STORE_HEADER_LEN + text_len
         if end > len(data):
             return index, offset, "truncated record body"
@@ -480,7 +480,7 @@ def _read_records(data: bytes) -> tuple[dict[str, str], int, str | None]:
             text = data[offset + _STORE_HEADER_LEN : end].decode("utf-8")
         except UnicodeDecodeError:
             return index, offset, "undecodable text"
-        index.setdefault(data[offset : offset + 32].hex(), text)
+        index.setdefault(data[offset : offset + 32].hex(), (timestamp, text))
         offset = end
     return index, offset, None
 
@@ -508,12 +508,13 @@ class ResponseStore:
        N bytes  the response text, UTF-8
 
     The file is read once on open, under a shared `flock`, and every text
-    is kept in memory, so lookups never touch the file; a truncated or
-    structurally invalid tail raises StoreCorrupt, and `repair` cuts the
-    file back to its last whole record. Writes are at-most-once per key and
-    thread-safe, and each record goes to the file in one append under an
-    exclusive `flock`, so several processes can record into the same file
-    and one opening it waits for an append in flight.
+    is kept in memory with its timestamp, so lookups never touch the file;
+    a truncated or structurally invalid tail raises StoreCorrupt, and
+    `repair` cuts the file back to its last whole record. Writes are
+    at-most-once per key and thread-safe, and each record goes to the file
+    in one append under an exclusive `flock`, so several processes can
+    record into the same file and one opening it waits for an append in
+    flight.
     """
 
     def __init__(self, path: str | Path):
@@ -572,7 +573,8 @@ class ResponseStore:
     def get(self, key: str) -> str | None:
         self._check_key(key)
         with self._lock:
-            return self._index.get(key)
+            record = self._index.get(key)
+        return None if record is None else record[1]
 
     def put(self, key: str, text: str, timestamp: int | None = None) -> bool:
         """Store text under key; returns False if the key already exists."""
@@ -586,7 +588,7 @@ class ResponseStore:
             with _writer_lock(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT) as fd:
                 while record:
                     record = record[os.write(fd, record) :]
-            self._index[key] = text
+            self._index[key] = (ts, text)
             return True
 
     def purge(self) -> int:
@@ -603,9 +605,13 @@ class ResponseStore:
             return removed
 
     def merge_from(self, other_path: str | Path) -> int:
-        """Copy records absent here from another store file, read as on open; returns count added."""
+        """Copy records absent here, with their timestamps, from another store file read as on open.
+
+        Returns the count added. Copying a store into an empty one gives
+        the same bytes, less any record whose key an earlier one holds.
+        """
         other = ResponseStore(other_path)
-        return sum(self.put(key, other.get(key)) for key in other.keys())
+        return sum(self.put(key, text, ts) for key, (ts, text) in other._index.items())
 
     def stats(self) -> dict[str, int]:
         with self._lock:

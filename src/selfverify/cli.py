@@ -11,8 +11,10 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
+from typing import Iterator
 
 from .backend import (
     Backend,
@@ -177,18 +179,25 @@ def _store(args) -> ResponseStore:
         raise CliError(EXIT_USAGE, f"--cache is required for backend {args.backend!r}")
     if args.backend == "replay":  # answers only from what was recorded
         _require_store(args.cache)
-    try:
+    with _store_errors():
         return ResponseStore(args.cache)
+
+
+@contextmanager
+def _store_errors() -> Iterator[None]:
+    """Exit 3 with one `error:` line for a store file that is corrupt, a directory or gone."""
+    try:
+        yield
     except StoreCorrupt as exc:
-        raise _corrupt_store(exc)
-
-
-def _corrupt_store(exc: StoreCorrupt) -> CliError:
-    return CliError(
-        EXIT_DATA,
-        f"response store is corrupt: {exc}; `selfverify cache repair --cache {exc.path}`"
-        " truncates it to its last whole record",
-    )
+        raise CliError(
+            EXIT_DATA,
+            f"response store is corrupt: {exc}; `selfverify cache repair --cache {exc.path}`"
+            " truncates it to its last whole record",
+        )
+    except IsADirectoryError as exc:
+        raise CliError(EXIT_DATA, f"response store is a directory: {exc.filename}")
+    except FileNotFoundError as exc:  # removed since `_require_store` found it
+        raise CliError(EXIT_DATA, f"response store not found: {exc.filename}")
 
 
 def _mock_backend(args) -> MockBackend:
@@ -415,16 +424,14 @@ def cmd_cache(args) -> int:
     # export's --into are created when missing.
     _require_store(getattr(args, "from") if args.action == "import" else args.cache)
     if args.action == "repair":
-        try:
+        with _store_errors():
             dropped_bytes, dropped_records = ResponseStore.repair(args.cache)
-        except FileNotFoundError:  # removed since the check
-            raise CliError(EXIT_DATA, f"response store not found: {args.cache}")
         print(
             f"{args.cache}: dropped {dropped_bytes} bytes holding"
             f" {dropped_records} torn or invalid record(s)"
         )
         return EXIT_OK
-    try:
+    with _store_errors():
         store = ResponseStore(args.cache)
         if args.action == "stats":
             print(json.dumps(store.stats(), indent=2, sort_keys=True))
@@ -436,8 +443,6 @@ def cmd_cache(args) -> int:
         elif args.action == "import":
             added = store.merge_from(getattr(args, "from"))
             print(f"imported {added} new entries")
-    except StoreCorrupt as exc:
-        raise _corrupt_store(exc)
     return EXIT_OK
 
 

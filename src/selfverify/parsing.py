@@ -17,20 +17,19 @@ costs at most:
   when the note has neither 'İ' nor 'Σ', and a character at a time
   otherwise; only the offsets of a result are mapped back, by bisecting
   the whitespace runs;
-- for a fuzzy-stage quote of 24 or more characters, short scans around
-  where `str.find` finds one of its six pieces (`_piece_end_points`),
-  which settle a near-verbatim quote before anything below;
-- for a quote they do not settle, a q-gram filter (`_candidate_slices`):
-  one pass over the folded note at C speed marks where the quote's
-  3-grams occur, and only where enough of them gather can a window
-  within the cap end. An absent quote usually has no such place, and an
-  edited one a few slices around its match;
+- for a fuzzy-stage quote, the pieces filter (`_piece_slices`) at two
+  caps: six pieces of a quote of 24 or more characters, found by
+  `str.find`, settle a near-verbatim quote within 5 edits; for a quote
+  they do not settle, m // 3 pieces bound the cap m // 4. Only where
+  enough distinct pieces agree on an end can a window within the cap end
+  there. An absent quote usually has no such place, and an edited one a
+  few slices around its match;
 - free-start scans with Myers' bit-vectors (`_edit_rows`), about a dozen
   integer operations per character scanned, emitting only the end points
-  whose distance could pass the threshold: over the quote's candidate
-  slices, or over the whole fold when the filter cannot narrow it (a
-  quote shorter than 9 characters, or one whose 3-grams are dense in the
-  note);
+  whose distance could pass the threshold: over the quote's slices, or
+  over the whole fold when the pieces cannot narrow it (a quote of 1, 2,
+  4, 5 or 8 characters, whose m // 3 pieces do not outnumber m // 4
+  edits, or one whose pieces are dense in the note);
 - short anchored rows over the length band, one per such end point,
   lowest distance first, until the cap that the best window so far sets
   drops the rest: usually after the first row.
@@ -366,92 +365,6 @@ def _edit_rows(needle: str, haystack: str, anchored: bool, cap: int) -> list[tup
     return hits
 
 
-def _candidate_slices(folded: str, nq: str) -> list[tuple[int, int]] | None:
-    """The slices of `folded` whose scans give every end point of `nq` within m // 4.
-
-    A q-gram filter, with q = 3 (Jokinen & Ukkonen 1991; Ukkonen 1992;
-    Navarro 2001). An edit destroys at most q of the quote's m - q + 1
-    q-grams, so a substring within k = m // 4 edits of the quote holds at
-    least t = m - q + 1 - kq of them, each at its own position and none
-    more often than the quote does; t > 0 for every m >= 9. The substring
-    is at most m + k long, so an end j is a candidate only if positions in
-    [j - m - k, j - q] hold t of the quote's q-grams, each counted at most
-    as often as the quote holds it. A slice runs from m + k before its
-    first candidate end to its last, so every alignment within the cap
-    that ends in it starts in it, and a free-start scan of the slice gives
-    those ends the distance a scan of the whole fold does (an end outside
-    the candidates is above the cap either way). Overlapping slices merge.
-
-    One pass over the fold at C speed flags where the quote's q-grams
-    occur. None, to scan the whole fold instead: for a quote shorter than
-    9; when the fold holds so many of the quote's q-grams (counted from
-    its flags, before any position is read) that an average window of
-    m + k holds t; and when the slices would cover more than half the fold.
-    """
-    m = len(nq)
-    if m < 9:
-        return None
-    need: dict[str, int] = {}
-    for p in range(m - 2):
-        need[nq[p : p + 3]] = need.get(nq[p : p + 3], 0) + 1
-    grams = set(map(tuple, need))
-    flags = bytes(map(grams.__contains__, zip(folded, folded[1:], folded[2:])))
-    return _slices_from_flags(folded, m, need, flags)
-
-
-def _slices_from_flags(
-    folded: str, m: int, need: dict[str, int], flags: bytes
-) -> list[tuple[int, int]] | None:
-    """`_candidate_slices` for one quote of length m, from its q-gram counts and flags."""
-    k = m // 4
-    t, w, n = m - 2 - 3 * k, m + k, len(folded)
-    count = flags.count(1)
-    if count * w >= t * n:
-        return None
-    if count < t:  # no window can hold t of them
-        return []
-    ps = list(map(re.Match.start, re.finditer(b"\x01", flags)))
-    # The ends from p + 3 to p + w count position p, so t positions count
-    # toward one end only if they lie within w - 3 of one another.
-    if min(map(sub, ps[t - 1 :], ps)) > w - 3:
-        return []
-    by_gram: dict[str, list[int]] = {}
-    for p in ps:
-        by_gram.setdefault(folded[p : p + 3], []).append(p)
-    # Position p counts toward the ends from p + 3 to p + w, but not once
-    # the window also holds as many later positions of its q-gram as the
-    # quote has: that gives the capped count. An event is 2x + 1 for the
-    # first end p counts toward and 2x for the first it no longer does, so
-    # at equal x stops sort before starts.
-    events: list[int] = []
-    for gram, ps in by_gram.items():
-        r = need[gram]
-        events += [2 * p + 7 for p in ps]
-        events += [
-            2 * later + 6 if later < p + w - 2 else 2 * (p + w + 1)
-            for p, later in zip(ps, ps[r:])
-        ]
-        events += [2 * (p + w + 1) for p in ps[-r:]]
-    events.sort()
-    slices: list[tuple[int, int]] = []
-    depth = first = 0
-    for event in events:
-        if event & 1:
-            depth += 1
-            if depth == t:
-                first = event >> 1
-        else:
-            depth -= 1
-            if depth == t - 1:
-                lo, hi = max(0, first - w), min(n, (event >> 1) - 1)
-                if slices and lo <= slices[-1][1]:
-                    lo = slices.pop()[0]
-                slices.append((lo, hi))
-    if 2 * sum(hi - lo for lo, hi in slices) > n:
-        return None
-    return slices
-
-
 def _scan_slices(folded: str, nq: str, slices: list[tuple[int, int]], cap: int) -> list[tuple[int, int]]:
     """The (end, distance) pairs within `cap` of free-start scans of `nq` over `slices` of `folded`."""
     return [(lo + j, d) for lo, hi in slices for j, d in _edit_rows(nq, folded[lo:hi], False, cap)]
@@ -459,41 +372,102 @@ def _scan_slices(folded: str, nq: str, slices: list[tuple[int, int]], cap: int) 
 
 # The pieces step cuts a folded quote into this many pieces.
 PIECES = 6
+# Up to this many pieces, a `str.find` loop per piece finds their
+# occurrences; beyond it, one 3-gram pass over the fold is cheaper (on a
+# 15k-character note, 60 pieces took 1.2 ms by `find` and 1.4 ms by the
+# pass, 80 pieces 1.7 and 1.5 ms).
+_FIND_LOOP_PIECES = 64
 _Window = tuple[int, int, int, int]  # (dist, max(m, L), start, end)
 
 
-def _piece_end_points(folded: str, nq: str) -> list[tuple[int, int]] | None:
-    """Every end point of `nq` in `folded` within k = PIECES - 1, lowest distance first.
+def _piece_slices(folded: str, nq: str, j: int, c: int) -> list[tuple[int, int]] | None:
+    """The slices of `folded` whose scans give every end point of `nq` within c.
 
-    A substring within k edits of a quote cut into k + 1 pieces holds one
-    piece exactly (Wu & Manber 1992; Baeza-Yates & Navarro 1999). If the
-    piece at offset a occurs at p, the substring ends within k of p - a + m
-    and starts at most m + k before its end, so scans of the slices around
-    those ends, merged where they overlap, give every end point within k
-    with its whole-fold distance. None, to fall back: when m // 4 <= k, and
-    when the pieces occur so often (`str.count`) that the slices could
-    cover half the fold.
+    Cut the quote, of length m, into j pieces at i * m // j. An edit breaks
+    at most one piece, so a substring within d <= c edits of the quote
+    holds j - d of them whole, each where the alignment puts it
+    (Baeza-Yates & Navarro 1999; Navarro & Raffinot 2002, ch. 6). Piece i
+    at offset a occurring at p implies the end x = p - a + m, and the
+    alignment's end differs from x by the insertions less the deletions
+    after the piece. So its whole pieces imply ends within d of one another
+    and of its end: an end point within c needs t = j - c distinct pieces
+    whose implied ends lie within c of one another. Each hit of such a
+    group gives the slice [x - 2c - m, x + c], which holds the ends within
+    c of x and the starts, at most m + c before them. Overlapping slices
+    merge, so a free-start scan of them gives every end point within c its
+    whole-fold distance (an end outside them is above c either way).
+
+    Up to _FIND_LOOP_PIECES pieces, a `str.find` loop per piece finds the
+    hits; beyond, one 3-gram pass over the fold at C speed flags where a
+    piece can start, and each piece must then be 3 or more characters.
+    [] when no t hits lie within c of one another, which one pass at C
+    speed over the sorted hits decides before any group is formed. None,
+    to scan the whole fold instead: when t < 1; when the hits pass
+    min(n / 2, t^2 n / (2 (m + 3c))) for a fold of n characters, found by
+    the flag count or once the hits pass it, before any Python loop grows
+    longer; and when the slices would cover more than half the fold. For
+    t = 1 that bound is where one slice of m + 3c per hit could cover half
+    the fold. A group needs t hits at once, which hits by chance seldom
+    give, so the bound grows with t^2; but handling n / 2 hits in Python
+    costs about what the scan they could save does.
     """
-    m, k, n = len(nq), PIECES - 1, len(folded)
-    if m // 4 <= k:
+    m, n, t = len(nq), len(folded), j - c
+    if t < 1:
         return None
-    cuts = [i * m // PIECES for i in range(PIECES + 1)]
+    limit = min(n // 2, t * t * n // (2 * (m + 3 * c)))
+    cuts = [i * m // j for i in range(j + 1)]
     pieces = [(nq[a:b], a) for a, b in zip(cuts, cuts[1:])]
-    if 2 * (m + 3 * k) * sum(folded.count(piece) for piece, _ in pieces) > n:
-        return None
-    implied: set[int] = set()
-    for piece, a in pieces:
-        p = folded.find(piece)
-        while p >= 0:
-            implied.add(p - a + m)
-            p = folded.find(piece, p + 1)
+    hits: list[int] = []  # implied end * j + piece index: ints, which sort at C speed
+    if j <= _FIND_LOOP_PIECES:
+        for i, (piece, a) in enumerate(pieces):
+            p = folded.find(piece)
+            while p >= 0:
+                hits.append((p - a + m) * j + i)
+                if len(hits) > limit:
+                    return None
+                p = folded.find(piece, p + 1)
+    else:
+        by_gram: dict[str, list[tuple[str, int, int]]] = {}
+        for i, (piece, a) in enumerate(pieces):
+            by_gram.setdefault(piece[:3], []).append((piece, a, i))
+        grams = set(map(tuple, by_gram))
+        flags = bytes(map(grams.__contains__, zip(folded, folded[1:], folded[2:])))
+        if flags.count(1) > limit:
+            return None
+        for p in map(re.Match.start, re.finditer(b"\x01", flags)):
+            starting = by_gram[folded[p : p + 3]]
+            hits += [(p - a + m) * j + i for piece, a, i in starting if folded.startswith(piece, p)]
+            if len(hits) > limit:
+                return None
+    hits.sort()
+    # Implied ends within c of one another give hits less than (c + 1) * j apart.
+    if len(hits) < t or min(map(sub, hits[t - 1 :], hits)) >= (c + 1) * j:
+        return []
+    # Keep the hits of each stretch of c + 1 implied ends that holds t
+    # distinct pieces.
+    ends, ids = [h // j for h in hits], [h % j for h in hits]
+    held: dict[int, int] = {}
+    kept: list[int] = []
+    lo = done = 0
+    for hi, x in enumerate(ends):
+        held[ids[hi]] = held.get(ids[hi], 0) + 1
+        while ends[lo] < x - c:
+            held[ids[lo]] -= 1
+            if not held[ids[lo]]:
+                del held[ids[lo]]
+            lo += 1
+        if len(held) >= t:
+            kept += ends[max(lo, done) : hi + 1]
+            done = hi + 1
     slices: list[tuple[int, int]] = []
-    for end in sorted(implied):
-        lo, hi = max(0, end - m - 2 * k), min(n, end + k)
+    for x in kept:
+        lo, hi = max(0, x - 2 * c - m), min(n, x + c)
         if slices and lo <= slices[-1][1]:
             lo = slices.pop()[0]
         slices.append((lo, hi))
-    return sorted(_scan_slices(folded, nq, slices, k), key=itemgetter(1))
+    if 2 * sum(hi - lo for lo, hi in slices) > n:
+        return None
+    return slices
 
 
 def _refine(
@@ -589,9 +563,11 @@ class QuoteSearch:
         the end points it did not give, from `end_points`, are refined on.
         """
         if nq not in self._windows:
-            ends = _piece_end_points(self.folded, nq)
-            best, cap = _refine(self.folded, nq, ends or [], None, len(nq) // 4)
-            done = -1 if ends is None else PIECES - 1
+            m, k = len(nq), PIECES - 1
+            slices = _piece_slices(self.folded, nq, PIECES, k) if m // 4 > k else None
+            ends = [] if slices is None else _scan_slices(self.folded, nq, slices, k)
+            best, cap = _refine(self.folded, nq, sorted(ends, key=itemgetter(1)), None, m // 4)
+            done = -1 if slices is None else k
             if best is None or cap > done:
                 rest = [(j, d) for j, d in self.end_points(nq) if d > done]
                 best, _ = _refine(self.folded, nq, sorted(rest, key=itemgetter(1)), best, cap)
@@ -599,15 +575,16 @@ class QuoteSearch:
         return self._windows[nq]
 
     def end_points(self, nq: str) -> list[tuple[int, int]]:
-        """Free-start end points of the folded quote `nq` within its raw cap.
+        """Free-start end points of the folded quote `nq` within its raw cap m // 4.
 
-        Scans of its candidate slices of the fold, or of the whole fold
-        when the q-gram filter cannot narrow it.
+        Scans of the slices that m // 3 pieces leave, or of the whole fold
+        when they cannot narrow it.
         """
-        slices = _candidate_slices(self.folded, nq)
+        m = len(nq)
+        slices = _piece_slices(self.folded, nq, m // 3, m // 4)
         if slices is None:
             slices = [(0, len(self.folded))]
-        return _scan_slices(self.folded, nq, slices, len(nq) // 4)
+        return _scan_slices(self.folded, nq, slices, m // 4)
 
 
 def locate_quote(text: str, quote: str, search: QuoteSearch | None = None) -> EvidenceSpan:

@@ -20,19 +20,15 @@ the reference for the fold made with `str.lower` and one `re`
 substitution, mapped back by bisecting whitespace runs, and for the scan
 that keeps only candidate end points.
 
-`unfiltered_end_points` is `parsing.QuoteSearch.end_points` without the
-q-gram filter: one free-start scan of the whole fold for `nq`. It is the
+`unfiltered_end_points` is `parsing.QuoteSearch.end_points` without a
+filter: one free-start scan of the whole fold for `nq`. It is the
 reference for the scan that reads only the quote's candidate slices.
 
-`per_quote_candidate_slices` is the q-gram filter as it was, body
-unchanged: one pass over the fold, then the sweep of every flagged
-position. It is the reference for the filter that stops at a count
-bound or a gap check before it reads any position.
-
-`sweep_slices_from_flags` is the filter's per-quote step as it was, body
-unchanged: it reads every flagged position into a dict per 3-gram and
-sweeps their events. It is the reference for the count bound that returns
-no slice before any of that is built.
+`per_quote_candidate_slices` is the q-gram filter that `end_points` used
+before the pieces filter, body unchanged: one pass over the fold, then
+the sweep of every flagged position. It is the reference that the pieces
+filter's work is measured against: per kind of quote, the locator may
+scan no more characters than with it.
 
 `regex_fold` is `core.fold` as it was, body unchanged: `str.lower` and
 one `re` substitution of each whitespace run. It is the reference for the
@@ -291,54 +287,6 @@ def per_quote_candidate_slices(folded: str, nq: str) -> list[tuple[int, int]] | 
     flags = bytes(map(grams.__contains__, zip(folded, folded[1:], folded[2:])))
     if flags.count(1) * w >= t * n:
         return None
-    by_gram: dict[str, list[int]] = {}
-    for p in map(re.Match.start, re.finditer(b"\x01", flags)):
-        by_gram.setdefault(folded[p : p + 3], []).append(p)
-    # Position p counts toward the ends from p + 3 to p + w, but not once
-    # the window also holds as many later positions of its q-gram as the
-    # quote has: that gives the capped count. An event is 2x + 1 for the
-    # first end p counts toward and 2x for the first it no longer does, so
-    # at equal x stops sort before starts.
-    events: list[int] = []
-    for gram, ps in by_gram.items():
-        r = need[gram]
-        events += [2 * p + 7 for p in ps]
-        events += [
-            2 * later + 6 if later < p + w - 2 else 2 * (p + w + 1)
-            for p, later in zip(ps, ps[r:])
-        ]
-        events += [2 * (p + w + 1) for p in ps[-r:]]
-    events.sort()
-    slices: list[tuple[int, int]] = []
-    depth = first = 0
-    for event in events:
-        if event & 1:
-            depth += 1
-            if depth == t:
-                first = event >> 1
-        else:
-            depth -= 1
-            if depth == t - 1:
-                lo, hi = max(0, first - w), min(n, (event >> 1) - 1)
-                if slices and lo <= slices[-1][1]:
-                    lo = slices.pop()[0]
-                slices.append((lo, hi))
-    if 2 * sum(hi - lo for lo, hi in slices) > n:
-        return None
-    return slices
-
-
-def sweep_slices_from_flags(
-    folded: str, m: int, need: dict[str, int], flags: bytes
-) -> list[tuple[int, int]] | None:
-    """`_candidate_slices` for one quote of length m, from its q-gram counts and flags."""
-    k = m // 4
-    t, w, n = m - 2 - 3 * k, m + k, len(folded)
-    count = flags.count(1)
-    if count * w >= t * n:
-        return None
-    if count < t:  # no window can hold t of them
-        return []
     by_gram: dict[str, list[int]] = {}
     for p in map(re.Match.start, re.finditer(b"\x01", flags)):
         by_gram.setdefault(folded[p : p + 3], []).append(p)

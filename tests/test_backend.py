@@ -711,6 +711,15 @@ class TestResponseStore:
         assert a.get(KEY_A) == "from a"
         assert a.get(KEY_B) == "from b"
 
+    def test_merge_from_keeps_each_records_timestamp(self, tmp_path):
+        source = ResponseStore(tmp_path / "source.bin")
+        source.put(KEY_A, "stored at 1000", timestamp=1000)
+        source.put(KEY_B, "stored at 2000", timestamp=2000)
+        copy = ResponseStore(tmp_path / "copy.bin")
+        assert copy.merge_from(source.path) == 2
+        assert copy.path.read_bytes() == source.path.read_bytes()
+        assert struct.unpack(">Q", copy.path.read_bytes()[32:40]) == (1000,)
+
     def test_stats(self, tmp_path):
         store = ResponseStore(tmp_path / "cache.bin")
         store.put(KEY_A, "xyz")

@@ -655,6 +655,35 @@ class TestAblateReportCache:
         texts = [{key: s.get(key) for key in s.keys()} for s in map(ResponseStore, (store, into, fresh))]
         assert texts[0] and texts[0] == texts[1] == texts[2]
 
+    def test_export_into_an_empty_store_copies_the_bytes(self, tmp_path):
+        store = ResponseStore(tmp_path / "store.bin")
+        for i, stamp in enumerate((1000, 1000, 2000)):
+            store.put(f"{i:064x}", f"reply {i}", timestamp=stamp)
+        into = tmp_path / "into.bin"
+        assert main(["cache", "export", "--cache", str(store.path), "--into", str(into)]) == 0
+        assert into.read_bytes() == store.path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command", ["stats", "purge", "export", "repair", "import", "record", "replay", "caching"]
+    )
+    def test_a_directory_as_store_exits_three_with_one_error_line(self, tmp_path, capsys, command):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        run = ["extract", "--task", "medication_status", "--dataset", MED_DATA, "--out", str(tmp_path / "run")]
+        argv = {
+            "stats": ["cache", "stats", "--cache", str(folder)],
+            "purge": ["cache", "purge", "--cache", str(folder)],
+            "export": ["cache", "export", "--cache", str(folder), "--into", str(tmp_path / "out.bin")],
+            "repair": ["cache", "repair", "--cache", str(folder)],
+            "import": ["cache", "import", "--cache", str(tmp_path / "in.bin"), "--from", str(folder)],
+            "record": run + ["--backend", "record", "--script", MED_SCRIPT, "--cache", str(folder)],
+            "replay": run + ["--backend", "replay", "--cache", str(folder)],
+            "caching": run + ["--backend", "mock", "--script", MED_SCRIPT, "--cache", str(folder)],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"error: response store is a directory: {folder}\n"
+        assert list(folder.iterdir()) == []
+
     def test_cache_export_requires_into(self, tmp_path):
         with pytest.raises(SystemExit) as exc_info:
             main(["cache", "export", "--cache", str(tmp_path / "s.bin")])

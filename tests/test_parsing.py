@@ -24,20 +24,22 @@ from oracles import (
     normalizing_parse_bulleted_list,
     oracle_locate,
     regex_fold,
+    per_quote_candidate_slices,
     sellers_end_distances,
-    sweep_slices_from_flags,
     unfiltered_end_points,
 )
 from oracles import fold_quote as per_character_fold_quote
-from oracles import per_quote_candidate_slices as _candidate_slices
 from selfverify import core, parsing, pipeline
 from selfverify.core import MatchKind, StatusLabel, _fold_char, fold, normalize
 from selfverify.parsing import (
     AmbiguousVerdict,
     FUZZY_THRESHOLD_DEN,
     FUZZY_THRESHOLD_NUM,
+    PIECES,
     QuoteSearch,
     _edit_rows,
+    _piece_slices,
+    _scan_slices,
     align_key,
     fold_quote,
     locate_quote,
@@ -599,8 +601,13 @@ def _long_note(rng: random.Random, words=1500, size=72, vocabulary=_NOTE_WORDS) 
     return text, quotes
 
 
+def _end_point_slices(folded: str, nq: str) -> list[tuple[int, int]] | None:
+    """The slices `QuoteSearch.end_points` scans: m // 3 pieces at the cap m // 4."""
+    return _piece_slices(folded, nq, len(nq) // 3, len(nq) // 4)
+
+
 class TestAgainstUnfilteredScan:
-    """Inputs on which the q-gram filter narrows most quotes, through `_same_as_former`."""
+    """Inputs on which the pieces filter narrows most quotes, through `_same_as_former`."""
 
     @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz ", min_size=1, max_size=400), st.data())
     @settings(max_examples=200, deadline=None)
@@ -628,16 +635,18 @@ class TestAgainstUnfilteredScan:
         # Most edits and the absent quote take the filtered path, so the
         # comparison above covers it.
         folded = fold(text)
-        narrowed = [_candidate_slices(folded, fold_quote(q)) is not None for q in edits + quotes[5:]]
+        narrowed = [_end_point_slices(folded, fold_quote(q)) is not None for q in edits + quotes[5:]]
         assert sum(narrowed) >= 3 and narrowed[-1]
 
 
 class TestFilterBounds:
-    """Matches at the edge of the q-gram lemma, in a note of sparse 3-grams.
+    """Matches at the edge of the pieces lemma, in a note of sparse 3-grams.
 
     Random text keeps the filter from falling back, and each quote is
-    placed where the filter has the least room: no 3-gram to spare, the
-    longest window, or 3-grams the quote holds several times.
+    placed where the filter has the least room: exactly j - c pieces left
+    whole, the longest window, whole pieces whose implied ends lie c apart,
+    or pieces the quote holds several times. Each is also at the edge of
+    the q-gram lemma that the former filter used.
     """
 
     M = 72
@@ -647,14 +656,15 @@ class TestFilterBounds:
         rng = random.Random(placed)
         letters = "abcdefghijklmnopqrstuvw"  # never x, y or z
         text = "".join(rng.choices(letters, k=1500)) + placed + "".join(rng.choices(letters, k=1500))
-        assert _candidate_slices(text, quote) is not None
+        assert _end_point_slices(text, quote)
         ends = QuoteSearch(text).end_points(quote)
         assert ends == unfiltered_end_points(QuoteSearch(text), quote)
         return [(end - 1500, dist) for end, dist in ends]
 
     def test_substitutions_leave_exactly_t_q_grams(self):
         # K substitutions three apart, none within two of either end,
-        # destroy 3K of the M - 2 q-grams, so t = M - 2 - 3K are left.
+        # destroy 3K of the M - 2 q-grams, so t = M - 2 - 3K are left; and
+        # one in each of the first K of the M // 3 pieces, so j - K are.
         quote = "".join(random.Random(1).choices("abcdefghijklmnopqrstuvw", k=self.M))
         placed = "".join("x" if i % 3 == 2 and i < 3 * self.K else c for i, c in enumerate(quote))
         assert sum(c == "x" for c in placed) == self.K
@@ -668,8 +678,20 @@ class TestFilterBounds:
         assert len(placed) == self.M + self.K
         assert (self.M + self.K, self.K) in self._check(placed, quote)
 
+    def test_insertions_spread_the_whole_pieces_by_the_cap(self):
+        # One letter inserted inside each of the K middle pieces: the first
+        # three and the last three pieces stay whole, exactly j - K, and
+        # imply ends K apart.
+        quote = "".join(random.Random(3).choices("abcdefghijklmnopqrstuvw", k=self.M))
+        pieces = [quote[3 * i : 3 * i + 3] for i in range(self.M // 3)]
+        placed = "".join(p[:2] + "y" + p[2] if 3 <= i < 3 + self.K else p for i, p in enumerate(pieces))
+        assert len(placed) == self.M + self.K and len(pieces) - self.K == 6
+        assert (self.M + self.K, self.K) in self._check(placed, quote)
+
     def test_repeated_q_grams_count_as_often_as_the_quote_holds_them(self):
-        # Four distinct 3-grams, each 17 or 18 times in the quote.
+        # Four distinct 3-grams, each 17 or 18 times in the quote, and four
+        # distinct pieces, each six times: distinct pieces are counted by
+        # their place in the quote.
         quote = ("bdfh" * 18)[: self.M]
         placed = "".join("z" if i % 4 == 2 else c for i, c in enumerate(quote))
         assert (self.M, self.K) in self._check(placed, quote)
@@ -725,7 +747,7 @@ class TestFilterWork:
         filtered_chars = _free_start_chars(calls)
         calls.clear()
         # The former locator: no pieces step, no filter.
-        monkeypatch.setattr(parsing, "_piece_end_points", lambda folded, nq: None)
+        monkeypatch.setattr(parsing, "_piece_slices", lambda folded, nq, j, c: None)
         monkeypatch.setattr(QuoteSearch, "end_points", unfiltered_end_points)
         assert one_pass() == filtered
         unfiltered_chars = _free_start_chars(calls)
@@ -735,12 +757,12 @@ class TestFilterWork:
 
     def test_quotes_the_filter_cannot_narrow_scan_the_whole_fold(self, monkeypatch):
         text = "ab" * 2000 + " the patient is stable " + "ab" * 2000
-        # Two short quotes and one whose 3-grams fill the note: none can be
+        # Two short quotes and one whose pieces fill the note: none can be
         # narrowed, so each gets one scan of the whole fold. One quote can,
         # and gets its own slice scans.
         quotes = ["abxab", "baaba", "abab" * 8 + "x", "the patienx is stable"]
         search = QuoteSearch(text)
-        assert [_candidate_slices(search.folded, fold_quote(q)) for q in quotes[:3]] == [None] * 3
+        assert [_end_point_slices(search.folded, fold_quote(q)) for q in quotes[:3]] == [None] * 3
         calls = _fed_to_edit_rows(monkeypatch)
         for quote in quotes:
             locate_quote(text, quote, search)
@@ -766,7 +788,9 @@ class TestFilterWork:
         calls.clear()
         assert ends == unfiltered_end_points(QuoteSearch(text), nq)
         assert filtered_chars <= _free_start_chars(calls)
-        # The filter reads the fold once and the quote once, whatever m is.
+        # The filter's Python-level work, `zip` items drawn and `str.find`
+        # and `str.startswith` calls, is at most one per character of the
+        # fold and of the quote, whatever m is.
         drawn = [0]
 
         def counted_zip(*iterables):
@@ -775,10 +799,11 @@ class TestFilterWork:
                 yield item
 
         monkeypatch.setattr(parsing, "zip", counted_zip, raising=False)
-        parsing._candidate_slices(fold(text), nq)
-        assert drawn[0] <= len(fold(text)) + len(nq)
+        folded = _CountedText(fold(text))
+        _end_point_slices(folded, nq)
+        assert drawn[0] + sum(folded.calls.values()) <= len(folded) + len(nq)
 
-    def test_long_notes_pass_shares_q_gram_passes_and_refines_best_first(self, monkeypatch):
+    def test_long_notes_pass_makes_no_q_gram_pass_and_refines_best_first(self, monkeypatch):
         notes, one_pass = _long_notes(monkeypatch)
         located = []
         locate = pipeline.locate_quote
@@ -803,13 +828,14 @@ class TestFilterWork:
             if span.match_kind in (MatchKind.FUZZY, MatchKind.NOT_FOUND)
         ]
         # Two quotes of 9 or more per evidence step reach the fuzzy stage.
-        # The pieces step settles the edited one, so only the absent one
-        # makes a 3-gram pass: 6, where a pass per quote made 12.
+        # The pieces step settles the edited one, and the absent one stops
+        # at the m // 3 pieces' gap check: no 3-gram pass, where the q-gram
+        # filter made 6, and a pass per quote 12.
         assert sum(len(fold_quote(quote)) >= 9 for _, quote, _ in fuzzy_stage) == 12
-        assert passes[0] == len(notes) == 6
-        # One slice scan per edited quote, and the absent quotes stop at the
-        # count bound: 6 scans over 522 characters, where the filter alone
-        # made 47 over 7,109.
+        assert passes[0] == 0
+        # One slice scan per edited quote, and none for the absent ones: 6
+        # scans over 522 characters, where the q-gram filter alone made 47
+        # over 7,109.
         free_start = [chars for _, chars, anchored in calls if not anchored]
         assert len(free_start) <= 8 and sum(free_start) <= 1000
         # Best-first refinement: at most one anchored row per fuzzy-stage
@@ -824,10 +850,14 @@ class TestFilterWork:
                 assert (span.match_kind.value, span.start, span.end) == (q.kind, q.start, q.end)
 
     def test_dense_quotes_read_no_position(self, monkeypatch):
-        # Dense quotes are decided by their flag count; only the sparse
-        # quote's flags are searched for positions.
-        text = fold("ab" * 2000 + " the patient is stable " + "ab" * 2000)
-        dense, sparse = ["abab" * 8 + "x", "ba" * 12 + "y"], "the patienx is stable"
+        # Quotes of more than 192 characters find their pieces by one 3-gram
+        # pass. Dense quotes are decided by their flag count; only the
+        # sparse quote's flags are searched for positions.
+        rng = random.Random(11)
+        middle = "".join(rng.choices("cdefghijklmnopqrstuvw", k=600))
+        text = fold("ab" * 2000 + middle + "ab" * 2000)
+        dense = ["abab" * 50 + "x", "ba" * 120 + "y"]
+        sparse = fold_quote(_with_edits(rng, middle[100:400], 20, "xyz"))
         read: list[bytes] = []
         finditer = re.finditer
 
@@ -838,10 +868,12 @@ class TestFilterWork:
 
         monkeypatch.setattr(re, "finditer", counted)
         for nq in dense + [sparse]:
-            expected = _candidate_slices(text, nq)
+            assert len(nq) // 3 > parsing._FIND_LOOP_PIECES
             read.clear()
-            assert parsing._candidate_slices(text, nq) == expected
-            assert len(read) == (expected is not None) == (nq == sparse)
+            slices = _end_point_slices(text, nq)
+            assert len(read) == (slices is not None) == (nq == sparse)
+            ends = unfiltered_end_points(QuoteSearch(text), nq)
+            assert ends and (slices is None or _scan_slices(text, nq, slices, len(nq) // 4) == ends)
 
     def test_repeated_letter_refines_no_more_rows(self, monkeypatch):
         # Every end point past the 90th is at distance 1, so best-first
@@ -855,22 +887,20 @@ class TestFilterWork:
 
 
 class TestSharedQGramPass:
-    """The q-gram filter, one pass per quote, against the filter it replaced."""
+    """The pieces filter that replaced the q-gram pass, quote by quote.
 
-    @staticmethod
-    def _sweep_inputs(folded: str, nq: str) -> tuple[str, int, dict[str, int], bytes]:
-        need = Counter(nq[p : p + 3] for p in range(len(nq) - 2))
-        grams = set(map(tuple, need))
-        return folded, len(nq), need, bytes(map(grams.__contains__, zip(folded, folded[1:], folded[2:])))
+    Against the unfiltered scan for its end points, and against the q-gram
+    filter (`oracles.per_quote_candidate_slices`) for what it narrows.
+    """
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
-    def test_count_bound_keeps_the_sweep_slices(self, data):
+    def test_gap_check_keeps_the_group_sweep_slices(self, data):
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         vocabulary = ["".join(rng.choices("abcdefghijklmnopqrstuvw", k=rng.randint(2, 8))) for _ in range(40)]
         folded = fold(_words(rng, data.draw(st.integers(5, 400)), vocabulary))
         # Edited slices, and words of the note in another order: their
-        # 3-grams occur often, but seldom close together.
+        # pieces occur often, but seldom close together.
         kind = data.draw(st.sampled_from(["edited", "words", "absent"]))
         if kind == "edited":
             nq = fold_quote(_edited(rng, folded, "xyz", 80))
@@ -879,32 +909,42 @@ class TestSharedQGramPass:
         else:
             nq = "".join(rng.choices("xyz ", k=rng.randint(9, 60)))
         if len(nq) >= 9:
-            inputs = self._sweep_inputs(folded, nq)
-            assert parsing._slices_from_flags(*inputs) == sweep_slices_from_flags(*inputs)
+            # The gap check returns no slice only where the group sweep
+            # would keep no hit, and the slices give the unfiltered scan's
+            # end points.
+            slices = _end_point_slices(folded, nq)
+            with pytest.MonkeyPatch.context() as patched:
+                patched.setattr(parsing, "sub", lambda a, b: 0)
+                assert _end_point_slices(folded, nq) == slices
+            ends = _edit_rows(nq, folded, False, len(nq) // 4)
+            assert slices is None or _scan_slices(folded, nq, slices, len(nq) // 4) == ends
 
-    def test_absent_long_notes_quotes_stop_at_the_count_bound(self, monkeypatch):
+    def test_absent_long_notes_quotes_stop_at_the_gap_check(self, monkeypatch):
         notes, _ = _long_notes(monkeypatch)
-        inputs = [
-            self._sweep_inputs(fold(note.document.text), fold_quote(q.quote))
+        quotes = [
+            (fold(note.document.text), fold_quote(q.quote))
             for note in notes
             for q in note.quotes
             if q.kind == "not_found" and len(fold_quote(q.quote)) >= 9
         ]
-        # Enough of each quote's 3-grams occur for the count, but no t of
-        # them lie close enough, so no per-gram list or event is built.
-        assert len(inputs) == 6
-        assert all(flags.count(1) >= m - 2 - 3 * (m // 4) for _, m, _, flags in inputs)
-        sweeps = [0]
+        # Enough of each quote's pieces occur for a group, but no j - c of
+        # their hits lie close enough, so the group sweep never starts: one
+        # `enumerate`, over the pieces, per quote.
+        assert len(quotes) == 6
+        for folded, nq in quotes:
+            hits = sum(folded.count(nq[i * len(nq) // 24 : (i + 1) * len(nq) // 24]) for i in range(24))
+            assert len(nq) == 72 and hits >= 24 - 18
+        loops = [0]
 
-        def counted_zip(*iterables):
-            sweeps[0] += 1
-            return zip(*iterables)
+        def counted_enumerate(iterable):
+            loops[0] += 1
+            return enumerate(iterable)
 
-        monkeypatch.setattr(parsing, "zip", counted_zip, raising=False)
-        for folded, m, need, flags in inputs:
-            assert parsing._slices_from_flags(folded, m, need, flags) == []
-            assert sweep_slices_from_flags(folded, m, need, flags) == []
-        assert sweeps == [0]
+        monkeypatch.setattr(parsing, "enumerate", counted_enumerate, raising=False)
+        for folded, nq in quotes:
+            assert _end_point_slices(folded, nq) == []
+            assert per_quote_candidate_slices(folded, nq) == []
+        assert loops == [len(quotes)]
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -933,8 +973,7 @@ class TestSharedQGramPass:
                 quotes.append(("ab" * 40)[: rng.randint(9, 80)] + "x")
             else:
                 quotes.append("".join(rng.choices("xyz ", k=rng.randint(9, 60))))
-        for quote in quotes:
-            assert parsing._candidate_slices(text, quote) == _candidate_slices(text, quote), quote
+        _same_end_points(text, quotes)
 
     def test_a_step_of_ten_quotes(self):
         rng = random.Random(3)
@@ -942,9 +981,16 @@ class TestSharedQGramPass:
         text = fold(_words(rng, 1500, vocabulary) + "ab" * 3000)
         quotes = [_edited(random.Random(i), text[900 * i : 900 * i + 72], "xyz", 72) for i in range(6)]
         quotes += [quotes[0], "ab" * 30 + "x", "short", "xyzzy quartz oxyz"]
-        slices = [parsing._candidate_slices(text, q) for q in quotes]
-        assert slices == [_candidate_slices(text, q) for q in quotes]
+        slices = [_end_point_slices(text, q) for q in quotes]
         assert [s is None for s in slices] == [False] * 7 + [True, True, False]
+        assert slices[-1] == []
+        _same_end_points(text, quotes)
+        # Over the step, the pieces leave fewer characters to scan than the
+        # q-gram filter did (1,154 against 1,760); not each quote does.
+        former = [per_quote_candidate_slices(text, q) for q in quotes]
+        assert [s is None for s in former] == [s is None for s in slices]
+        covered = [sum(hi - lo for lo, hi in s or []) for s in slices]
+        assert sum(covered) < sum(sum(hi - lo for lo, hi in s or []) for s in former)
 
 
 class TestSeveralFuzzyQuotesPerStep:
@@ -953,9 +999,9 @@ class TestSeveralFuzzyQuotesPerStep:
     Each is a 72-character passage of a long_notes note with 4 to 10
     characters replaced by letters, or 72 characters of the note's own
     words that the note does not hold. The pieces step settles almost
-    none of them, so nearly all make a 3-gram pass and then scan slices
-    or the whole fold: the case that scans of several quotes packed into
-    the same ints once served.
+    none of them, so nearly all go on to m // 3 pieces and then scan
+    slices or the whole fold: the case that scans of several quotes packed
+    into the same ints once served.
     """
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -985,6 +1031,83 @@ class TestSeveralFuzzyQuotesPerStep:
             nq = fold_quote(quote)
             assert any(not anchored for *_, anchored in calls), quote
             assert {needle for needle, *_ in calls} <= {nq, nq[::-1]}, quote
+
+
+def _quote_kinds(rng: random.Random, text: str, per_kind: int, m: int = 72) -> dict[str, list[str]]:
+    """Quotes of `text` that the benchmark does not plan, `per_kind` of each kind.
+
+    Absent quotes of the note's own words, the words of a passage shuffled,
+    and passages with 4, 10 or 4 to m // 4 letters substituted.
+    """
+    folded, words = fold(text), text.split()
+
+    def substituted(low: int, high: int) -> str:
+        a = rng.randrange(len(text) - m)
+        chars = list(text[a : a + m])
+        for i in rng.sample(range(m), rng.randint(low, high)):
+            chars[i] = rng.choice([c for c in "abcdefghijklmnopqrstuvwxyz" if c != chars[i].lower()])
+        return "".join(chars)
+
+    def shuffled() -> str:
+        a = rng.randrange(len(text) - m)
+        passage = text[a : a + m].split()
+        rng.shuffle(passage)
+        return " ".join(passage)
+
+    kinds = {
+        "own_words": lambda: " ".join(rng.choice(words) for _ in range(20))[:m],
+        "shuffled": shuffled,
+        "substitutions_4": lambda: substituted(4, 4),
+        "substitutions_10": lambda: substituted(10, 10),
+        "substitutions_4_to_m_4": lambda: substituted(4, m // 4),
+    }
+    quotes: dict[str, list[str]] = {}
+    for kind, make in kinds.items():
+        quotes[kind] = []
+        while len(quotes[kind]) < per_kind:
+            quote = make()
+            if fold_quote(quote) not in folded:
+                quotes[kind].append(quote)
+    return quotes
+
+
+class TestQuoteKindCorpus:
+    """Quotes the benchmark does not plan, on long_notes notes at seeds 0, 3 and 7.
+
+    Every quote's end points are the unfiltered scan's, and per kind the
+    locator scans no more free-start characters than it did with the
+    q-gram filter (`oracles.per_quote_candidate_slices`) at the cap m // 4.
+    """
+
+    def test_end_points_and_characters_scanned_per_kind(self, monkeypatch):
+        longnotes = _longnotes(monkeypatch)
+        calls = _fed_to_edit_rows(monkeypatch)
+
+        def q_gram_end_points(self, nq):
+            slices = per_quote_candidate_slices(self.folded, nq)
+            if slices is None:
+                slices = [(0, len(self.folded))]
+            return _scan_slices(self.folded, nq, slices, len(nq) // 4)
+
+        scanned, former = Counter(), Counter()
+        for seed in (0, 3, 7):
+            for note in longnotes.make_corpus(seed, n_notes=2):
+                text = note.document.text
+                for kind, quotes in _quote_kinds(random.Random(seed), text, 6).items():
+                    for quote in quotes:
+                        nq = fold_quote(quote)
+                        assert QuoteSearch(text).end_points(nq) == unfiltered_end_points(QuoteSearch(text), nq)
+                        calls.clear()
+                        span = locate_quote(text, quote, QuoteSearch(text))
+                        scanned[kind] += _free_start_chars(calls)
+                        with monkeypatch.context() as patched:
+                            patched.setattr(QuoteSearch, "end_points", q_gram_end_points)
+                            calls.clear()
+                            assert locate_quote(text, quote, QuoteSearch(text)) == span, quote
+                            former[kind] += _free_start_chars(calls)
+        assert len(scanned) == 5
+        for kind in scanned:
+            assert scanned[kind] <= former[kind], (kind, scanned[kind], former[kind])
 
 
 def _with_edits(rng: random.Random, text: str, edits: int, alphabet: str) -> str:
@@ -1040,15 +1163,17 @@ class TestPiecesStep:
             a = rng.randrange(max(1, len(text) - m))
             quotes.append(_with_edits(rng, text[a : a + m], rng.randint(0, m // 4), alphabet + "xyz"))
         _same_as_former(text, quotes)
-        # Where the pieces step runs, it gives the end points within
-        # PIECES - 1, in the order refinement takes them.
+        # Where the pieces step runs (m // 4 above PIECES - 1), it gives the
+        # end points within PIECES - 1, in the order refinement takes them.
         folded = fold(text)
         for quote in quotes:
             nq = fold_quote(quote)
-            pieces = parsing._piece_end_points(folded, nq) if nq and nq not in folded else None
-            if pieces is not None:
+            runs = len(nq) // 4 > PIECES - 1 and nq not in folded
+            slices = _piece_slices(folded, nq, PIECES, PIECES - 1) if runs else None
+            if slices is not None:
+                pieces = sorted(_scan_slices(folded, nq, slices, PIECES - 1), key=itemgetter(1))
                 ends = unfiltered_end_points(QuoteSearch(text), nq)
-                assert pieces == sorted([e for e in ends if e[1] < parsing.PIECES], key=itemgetter(1))
+                assert pieces == sorted([e for e in ends if e[1] < PIECES], key=itemgetter(1))
 
     def test_near_verbatim_quote_makes_no_q_gram_pass(self, monkeypatch):
         rng = random.Random(20)
@@ -1056,7 +1181,9 @@ class TestPiecesStep:
         text = _words(rng, 3000, vocabulary)[:20000]
         passage = text[9000:9072]
         # Two substitutions, which the pieces step settles; and twelve, one
-        # in each sixth of the quote, which fall back to the filter.
+        # in each sixth of the quote, which fall back to m // 3 pieces.
+        # Neither makes a 3-gram pass, where the q-gram filter made one for
+        # the second.
         near = "".join("0" if i in (10, 50) else c for i, c in enumerate(passage))
         far = "".join("0" if i % 6 == 3 else c for i, c in enumerate(passage))
         passes = [0]
@@ -1067,33 +1194,36 @@ class TestPiecesStep:
 
         monkeypatch.setattr(parsing, "zip", counted_zip, raising=False)
         calls = _fed_to_edit_rows(monkeypatch)
-        for quote, q_gram_passes in ((near, 0), (far, 1)):
+        for quote in (near, far):
             passes[0] = 0
             calls.clear()
             span = locate_quote(text, quote)
             assert span.match_kind is MatchKind.FUZZY and span == full_row_locate_quote(text, quote)
-            assert passes[0] == q_gram_passes
+            assert passes[0] == 0
             if quote is near:
                 # One slice around the end the pieces imply, and one row.
                 nq = fold_quote(near)
-                k = parsing.PIECES - 1
+                k = PIECES - 1
                 assert [c for c in calls if not c[2]] == [(nq, len(nq) + 3 * k, False)]
                 assert sum(anchored for *_, anchored in calls) == 1
 
     def test_dense_pieces_are_decided_by_their_count(self):
         # The repeated-letter worst case: each piece occurs about a
-        # thousand times, so six `str.count` calls send the quote to the
-        # filter before any occurrence is looked for.
+        # thousand times, so the `str.find` loop of the first piece stops
+        # once its hits pass n / (2 (m + 3k)), 74 here, and sends the quote
+        # on before any other piece is looked for.
         folded = _CountedText("a" * 20000)
-        assert parsing._piece_end_points(folded, "a" * 119 + "b") is None
-        assert folded.calls == {"count": 6}
+        nq = "a" * 119 + "b"
+        assert _piece_slices(folded, nq, PIECES, PIECES - 1) is None
+        assert folded.calls == {"find": 20000 // (2 * (len(nq) + 3 * (PIECES - 1))) + 1}
         # A sparse quote looks for each occurrence once, and one more time
         # per piece to find that there are no more.
         rng = random.Random(6)
         folded = _CountedText("".join(rng.choices("abcdefghijklmnopqrstuvw", k=5000)))
         nq = folded[1000:1072]
-        assert parsing._piece_end_points(folded, nq)[0] == (1072, 0)
-        assert folded.calls == {"count": 6, "find": 6 + 6}
+        slices = _piece_slices(folded, nq, PIECES, PIECES - 1)
+        assert min(_scan_slices(folded, nq, slices, PIECES - 1), key=itemgetter(1)) == (1072, 0)
+        assert folded.calls == {"find": 6 + 6}
 
 
 _ROW_ALPHABET = "abcé中 "

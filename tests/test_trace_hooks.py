@@ -59,10 +59,11 @@ def test_tracer_sees_one_locate_span_per_quote(monkeypatch):
 def test_each_locate_does_only_its_own_quotes_work(monkeypatch):
     """Per-quote locator work falls inside that quote's `pipeline.locate_quote` call.
 
-    One long note whose evidence reply has two quotes that reach the 3-gram
-    filter: a passage with ten letters substituted and one written in the
-    note's own words. Each call filters and scans only its own quote, so
-    the per-kind locator times measure each quote's own work.
+    One long note whose evidence reply has two quotes that reach the pieces
+    filter at the cap m // 4: a passage with ten letters substituted and
+    one written in the note's own words. Each call filters and scans only
+    its own quote, so the per-kind locator times measure each quote's own
+    work.
     """
     monkeypatch.syspath_prepend(str(BENCHMARK))
     longnotes = importlib.import_module("longnotes")
@@ -87,11 +88,12 @@ def test_each_locate_does_only_its_own_quotes_work(monkeypatch):
     note = replace(note, quotes=tuple(quotes))
 
     work: list[tuple[str, str]] = []
-    filtered, scanned = parsing._candidate_slices, parsing._edit_rows
+    filtered, scanned = parsing._piece_slices, parsing._edit_rows
 
-    def counted_filter(folded, nq):
-        work.append(("filter", nq))
-        return filtered(folded, nq)
+    def counted_filter(folded, nq, j, c):
+        if c == len(nq) // 4:
+            work.append(("filter", nq))
+        return filtered(folded, nq, j, c)
 
     def counted_scan(needle, haystack, anchored, cap):
         work.append(("anchored" if anchored else "free", needle))
@@ -106,7 +108,7 @@ def test_each_locate_does_only_its_own_quotes_work(monkeypatch):
         located.append((quote, span, list(work)))
         return span
 
-    monkeypatch.setattr(parsing, "_candidate_slices", counted_filter)
+    monkeypatch.setattr(parsing, "_piece_slices", counted_filter)
     monkeypatch.setattr(parsing, "_edit_rows", counted_scan)
     monkeypatch.setattr(pipeline, "locate_quote", recorded)
     run_batch(longnotes.backend([note]), PipelineConfig(), [note.document], seeds=[0], workers=1)
