@@ -19,7 +19,7 @@ import time
 from abc import ABC, abstractmethod
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -439,13 +439,7 @@ class HttpBackend(Backend):
                 data = resp.json()
             except ValueError as exc:
                 raise BackendError(f"invalid JSON from server: {exc}") from None
-            parsed = self._parse_response(data)
-            return LlmResponse(
-                text=parsed.text,
-                finish_reason=parsed.finish_reason,
-                usage=parsed.usage,
-                latency_ms=elapsed_ms,
-            )
+            return replace(self._parse_response(data), latency_ms=elapsed_ms)
         raise last_error if last_error else BackendError("no attempts made")
 
 

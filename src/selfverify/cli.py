@@ -52,12 +52,7 @@ from .evaluation import (
     status_accuracy,
     top_k_codes,
 )
-from .pipeline import (
-    OPTIONAL_STEPS,
-    PipelineConfig,
-    run_ablation,
-    run_batch,
-)
+from .pipeline import OPTIONAL_STEPS, PipelineConfig, PipelineResult, run_ablation, run_batch
 from .prompts import catalog_version
 
 EXIT_OK = 0
@@ -302,8 +297,8 @@ def _gold_maps(records) -> tuple[dict[str, list[str]], dict[str, dict[str, str |
     return values, statuses
 
 
-def _read_run(run_dir: str) -> tuple[dict, list[dict]]:
-    """The run's checked manifest and records; exit 3 when a run file is missing."""
+def _read_run(run_dir: str) -> tuple[dict, list[PipelineResult]]:
+    """The run's manifest and results; exit 3 when a run file is missing."""
     try:
         return load_run(run_dir)
     except FileNotFoundError:
@@ -334,19 +329,16 @@ def cmd_evaluate(args) -> int:
     if args.top_k is not None and args.top_k < 1:
         raise CliError(EXIT_USAGE, f"--top-k must be at least 1, got {args.top_k}")
     _check_output_dirs(args.json)
-    manifest, run_records = _read_run(args.run)
-    if not run_records:
+    manifest, results = _read_run(args.run)
+    if not results:
         raise CliError(EXIT_DATA, f"run directory has no results: {args.run}")
     records, _ = _load_records(args)
     gold_values, gold_statuses = _gold_maps(records)
 
-    missing = sorted({r["doc_id"] for r in run_records} - set(gold_values))
+    missing = sorted({r.doc_id for r in results} - set(gold_values))
     if missing:
-        raise CliError(
-            EXIT_MISMATCH,
-            f"run contains documents absent from the dataset: {missing[:5]}"
-            + ("..." if len(missing) > 5 else ""),
-        )
+        more = "..." if len(missing) > 5 else ""
+        raise CliError(EXIT_MISMATCH, f"run contains documents absent from the dataset: {missing[:5]}{more}")
 
     allowed: set[str] | None = None
     if args.top_k is not None:
@@ -354,22 +346,20 @@ def cmd_evaluate(args) -> int:
 
     scores: list[tuple[int, DocMetrics]] = []
     status_pairs: list[float] = []
-    for record in run_records:
-        predicted = [item["value"] for item in record["final"]]
-        gold = gold_values[record["doc_id"]]
+    for result in results:
+        predicted = [item.value for item in result.final]
+        gold = gold_values[result.doc_id]
         if allowed is not None:
             predicted = filter_values(predicted, allowed)
             gold = filter_values(gold, allowed)
-        metrics = evaluate_doc(record["doc_id"], predicted, gold)
-        scores.append((record["seed"], metrics))
+        metrics = evaluate_doc(result.doc_id, predicted, gold)
+        scores.append((result.seed, metrics))
         if args.per_doc:
-            print(
-                f"seed={record['seed']} doc={record['doc_id']} "
-                f"P={metrics.precision:.3f} R={metrics.recall:.3f} F1={metrics.f1:.3f}"
-            )
+            print(f"seed={result.seed} doc={result.doc_id} "
+                  f"P={metrics.precision:.3f} R={metrics.recall:.3f} F1={metrics.f1:.3f}")
         if args.status:
-            predicted_status = {item["value"]: item["status"] for item in record["final"]}
-            accuracy = status_accuracy(predicted_status, gold_statuses[record["doc_id"]])
+            predicted_status = {item.value: item.status for item in result.final}
+            accuracy = status_accuracy(predicted_status, gold_statuses[result.doc_id])
             if accuracy is not None:
                 status_pairs.append(accuracy)
 
@@ -412,8 +402,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    manifest, records = _read_run(args.run)
-    report = render_report_html(manifest, records)
+    report = render_report_html(*_read_run(args.run))
     path = _write_output(args.out or Path(args.run) / "report.html", report)
     print(f"wrote {path}")
     return EXIT_OK

@@ -190,12 +190,22 @@ class EvidenceSpan:
         return self.match_kind is not MatchKind.NOT_FOUND
 
     def verify_against(self, text: str) -> bool:
-        """Check the substring contract for exact/case-insensitive spans."""
-        if self.match_kind is MatchKind.EXACT:
-            return text[self.start : self.end] == self.quote
-        if self.match_kind is MatchKind.CASE_INSENSITIVE:
-            return fold_quote(text[self.start : self.end]) == fold_quote(self.quote)
-        return True
+        """Whether `text` still holds this located span; NOT_FOUND spans claim nothing.
+
+        The span must be non-empty and inside `text`, and give back its quote
+        (exact), its folded quote (case-insensitive), or a fold within the
+        locator's threshold of the folded quote, by one anchored row (fuzzy).
+        """
+        if not self.located or not self.start < self.end <= len(text):
+            return not self.located  # NOT_FOUND claims nothing; an empty or outside span fails
+        window, nq = text[self.start : self.end], fold_quote(self.quote)
+        if self.match_kind is not MatchKind.FUZZY:
+            return window == self.quote if self.match_kind is MatchKind.EXACT else fold_quote(window) == nq
+        from .parsing import _edit_rows, passes_threshold  # parsing imports this module
+
+        window = fold(window)
+        dist = _edit_rows(nq, window, True, len(nq) + len(window))[-1][1] if nq else len(window)
+        return passes_threshold(dist, len(nq), len(window))
 
 
 _LIST_MARKER = r"(?:[-*•·‣◦]+|\(?\d{1,3}[.)])\s+"
@@ -291,6 +301,16 @@ class Origin:
     def megaprompt(cls) -> "Origin":
         return cls("megaprompt")
 
+    @classmethod
+    @lru_cache(maxsize=256)
+    def parse(cls, text: str) -> "Origin":
+        """The Origin whose `str` is `text`; ValueError for any other text."""
+        step, bracket, iteration = text.partition("[")
+        origin = cls(step, int(iteration[:-1])) if bracket else cls(step)
+        if str(origin) != text:
+            raise ValueError(f"unknown origin {text!r}")
+        return origin
+
     def __str__(self) -> str:
         if self.step == "omission":
             return f"omission[{self.iteration}]"
@@ -320,6 +340,9 @@ class ExtractedItem:
             raise ValueError(
                 f"value {self.value!r} is not the normalized form of {self.raw_value!r}"
             )
+        self.check_pruned()
+
+    def check_pruned(self) -> None:
         if self.pruned and not self.prune_reason:
             raise ValueError("pruned items need a non-empty prune_reason")
 
@@ -336,8 +359,7 @@ class ExtractedItem:
         item.__dict__.update(self.__dict__, **changes)
         if "raw_value" in changes:
             item.__dict__["value"] = normalize(item.raw_value)
-        if item.pruned and not item.prune_reason:
-            raise ValueError("pruned items need a non-empty prune_reason")
+        item.check_pruned()
         return item
 
     @property

@@ -11,7 +11,10 @@ A run directory holds manifest.json (run metadata, timing, effective
 config) and results.jsonl (one serialized pipeline result per line).
 Result records deliberately contain no timestamps or latencies: replaying
 a recorded run must produce byte-identical result lines, and all timing
-lives in the manifest. `load_run` is the one reader of run directories.
+lives in the manifest. Their format is stated once, as one field table per
+record type (span, item, trace, result): `result_to_record` writes from
+the tables, and `load_run`, the one reader of run directories, reads each
+line back through them into the types that wrote it.
 """
 
 from __future__ import annotations
@@ -20,17 +23,11 @@ import html
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .core import (
-    Document,
-    EvidenceSpan,
-    ExtractedItem,
-    MatchKind,
-    StatusLabel,
-    TaskKind,
-)
+from .core import Document, EvidenceSpan, ExtractedItem, ExtractionSet, MatchKind, Origin, StatusLabel, TaskKind
 from .pipeline import PipelineResult, StepTrace
 from .prompts import DemoExample, render_answer
 
@@ -120,16 +117,9 @@ def _parse_line(line_no: int, raw: str) -> DatasetRecord:
         for i, s in enumerate(raw_spans):
             if s is None:
                 continue
-            ok = (
-                isinstance(s, list)
-                and len(s) == 2
-                and all(type(x) is int for x in s)
-                and 0 <= s[0] <= s[1] <= len(text)
-            )
-            if not ok:
-                raise FormatError(
-                    line_no, f"gold_spans[{i}] must be [start, end] within the text"
-                )
+            ok = isinstance(s, list) and len(s) == 2 and all(type(x) is int for x in s)
+            if not (ok and 0 <= s[0] <= s[1] <= len(text)):
+                raise FormatError(line_no, f"gold_spans[{i}] must be [start, end] within the text")
             spans[i] = (s[0], s[1])
 
     return DatasetRecord(
@@ -166,11 +156,7 @@ def load_dataset(path: str | Path, lenient: bool = False) -> tuple[list[DatasetR
 def records_to_documents(
     records: Iterable[DatasetRecord], task: TaskKind, split: str = "eval"
 ) -> list[Document]:
-    return [
-        Document(id=r.doc_id, text=r.text, task=task)
-        for r in records
-        if r.split == split
-    ]
+    return [Document(id=r.doc_id, text=r.text, task=task) for r in records if r.split == split]
 
 
 def demo_pool_from_records(records: Iterable[DatasetRecord], task: TaskKind) -> list[DemoExample]:
@@ -206,58 +192,128 @@ class RunManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True, ensure_ascii=False)
 
 
-def _span_to_dict(span: EvidenceSpan | None) -> dict | None:
-    if span is None:
-        return None
-    return {
-        "quote": span.quote,
-        "start": span.start,
-        "end": span.end,
-        "match_kind": span.match_kind.value,
-    }
+# The run-record schema: one table per record type, from which
+# `result_to_record` writes and `load_run` checks and reads. A field is
+# (JSON key, JSON types[, codec[, attribute when not the key]]). JSON types
+# compare exactly (`true` is not an integer); a key may be missing only
+# where they include _ABSENT. A codec is (encode, decode) of values other
+# than null; decode(value, record name, key) raises ValueError naming them.
+_NULL, _ABSENT, _set = type(None), type(...), object.__setattr__
+_JSON_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "a boolean",
+               list: "a list", dict: "an object", _NULL: "null", _ABSENT: "absent"}
 
 
-def _item_to_dict(item: ExtractedItem) -> dict:
-    return {
-        "raw_value": item.raw_value,
-        "value": item.value,
-        "status": item.status.value if item.status else None,
-        "evidence": _span_to_dict(item.evidence),
-        "origin": str(item.origin),
-        "pruned": item.pruned,
-        "prune_reason": item.prune_reason,
-        "icd_code": item.icd_code,
-        "flags": list(item.flags),
-    }
+class _Schema:
+    """One record type: its class, its fields, and a `check` of each value read.
+
+    `read` makes an instance without its constructor and sets each field
+    with `object.__setattr__`, as the constructor does; filling `__dict__`
+    would add a dict per instance, a third more objects for the cyclic
+    collector to count. A missing key (it needs a codec) leaves its field at
+    the class default. `check(value)` raises ValueError where the constructor would.
+    """
+
+    def __init__(self, cls, *fields, check=None):
+        self.cls, self.check, self.fields = cls, check, []
+        for key, types, codec, attr, *_ in (field + (None, None) for field in fields):
+            self.fields.append((key, attr or key, types, *(codec or (None, None))))
+
+    def write(self, obj) -> dict:
+        record = {}
+        for key, attr, _, encode, _ in self.fields:
+            value = getattr(obj, attr)
+            record[key] = value if encode is None or value is None else encode(value)
+        return record
+
+    def read(self, record, name: str):
+        if type(record) is not dict:
+            raise ValueError(f"{name} is not a JSON object")
+        obj = object.__new__(self.cls)
+        for key, attr, types, _, decode in self.fields:
+            value = record.get(key, ...)
+            if type(value) not in types:
+                raise ValueError(f"{name} needs {key!r} as {' or '.join(_JSON_NAMES[t] for t in types)}")
+            if decode is None or value is None:
+                _set(obj, attr, value)
+            elif value is not ...:
+                _set(obj, attr, decode(value, name, key))
+        try:
+            if self.check is not None:
+                self.check(obj)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        return obj
+
+    def codec(self, many: bool = False) -> tuple:
+        """The codec of one such record, named name.key, or of a list of them, the i-th named key[i]."""
+        if many:
+            return (lambda objs: [self.write(obj) for obj in objs],
+                    lambda value, _, key: tuple([self.read(v, f"{key}[{i}]") for i, v in enumerate(value)]))
+        return self.write, lambda value, name, key: self.read(value, f"{name}.{key}")
 
 
-def _trace_to_dict(trace: StepTrace) -> dict:
-    return {
-        "step": trace.step,
-        "prompt": trace.prompt,
-        "response": trace.response,
-        "temperature": trace.temperature,
-        "summary": trace.summary,
-        "warnings": list(trace.warnings),
-    }
+def _parsed(parse, encode=str) -> tuple:
+    """The codec of the strings that `parse` reads; it raises KeyError or ValueError on others."""
+    def decode(value: str, name: str, key: str):
+        try:
+            return parse(value)
+        except (KeyError, ValueError):
+            raise ValueError(f"{name} has an unknown {key}") from None
+    return encode, decode
+
+
+def _enum(enum) -> tuple:
+    return _parsed({member.value: member for member in enum}.__getitem__, attrgetter("value"))
+
+
+def _strings(value: list, name: str, key: str) -> tuple[str, ...]:
+    for v in value:
+        if type(v) is not str:
+            raise ValueError(f"{name} needs {key!r} as a list of strings")
+    return tuple(value)
+
+
+def _check_result(result: PipelineResult) -> None:
+    """Make `final` a set, and rebuild `pre_prune` from its keys as `load_run` describes."""
+    _set(result, "final", ExtractionSet(result.final))
+    items = {item.key: item for item in result.final}
+    items.update((item.key, item.evolve(pruned=False, prune_reason=None)) for item in result.pruned)
+    keys = result.pre_prune
+    _set(result, "pre_prune", ExtractionSet(tuple(items.get(k) or ExtractedItem.from_raw(k) for k in keys)))
+
+
+_STR, _INT, _OPT_STR, _STRINGS = (str,), (int,), (str, _NULL), (list, _strings)
+_SPAN = _Schema(
+    EvidenceSpan, ("quote", _STR), ("start", _INT), ("end", _INT), ("match_kind", _STR, _enum(MatchKind)),
+    check=EvidenceSpan.__post_init__,  # the offset rules
+)
+_ITEM = _Schema(
+    ExtractedItem,
+    ("value", _STR), ("origin", _STR, _parsed(Origin.parse)), ("status", _OPT_STR, _enum(StatusLabel)),
+    ("prune_reason", _OPT_STR), ("evidence", (dict, _NULL), _SPAN.codec()), ("raw_value", _STR),
+    ("pruned", (bool,)), ("icd_code", _OPT_STR), ("flags", (list,), _STRINGS),
+    check=ExtractedItem.check_pruned,
+)
+_TRACE = _Schema(
+    StepTrace, ("step", _STR), ("prompt", _STR), ("response", _STR), ("temperature", (float, int)),
+    ("summary", _STR), ("warnings", (list,), _STRINGS),
+)
+_RESULT = _Schema(
+    PipelineResult,
+    ("doc_id", _STR), ("seed", _INT), ("text", _STR),
+    ("final", (list,), _ITEM.codec(many=True)), ("pruned", (list,), _ITEM.codec(many=True)),
+    ("task", _STR, None, "task_name"), ("megaprompt", (bool,)), ("omission_iters", _INT),
+    ("pre_prune_values", (list,), (lambda items: list(items.keys()), _strings), "pre_prune"),
+    ("warnings", (list,), _STRINGS), ("traces", (list, _ABSENT), _TRACE.codec(many=True)),
+    check=_check_result,
+)
 
 
 def result_to_record(result: PipelineResult, include_traces: bool = True) -> dict:
     """Serializable form of one result. Contains no wall time or latency."""
-    record = {
-        "doc_id": result.doc_id,
-        "text": result.text,
-        "task": result.task_name,
-        "seed": result.seed,
-        "megaprompt": result.megaprompt,
-        "omission_iters": result.omission_iters,
-        "final": [_item_to_dict(i) for i in result.final],
-        "pruned": [_item_to_dict(i) for i in result.pruned],
-        "pre_prune_values": list(result.pre_prune.keys()),
-        "warnings": list(result.warnings),
-    }
-    if include_traces:
-        record["traces"] = [_trace_to_dict(t) for t in result.traces]
+    record = _RESULT.write(result)
+    if not include_traces:
+        del record["traces"]
     return record
 
 
@@ -266,10 +322,7 @@ def record_to_line(record: dict) -> str:
 
 
 def write_run(
-    run_dir: str | Path,
-    manifest: RunManifest,
-    results: Iterable[PipelineResult],
-    include_traces: bool = True,
+    run_dir: str | Path, manifest: RunManifest, results: Iterable[PipelineResult], include_traces: bool = True
 ) -> Path:
     """Create run_dir with manifest.json and results.jsonl.
 
@@ -281,44 +334,10 @@ def write_run(
         raise RunExists(f"run directory already exists: {run_dir}")
     run_dir.mkdir(parents=True)
     lines = [record_to_line(result_to_record(result, include_traces)) for result in results]
-    (run_dir / "results.jsonl").write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-    )
+    (run_dir / "results.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     manifest.n_results = len(lines)
     (run_dir / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
     return run_dir
-
-
-# The results-line fields that `evaluate` and the report read, with the
-# JSON types each may hold, compared exactly: `true` is not an integer and
-# a missing key fails. Traces and keys not listed are not checked.
-_NULL = type(None)
-_RESULT_FIELDS = {"doc_id": (str,), "seed": (int,), "text": (str,), "final": (list,), "pruned": (list,)}
-_ITEM_FIELDS = {"value": (str,), "origin": (str,), "status": (str, _NULL),
-                "prune_reason": (str, _NULL), "evidence": (dict, _NULL)}
-_SPAN_FIELDS = {"quote": (str,), "start": (int,), "end": (int,), "match_kind": (str,)}
-_MATCH_KINDS = frozenset(kind.value for kind in MatchKind)
-_JSON_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object", _NULL: "null"}
-
-
-def _check_fields(obj, fields: dict, name: str) -> None:
-    """Raise ValueError unless obj is a dict whose `fields` hold their listed types."""
-    if type(obj) is not dict:
-        raise ValueError(f"{name} is not a JSON object")
-    for key, types in fields.items():
-        if type(obj.get(key, ...)) not in types:
-            raise ValueError(f"{name} needs {key!r} as {' or '.join(_JSON_NAMES[t] for t in types)}")
-
-
-def _check_result(record) -> None:
-    _check_fields(record, _RESULT_FIELDS, "result")
-    for key in ("final", "pruned"):
-        for i, item in enumerate(record[key]):
-            _check_fields(item, _ITEM_FIELDS, f"{key}[{i}]")
-            if item["evidence"] is not None:
-                _check_fields(item["evidence"], _SPAN_FIELDS, f"{key}[{i}].evidence")
-                if item["evidence"]["match_kind"] not in _MATCH_KINDS:
-                    raise ValueError(f"{key}[{i}].evidence has an unknown match_kind")
 
 
 def _decode(raw: str):
@@ -338,17 +357,23 @@ def _decode(raw: str):
     return obj
 
 
-def load_run(run_dir: str | Path) -> tuple[dict, list[dict]]:
-    """Read a run directory's manifest and result records, checked.
+def load_run(run_dir: str | Path) -> tuple[dict, list[PipelineResult]]:
+    """Read a run directory: its manifest, and its results as the values that wrote them.
 
-    Every results-line field that `evaluate` and the report read is
-    checked once here, so they can index it directly. Raises
-    FileNotFoundError when a file is missing, and FormatError naming the
-    file (and for results the line) on bad UTF-8 or JSON, a lone
+    A results line is accepted only if `result_to_record` could have
+    written it: each field it writes is there with its JSON type, enums and
+    `origin` name a value, spans keep `EvidenceSpan`'s offset rules and
+    `final` holds distinct values. Unknown keys are ignored; `traces` may be
+    absent (--no-traces). `pre_prune` is written as its keys alone and is
+    rebuilt key by key: the pruned item un-pruned, else the final item,
+    else `ExtractedItem.from_raw(key)`. So it is exact by key, not by item
+    (on ICD tasks `final` holds codes where `pre_prune` held diagnoses).
+    Raises FileNotFoundError when a file is missing, and FormatError naming
+    the file (and for results the line) on bad UTF-8 or JSON, a lone
     surrogate in a string, or a bad field.
     """
     run_dir = Path(run_dir)
-    path, line_no, records = run_dir / "manifest.json", None, []
+    path, line_no, results = run_dir / "manifest.json", None, []
     try:
         manifest = _decode(path.read_text(encoding="utf-8"))
         if type(manifest) is not dict:
@@ -356,51 +381,27 @@ def load_run(run_dir: str | Path) -> tuple[dict, list[dict]]:
         path = run_dir / "results.jsonl"
         for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             if raw.strip():
-                records.append(_decode(raw))
-                _check_result(records[-1])
+                results.append(_RESULT.read(_decode(raw), "result"))
     except json.JSONDecodeError as exc:
         raise FormatError(line_no, f"invalid JSON: {exc.msg}", path) from None
     except ValueError as exc:
         raise FormatError(line_no, str(exc), path) from None
-    return manifest, records
-
-
-def _usable_span(text: str, item: dict) -> tuple[int, int] | None:
-    """Re-check a stored span against the text before highlighting it.
-
-    Bounds are validated for every kind; exact and case-insensitive spans
-    must still reproduce their quote. A span that fails re-checking is not
-    highlighted.
-    """
-    ev = item["evidence"]
-    if ev is None or ev["match_kind"] == MatchKind.NOT_FOUND.value:
-        return None
-    start, end = ev["start"], ev["end"]
-    if not (0 <= start < end <= len(text)):
-        return None
-    span = EvidenceSpan(ev["quote"], start, end, MatchKind(ev["match_kind"]))
-    return (start, end) if span.verify_against(text) else None
-
-
-def _merge_intervals(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    merged: list[tuple[int, int]] = []
-    for start, end in sorted(spans):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
+    return manifest, results
 
 
 def _highlighted_text(text: str, spans: list[tuple[int, int]]) -> str:
-    parts: list[str] = []
-    cursor = 0
-    for start, end in _merge_intervals(spans):
-        parts.append(html.escape(text[cursor:start]))
-        parts.append(f"<mark>{html.escape(text[start:end])}</mark>")
+    """`text`, escaped, with each run of overlapping or touching spans in one <mark>."""
+    merged: list[list[int]] = []
+    for start, end in sorted(spans):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
+        else:
+            merged.append([start, end])
+    parts, cursor = [], 0
+    for start, end in merged:
+        parts += html.escape(text[cursor:start]), f"<mark>{html.escape(text[start:end])}</mark>"
         cursor = end
-    parts.append(html.escape(text[cursor:]))
-    return "".join(parts)
+    return "".join(parts) + html.escape(text[cursor:])
 
 
 _REPORT_CSS = """
@@ -418,7 +419,7 @@ td, th { border: 1px solid #ddd; padding: 0.25em 0.6em; font-size: 0.95em; }
 """
 
 
-def render_report_html(manifest: dict, records: list[dict]) -> str:
+def render_report_html(manifest: dict, results: list[PipelineResult]) -> str:
     """Self-contained HTML audit report for a run."""
     out: list[str] = [
         "<!DOCTYPE html>",
@@ -430,44 +431,38 @@ def render_report_html(manifest: dict, records: list[dict]) -> str:
         f"task {html.escape(str(manifest.get('task', '?')))} · "
         f"backend {html.escape(str(manifest.get('backend', '?')))} · "
         f"model {html.escape(str(manifest.get('model_id', '?')))} · "
-        f"{len(records)} result(s)</p>",
+        f"{len(results)} result(s)</p>",
     ]
-    for record in records:
-        text = record["text"]
-        out.append(
-            f"<div class='doc'><h2>{html.escape(record['doc_id'])} "
-            f"<small>(seed {record['seed']})</small></h2>"
-        )
+    for result in results:
+        out.append(f"<div class='doc'><h2>{html.escape(result.doc_id)} <small>(seed {result.seed})</small></h2>")
 
-        final = record["final"]
-        spans = [span for span in (_usable_span(text, item) for item in final) if span]
-        evidence = [item["evidence"] for item in final if item["evidence"]]
-        stale = sum(ev["match_kind"] != MatchKind.NOT_FOUND.value for ev in evidence) - len(spans)
-        out.append(f"<div class='doc-text'>{_highlighted_text(text, spans)}</div>")
-        if stale:
-            out.append(
-                f"<p class='warn'>{stale} evidence span(s) failed re-checking and are not highlighted.</p>"
-            )
+        # A located span is highlighted only while it still passes re-checking.
+        located = [item.evidence for item in result.final if item.evidence and item.evidence.located]
+        spans = [(span.start, span.end) for span in located if span.verify_against(result.text)]
+        out.append(f"<div class='doc-text'>{_highlighted_text(result.text, spans)}</div>")
+        if len(located) > len(spans):
+            stale = len(located) - len(spans)
+            out.append(f"<p class='warn'>{stale} evidence span(s) failed re-checking and are not highlighted.</p>")
 
-        if not final:
+        if not result.final:
             out.append("<p class='banner'>No items extracted for this document.</p>")
         else:
             out.append("<table><tr><th>value</th><th>status</th><th>origin</th><th>evidence</th></tr>")
-            for item in final:
-                ev = item["evidence"]
-                quote = f"{html.escape(ev['quote'])} <em>({ev['match_kind']})</em>" if ev else ""
+            for item in result.final:
+                ev = item.evidence
+                quote = f"{html.escape(ev.quote)} <em>({ev.match_kind.value})</em>" if ev else ""
                 out.append(
-                    f"<tr><td>{html.escape(item['value'])}</td>"
-                    f"<td>{html.escape(item['status'] or '')}</td>"
-                    f"<td>{html.escape(item['origin'])}</td><td>{quote}</td></tr>"
+                    f"<tr><td>{html.escape(item.value)}</td>"
+                    f"<td>{item.status.value if item.status else ''}</td>"
+                    f"<td>{html.escape(str(item.origin))}</td><td>{quote}</td></tr>"
                 )
             out.append("</table>")
 
-        if record["pruned"]:
+        if result.pruned:
             out.append("<p>Pruned items:</p><ul>")
-            for item in record["pruned"]:
-                reason = html.escape(item["prune_reason"] or "")
-                out.append(f"<li><del>{html.escape(item['value'])}</del>: {reason}</li>")
+            for item in result.pruned:
+                reason = html.escape(item.prune_reason or "")
+                out.append(f"<li><del>{html.escape(item.value)}</del>: {reason}</li>")
             out.append("</ul>")
         out.append("</div>")
     out.append("</body></html>")

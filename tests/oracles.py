@@ -74,6 +74,12 @@ reference for the memoised function.
 `aggregate_variants` is the former table builder, body unchanged: it took
 each variant's per-seed macro averages, grouped by its callers, and spelled
 out every column. It is the reference for `evaluation.score_run`.
+
+`_RESULT_FIELDS` to `_check_result` are the checks `data.load_run` made of
+a results line before the run-record schema, bodies unchanged: the fields
+that `evaluate` and the report read, each with its JSON types. They are
+the reference for the schema's checks: wherever they refuse a line,
+`load_run` refuses it with the same message.
 """
 
 from __future__ import annotations
@@ -684,3 +690,35 @@ def aggregate_variants(per_variant: dict[str, Sequence[MacroMetrics]]) -> list[A
             )
         )
     return rows
+
+
+# The results-line fields that `evaluate` and the report read, with the
+# JSON types each may hold, compared exactly: `true` is not an integer and
+# a missing key fails. Traces and keys not listed are not checked.
+_NULL = type(None)
+_RESULT_FIELDS = {"doc_id": (str,), "seed": (int,), "text": (str,), "final": (list,), "pruned": (list,)}
+_ITEM_FIELDS = {"value": (str,), "origin": (str,), "status": (str, _NULL),
+                "prune_reason": (str, _NULL), "evidence": (dict, _NULL)}
+_SPAN_FIELDS = {"quote": (str,), "start": (int,), "end": (int,), "match_kind": (str,)}
+_MATCH_KINDS = frozenset(kind.value for kind in MatchKind)
+_JSON_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object", _NULL: "null"}
+
+
+def _check_fields(obj, fields: dict, name: str) -> None:
+    """Raise ValueError unless obj is a dict whose `fields` hold their listed types."""
+    if type(obj) is not dict:
+        raise ValueError(f"{name} is not a JSON object")
+    for key, types in fields.items():
+        if type(obj.get(key, ...)) not in types:
+            raise ValueError(f"{name} needs {key!r} as {' or '.join(_JSON_NAMES[t] for t in types)}")
+
+
+def _check_result(record) -> None:
+    _check_fields(record, _RESULT_FIELDS, "result")
+    for key in ("final", "pruned"):
+        for i, item in enumerate(record[key]):
+            _check_fields(item, _ITEM_FIELDS, f"{key}[{i}]")
+            if item["evidence"] is not None:
+                _check_fields(item["evidence"], _SPAN_FIELDS, f"{key}[{i}].evidence")
+                if item["evidence"]["match_kind"] not in _MATCH_KINDS:
+                    raise ValueError(f"{key}[{i}].evidence has an unknown match_kind")

@@ -37,6 +37,7 @@ from selfverify.backend import (
     ScriptExhausted,
     ScriptStep,
     StoreCorrupt,
+    Usage,
     cache_key,
     load_script,
 )
@@ -484,6 +485,19 @@ class TestHttpBackend:
         resp = backend.complete(chat())
         assert resp.text == "cut"
         assert resp.finish_reason is FinishReason.LENGTH
+
+    def test_parsed_reply_and_clocked_latency_reach_the_caller(self):
+        clock = FakeClock()
+
+        class TimedSession(FakeSession):
+            def post(self, *args, **kwargs):
+                clock.t += 0.25  # the request takes 250 ms by the backend's clock
+                return super().post(*args, **kwargs)
+
+        session = TimedSession([FakeHttpResponse(payload=chat_payload("cut", finish="length"))])
+        backend = HttpBackend(HttpConfig(base_url="http://llm.test"), session=session, sleep=clock.sleep, clock=clock)
+        expected = LlmResponse("cut", FinishReason.LENGTH, Usage(prompt_tokens=7, completion_tokens=3), 250.0)
+        assert backend.complete(chat()) == expected
 
     def test_retries_then_succeeds(self):
         backend, session, clock = make_backend(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 from selfverify import cli
 from selfverify.backend import ResponseStore
 from selfverify.cli import main
+from selfverify.data import FormatError, load_run
+
+from oracles import _check_result as former_check_result
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 MED_DATA = str(FIXTURES / "medication_status.jsonl")
@@ -330,6 +334,14 @@ BAD_RESULTS = {
     "pruned_int": lambda r: {**r, "pruned": 3},
     "status_list": lambda r: _with_first_final(r, status=["active"]),
     "pruned_value_int": lambda r: {**r, "pruned": [{**r["final"][0], "value": 1}]},
+    # Refused since results are read back into their types: each value
+    # below has its JSON type, but no result could have been written so.
+    "origin_unknown": lambda r: _with_first_final(r, origin="banana"),
+    "status_unknown": lambda r: _with_first_final(r, status="paused"),
+    "traces_string": lambda r: {**r, "traces": "not a list"},
+    "trace_not_object": lambda r: {**r, "traces": [1]},
+    "start_after_end": lambda r: _with_first_final(
+        r, evidence={"quote": "x", "start": 5, "end": 3, "match_kind": "exact"}),
 }
 
 
@@ -342,7 +354,7 @@ def _json_values():
 
 
 def _checked_paths(record):
-    """Key paths to every node in the results-line fields that `evaluate` and `report` read."""
+    """Key paths to every node of a results line that the former checks (`oracles._check_result`) read."""
     paths = [(key,) for key in ("doc_id", "seed", "text", "final", "pruned")]
     for key in ("final", "pruned"):
         for i, item in enumerate(record[key]):
@@ -350,6 +362,17 @@ def _checked_paths(record):
             paths += [(key, i, field) for field in ("value", "origin", "status", "prune_reason", "evidence")]
             if item["evidence"] is not None:
                 paths += [(key, i, "evidence", field) for field in ("quote", "start", "end", "match_kind")]
+    return paths
+
+
+def _written_paths(record):
+    """Key paths to every node of a results line that `result_to_record` writes, traces included."""
+    paths = [(key,) for key in record]
+    for key in ("final", "pruned", "traces"):
+        for i, obj in enumerate(record.get(key, ())):
+            paths += [(key, i), *((key, i, field) for field in obj)]
+            if key != "traces" and obj["evidence"] is not None:
+                paths += [(key, i, "evidence", field) for field in obj["evidence"]]
     return paths
 
 
@@ -454,7 +477,7 @@ class TestMalformedRunDir:
         results = run_dir / "results.jsonl"
         records = [json.loads(line) for line in (tmp_path / "valid.jsonl").read_text().splitlines()]
         n = data.draw(st.integers(0, len(records) - 1), label="line")
-        path = data.draw(st.sampled_from(_checked_paths(records[n])), label="path")
+        path = data.draw(st.sampled_from(_written_paths(records[n])), label="path")
         node = records[n]
         for key in path[:-1]:
             node = node[key]
@@ -465,6 +488,47 @@ class TestMalformedRunDir:
         # A doc_id replaced by a string that names no dataset document is exit 4.
         evaluate = ["evaluate", "--run", str(run_dir), "--dataset", MED_DATA, "--status"]
         assert main(evaluate) in ((0, 3, 4) if path == ("doc_id",) else (0, 3))
+
+
+class TestReaderAgainstFormerChecks:
+    """`load_run` against the checks it made before the run-record schema.
+
+    Each results line of a run gets one checked node replaced, or its key
+    removed. Wherever the former checks (`oracles._check_result`) refuse
+    the line, `load_run` refuses it with the same message.
+    """
+
+    REPLACEMENTS = (None, True, 0, -1, 2.5, "", "x", "exact", [], [1], {}, {"x": 1}, ...)  # ...: removed
+
+    def test_same_message_wherever_the_former_checks_refuse(self, tmp_path):
+        assert main(extract_args(tmp_path)) == 0
+        results = tmp_path / "run" / "results.jsonl"
+        records = [json.loads(line) for line in results.read_text(encoding="utf-8").splitlines()]
+        refused = 0
+        for record in records:
+            for path in _checked_paths(record):
+                for value in self.REPLACEMENTS:
+                    if value is ... and type(path[-1]) is int:
+                        continue
+                    line = copy.deepcopy(record)
+                    node = line
+                    for key in path[:-1]:
+                        node = node[key]
+                    if value is ...:
+                        del node[path[-1]]
+                    else:
+                        node[path[-1]] = value
+                    try:
+                        former_check_result(line)
+                        continue
+                    except ValueError as exc:
+                        expected = str(exc)
+                    results.write_text(json.dumps(line) + "\n", encoding="utf-8")
+                    with pytest.raises(FormatError) as info:
+                        load_run(tmp_path / "run")
+                    assert (info.value.line, info.value.reason) == (1, expected), (path, value)
+                    refused += 1
+        assert refused >= 500
 
 
 class TestAblateReportCache:

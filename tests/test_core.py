@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from selfverify import core
 from selfverify.parsing import locate_quote
 
 from helpers import fuzz_text
-from oracles import fixpoint_normalize, unmemoised_normalize
+from oracles import fixpoint_normalize, normalized_distance_of_span, unmemoised_normalize
 
 
 class TestTaskKind:
@@ -281,12 +282,53 @@ class TestEvidenceSpan:
         assert locate_quote("straße", "STRASSE").match_kind is MatchKind.NOT_FOUND
         assert not span.verify_against("straße")
 
+    def test_fuzzy_span_with_shifted_offsets_fails(self):
+        text = "Patient takes aspirin daily. Denies chest pain."
+        located = locate_quote(text, "takes asprin daily")
+        assert (located.match_kind, located.start, located.end) == (MatchKind.FUZZY, 8, 27)
+        assert located.verify_against(text)
+        shifted = EvidenceSpan("takes aspirin daily", 30, 47, MatchKind.FUZZY)
+        assert text[30:47] == "enies chest pain."
+        assert not shifted.verify_against(text)
+
+    def test_span_outside_the_text_or_empty_fails_and_not_found_claims_nothing(self):
+        text = "Patient takes aspirin daily."
+        for kind in (MatchKind.EXACT, MatchKind.CASE_INSENSITIVE, MatchKind.FUZZY):
+            assert not EvidenceSpan("takes aspirin", 8, 100, kind).verify_against(text)
+            assert not EvidenceSpan("", 8, 8, kind).verify_against(text)
+        assert EvidenceSpan.not_found("anything").verify_against(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=st.text(alphabet="ab cAB\n", min_size=1, max_size=40),
+        quote=st.text(alphabet="ab cAB\n", max_size=30),
+        start=st.integers(0, 45),
+        length=st.integers(0, 45),
+    )
+    def test_fuzzy_recheck_matches_the_oracle_distance(self, text, quote, start, length):
+        span = EvidenceSpan(quote, start, start + length, MatchKind.FUZZY)
+        inside = 0 < length and start + length <= len(text)
+        expected = inside and normalized_distance_of_span(text, quote, start, start + length) <= Fraction(1, 5)
+        assert span.verify_against(text) == expected
+
 
 class TestOrigin:
     def test_factories(self):
         assert str(Origin.original()) == "original"
         assert str(Origin.omission(3)) == "omission[3]"
         assert str(Origin.megaprompt()) == "megaprompt"
+
+    def test_parse_reads_back_every_str(self):
+        for origin in (Origin.original(), Origin.omission(1), Origin.omission(12), Origin.megaprompt()):
+            assert Origin.parse(str(origin)) == origin
+
+    @pytest.mark.parametrize(
+        "text", ["banana", "", "omission", "omission[0]", "omission[01]", "omission[ 1]", "omission[1",
+                 "omission[1_0]", "omission[\u0663]", "original[1]", "Original"],
+    )
+    def test_parse_refuses_any_other_text(self, text):
+        with pytest.raises(ValueError):
+            Origin.parse(text)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -11,6 +12,7 @@ from selfverify.core import (
     ExtractedItem,
     ExtractionSet,
     MatchKind,
+    Origin,
     StatusLabel,
     icd_task,
     medication_status_task,
@@ -197,6 +199,12 @@ def make_result(doc_id="d1", seed=0) -> PipelineResult:
     )
 
 
+def with_evidence(result: PipelineResult, span: EvidenceSpan) -> PipelineResult:
+    """`result` with the evidence of its one final item replaced by `span`."""
+    (item,) = result.final
+    return replace(result, final=ExtractionSet((item.evolve(evidence=span),)))
+
+
 def make_run(tmp_path, results=None, run_id="run-a"):
     manifest = RunManifest(
         run_id=run_id,
@@ -214,17 +222,16 @@ def make_run(tmp_path, results=None, run_id="run-a"):
 class TestRunPersistence:
     def test_roundtrip(self, tmp_path):
         run_dir = make_run(tmp_path)
-        manifest, records = load_run(run_dir)
+        manifest, results = load_run(run_dir)
         assert manifest["run_id"] == "run-a"
         assert manifest["task"] == "medication_status"
         assert manifest["n_results"] == 1
-        assert len(records) == 1
-        record = records[0]
-        assert record["doc_id"] == "d1"
-        assert record["final"][0]["value"] == "aspirin"
-        assert record["final"][0]["evidence"]["start"] == 8
-        assert record["pruned"][0]["prune_reason"] == "not in the note"
-        assert record["traces"][0]["step"] == "original"
+        assert results == [make_result()]
+        (result,) = results
+        assert result.final.get("aspirin").evidence == EvidenceSpan("takes aspirin", 8, 21, MatchKind.EXACT)
+        assert result.final.get("aspirin").origin == Origin.original()
+        assert result.pruned[0].prune_reason == "not in the note"
+        assert result.traces[0].step == "original"
 
     def test_refuses_to_overwrite(self, tmp_path):
         make_run(tmp_path)
@@ -263,13 +270,56 @@ class TestRunPersistence:
         run_dir = make_run(tmp_path, results=[make_result(), make_result()])
         results = run_dir / "results.jsonl"
         first, second = (json.loads(line) for line in results.read_text().splitlines())
-        first.update(traces="not checked", unread_key=[1])
+        first.update(unread_key=[1])
         second["final"][0]["evidence"]["match_kind"] = "guess"
         results.write_text(record_to_line(first) + "\n" + record_to_line(second) + "\n")
         with pytest.raises(FormatError, match=r"results\.jsonl: line 2: final\[0\]\.evidence .*match_kind"):
             load_run(run_dir)
         results.write_text(record_to_line(first) + "\n")
-        assert load_run(run_dir)[1] == [first]
+        assert load_run(run_dir)[1] == [make_result()]
+        first.update(traces="not a list")
+        results.write_text(record_to_line(first) + "\n")
+        with pytest.raises(FormatError, match=r"results\.jsonl: line 1: result needs 'traces' as a list or absent"):
+            load_run(run_dir)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda r: r["final"][0].update(origin="banana"), "final[0] has an unknown origin"),
+            (lambda r: r["final"][0].update(origin="omission[01]"), "final[0] has an unknown origin"),
+            (lambda r: r["final"][0].update(status="ACTIVE"), "final[0] has an unknown status"),
+            (lambda r: r["final"][0]["evidence"].update(start=30), "final[0].evidence: bad span offsets [30, 21)"),
+            (lambda r: r["final"][0].update(flags=[1]), "final[0] needs 'flags' as a list of strings"),
+            (lambda r: r["pruned"][0].update(prune_reason=None),
+             "pruned[0]: pruned items need a non-empty prune_reason"),
+            (lambda r: r["traces"][0].update(temperature="0.1"), "traces[0] needs 'temperature' as a number or an integer"),
+            (lambda r: r["final"].append(r["final"][0]), "result: duplicate key 'aspirin' in ExtractionSet"),
+            (lambda r: r.pop("pre_prune_values"), "result needs 'pre_prune_values' as a list"),
+        ],
+    )
+    def test_load_run_refuses_what_the_writer_cannot_write(self, tmp_path, edit, reason):
+        run_dir = make_run(tmp_path)
+        results = run_dir / "results.jsonl"
+        record = json.loads(results.read_text())
+        edit(record)
+        results.write_text(record_to_line(record) + "\n")
+        with pytest.raises(FormatError) as info:
+            load_run(run_dir)
+        assert info.value.reason == reason
+        assert info.value.line == 1
+
+    def test_pre_prune_is_rebuilt_key_by_key(self, tmp_path):
+        kept, cut = ExtractedItem.from_raw("aspirin"), ExtractedItem.from_raw("ibuprofen")
+        result = replace(
+            make_result(),
+            final=ExtractionSet((kept,)),
+            pruned=(cut.evolve(pruned=True, prune_reason="no"),),
+            pre_prune=ExtractionSet((ExtractedItem.from_raw("asa"), cut, kept)),
+        )
+        (back,) = load_run(make_run(tmp_path, results=[result]))[1]
+        # The pruned item un-pruned, else the final item, else the key alone.
+        assert back.pre_prune == ExtractionSet((ExtractedItem.from_raw("asa"), cut, kept))
+        assert back == result
 
     def test_timing_lives_in_manifest(self, tmp_path):
         run_dir = make_run(tmp_path)
@@ -296,27 +346,37 @@ class TestReport:
         assert "run-a" in html_text
 
     def test_stale_span_not_highlighted(self):
-        record = result_to_record(make_result())
-        record["text"] = "Completely different text now."
-        html_text = render_report_html({"run_id": "r"}, [record])
+        result = replace(make_result(), text="Completely different text now.")
+        html_text = render_report_html({"run_id": "r"}, [result])
         assert "<mark>" not in html_text
         assert "failed re-checking" in html_text
 
     def test_case_insensitive_span_rechecked_loosely(self):
-        record = result_to_record(make_result())
-        evidence = record["final"][0]["evidence"]
-        evidence.update(quote="TAKES   Aspirin", match_kind=MatchKind.CASE_INSENSITIVE.value)
-        assert "<mark>takes aspirin</mark>" in render_report_html({"run_id": "r"}, [record])
-        evidence["quote"] = "takes ibuprofen"
-        html_text = render_report_html({"run_id": "r"}, [record])
+        span = EvidenceSpan("TAKES   Aspirin", 8, 21, MatchKind.CASE_INSENSITIVE)
+        result = with_evidence(make_result(), span)
+        assert "<mark>takes aspirin</mark>" in render_report_html({"run_id": "r"}, [result])
+        result = with_evidence(result, replace(span, quote="takes ibuprofen"))
+        html_text = render_report_html({"run_id": "r"}, [result])
         assert "<mark>" not in html_text
         assert "failed re-checking" in html_text
 
     def test_out_of_bounds_span_not_highlighted(self):
-        record = result_to_record(make_result())
-        record["final"][0]["evidence"]["end"] = 10_000
-        html_text = render_report_html({"run_id": "r"}, [record])
+        result = with_evidence(make_result(), EvidenceSpan("takes aspirin", 8, 10_000, MatchKind.EXACT))
+        html_text = render_report_html({"run_id": "r"}, [result])
         assert "<mark>" not in html_text
+
+    def test_fuzzy_span_is_rechecked(self):
+        text = "Patient takes aspirin daily. Denies chest pain."
+        located = with_evidence(
+            replace(make_result(), text=text), EvidenceSpan("takes asprin daily", 8, 27, MatchKind.FUZZY)
+        )
+        assert "<mark>takes aspirin daily</mark>" in render_report_html({"run_id": "r"}, [located])
+        # The same quote at offsets shifted onto other words.
+        shifted = with_evidence(located, EvidenceSpan("takes aspirin daily", 30, 47, MatchKind.FUZZY))
+        assert text[30:47] == "enies chest pain."
+        html_text = render_report_html({"run_id": "r"}, [shifted])
+        assert "<mark>" not in html_text
+        assert "1 evidence span(s) failed re-checking" in html_text
 
     def test_overlapping_spans_merge(self):
         a = ExtractedItem.from_raw(
@@ -332,7 +392,7 @@ class TestReport:
             seed=0,
             final=ExtractionSet((a, b)),
         )
-        html_text = render_report_html({"run_id": "r"}, [result_to_record(result)])
+        html_text = render_report_html({"run_id": "r"}, [result])
         assert html_text.count("<mark>") == 1
         assert "<mark>takes aspirin daily</mark>" in html_text
 
@@ -344,6 +404,6 @@ class TestReport:
             seed=0,
             final=ExtractionSet.empty(),
         )
-        html_text = render_report_html({"run_id": "r"}, [result_to_record(result)])
+        html_text = render_report_html({"run_id": "r"}, [result])
         assert "<script>alert" not in html_text
         assert "&lt;script&gt;" in html_text

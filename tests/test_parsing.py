@@ -1074,9 +1074,10 @@ def _quote_kinds(rng: random.Random, text: str, per_kind: int, m: int = 72) -> d
 class TestQuoteKindCorpus:
     """Quotes the benchmark does not plan, on long_notes notes at seeds 0, 3 and 7.
 
-    Every quote's end points are the unfiltered scan's, and per kind the
-    locator scans no more free-start characters than it did with the
-    q-gram filter (`oracles.per_quote_candidate_slices`) at the cap m // 4.
+    Every quote's end points are the unfiltered scan's, every span found
+    passes `verify_against`, and per kind the locator scans no more
+    free-start characters than it did with the q-gram filter
+    (`oracles.per_quote_candidate_slices`) at the cap m // 4.
     """
 
     def test_end_points_and_characters_scanned_per_kind(self, monkeypatch):
@@ -1100,6 +1101,7 @@ class TestQuoteKindCorpus:
                         calls.clear()
                         span = locate_quote(text, quote, QuoteSearch(text))
                         scanned[kind] += _free_start_chars(calls)
+                        assert span.verify_against(text), quote
                         with monkeypatch.context() as patched:
                             patched.setattr(QuoteSearch, "end_points", q_gram_end_points)
                             calls.clear()

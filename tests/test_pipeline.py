@@ -40,11 +40,14 @@ from selfverify.core import (
     medication_status_task,
 )
 from selfverify.data import (
+    RunManifest,
     demo_pool_from_records,
     load_dataset,
+    load_run,
     record_to_line,
     records_to_documents,
     result_to_record,
+    write_run,
 )
 from selfverify.pipeline import (
     ABLATION_PRESETS,
@@ -956,6 +959,45 @@ def _variant_results(make_backend, config, documents, seeds, variants, demo_pool
     return results
 
 
+def _directional_results():
+    """The directional corpus under every ablation preset and the megaprompt, seeds 0-2."""
+    documents, _ = directional_corpus()
+    return _variant_results(
+        directional_backend, PipelineConfig(demonstrations_k=0), documents, [0, 1, 2],
+        [*ABLATION_PRESETS.values(), None],
+    )
+
+
+def _planned_results():
+    """200 planned cases, seeds 0 and 1."""
+    rng = random.Random(5)
+    cases = [plan_case(rng, n) for n in range(200)]
+    # Every script step names its case, so a backend per case answers
+    # as one shared backend would, without scanning 200 scripts a call.
+    config = PipelineConfig(demonstrations_k=0)
+    return [
+        ExtractionPipeline(backend_for_cases([case]), config).run(case.document, seed=seed)
+        for seed in (0, 1)
+        for case in cases
+    ]
+
+
+def _fixture_results(dataset, script, task):
+    """A fixture under the full chain, prune alone, no step and the megaprompt (ICD: with code mapping)."""
+    records, _ = load_dataset(FIXTURES / dataset)
+    return _variant_results(
+        lambda: MockBackend(load_script(FIXTURES / script)), PipelineConfig(),
+        records_to_documents(records, task), [0], [OPTIONAL_STEPS, ("prune",), (), None],
+        demo_pool_from_records(records, task) or None,
+    )
+
+
+FIXTURE_RUNS = {
+    "icd10": ("icd10_notes.jsonl", "icd10_script.jsonl", icd_task(10)),
+    "medication": ("medication_status.jsonl", "medication_script.jsonl", medication_status_task()),
+}
+
+
 class TestPinnedOutput:
     """Serialized results of fixed corpora, pinned as one sha256 per corpus.
 
@@ -965,43 +1007,64 @@ class TestPinnedOutput:
     """
 
     def test_directional_corpus(self):
-        documents, _ = directional_corpus()
-        results = _variant_results(
-            directional_backend, PipelineConfig(demonstrations_k=0), documents, [0, 1, 2],
-            [*ABLATION_PRESETS.values(), None],
-        )
+        results = _directional_results()
         assert _digest(results) == "67d3c49df3a1cf8b71536545f157d6aa3b298f8908dfce770cafee56e068dda6"
 
     def test_planned_cases(self):
-        rng = random.Random(5)
-        cases = [plan_case(rng, n) for n in range(200)]
-        # Every script step names its case, so a backend per case answers
-        # as one shared backend would, without scanning 200 scripts a call.
-        config = PipelineConfig(demonstrations_k=0)
-        results = [
-            ExtractionPipeline(backend_for_cases([case]), config).run(case.document, seed=seed)
-            for seed in (0, 1)
-            for case in cases
-        ]
+        results = _planned_results()
         assert _digest(results) == "1c135cbddc22d10cea6440f605b63afe79b246cec723a0e2557e9d58864ca21d"
 
     @pytest.mark.parametrize(
         "dataset, script, task, expected",
         [
-            ("icd10_notes.jsonl", "icd10_script.jsonl", icd_task(10),
-             "b7085d4b6f0f67f1af2fb5d1ffbe72f0441d6828918e4a7a758c2c6fe2bbca84"),
-            ("medication_status.jsonl", "medication_script.jsonl", medication_status_task(),
-             "a6e4055ce3ed301ed6e7faeb4862ed91cbb4680fafc01443d698bfa273c15cf1"),
+            (*FIXTURE_RUNS["icd10"], "b7085d4b6f0f67f1af2fb5d1ffbe72f0441d6828918e4a7a758c2c6fe2bbca84"),
+            (*FIXTURE_RUNS["medication"], "a6e4055ce3ed301ed6e7faeb4862ed91cbb4680fafc01443d698bfa273c15cf1"),
         ],
     )
     def test_fixtures(self, dataset, script, task, expected):
-        records, _ = load_dataset(FIXTURES / dataset)
-        results = _variant_results(
-            lambda: MockBackend(load_script(FIXTURES / script)), PipelineConfig(),
-            records_to_documents(records, task), [0], [OPTIONAL_STEPS, ("prune",), (), None],
-            demo_pool_from_records(records, task) or None,
-        )
-        assert _digest(results) == expected
+        assert _digest(_fixture_results(dataset, script, task)) == expected
+
+
+class TestRunRecordsRoundTrip:
+    """`load_run` reads back what `write_run` wrote, as the results that wrote it.
+
+    Written again, every line read back gives the same bytes. Every field
+    but `pre_prune` reads back equal; `pre_prune` is rebuilt from its keys,
+    so it reads back equal by key, and on runs without code mapping `final`
+    and `pruned` partition it (the invariant of test_02).
+    """
+
+    def round_trip(self, tmp_path, results, include_traces=True, partition=True):
+        manifest = RunManifest("run", "task", "mock", "m", [0], 1, {}, "1")
+        run_dir = write_run(tmp_path / "run", manifest, results, include_traces=include_traces)
+        written = (run_dir / "results.jsonl").read_text(encoding="utf-8").splitlines()
+        _, back = load_run(run_dir)
+        assert [record_to_line(result_to_record(r, include_traces)) for r in back] == written
+        for result, read in zip(results, back, strict=True):
+            assert read.pre_prune.keys() == result.pre_prune.keys()
+            traces = result.traces if include_traces else ()
+            assert read == replace(result, pre_prune=read.pre_prune, traces=traces)
+            if partition:
+                final, pruned = set(read.final.keys()), {item.key for item in read.pruned}
+                assert final | pruned == set(read.pre_prune.keys()) and not final & pruned
+        return back
+
+    def test_directional_corpus(self, tmp_path):
+        self.round_trip(tmp_path, _directional_results())
+
+    def test_planned_cases(self, tmp_path):
+        self.round_trip(tmp_path, _planned_results())
+
+    @pytest.mark.parametrize("fixture", sorted(FIXTURE_RUNS))
+    def test_fixtures(self, tmp_path, fixture):
+        results = _fixture_results(*FIXTURE_RUNS[fixture])
+        back = self.round_trip(tmp_path, results, partition=fixture != "icd10")
+        if fixture == "icd10":  # `final` holds codes, `pre_prune` the diagnoses they map
+            assert back[0].pre_prune.keys() == ("community acquired pneumonia", "type 2 diabetes")
+            assert back[0].final.keys() == ("j18.9", "e11.9")
+
+    def test_run_without_traces(self, tmp_path):
+        self.round_trip(tmp_path, _fixture_results(*FIXTURE_RUNS["medication"]), include_traces=False)
 
 
 def test_planned_cases_do_not_depend_on_string_hashing():
