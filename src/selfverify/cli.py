@@ -12,9 +12,8 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, get_args, get_origin, get_type_hints
 
 from .backend import (
     Backend,
@@ -61,8 +60,22 @@ EXIT_DATA = 3
 EXIT_MISMATCH = 4
 EXIT_BACKEND = 5
 
-# PipelineConfig fields a YAML config file may set; flags win over these.
-_CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
+
+def _yaml_types(hint) -> tuple[type, ...]:
+    """The YAML value types that may set a PipelineConfig field annotated `hint`.
+
+    A float field takes an int too, but a bool is no number; `steps` takes
+    a list of step names or a string read as `--steps` is.
+    """
+    if hint is float:
+        return (int, float)
+    if get_origin(hint) is tuple:
+        return (list, str)
+    return tuple(t for arg in get_args(hint) for t in _yaml_types(arg)) or (hint,)
+
+
+# PipelineConfig fields a YAML config file may set, with their value types; flags win over these.
+_CONFIG_TYPES = {name: _yaml_types(hint) for name, hint in get_type_hints(PipelineConfig).items()}
 
 
 class CliError(Exception):
@@ -118,7 +131,7 @@ def _read_config_file(path: str | None) -> dict:
 
     try:
         loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_USAGE, f"cannot read config file: {exc}")
     except yaml.YAMLError as exc:
         raise CliError(EXIT_USAGE, f"config file is not valid YAML: {exc}")
@@ -126,18 +139,23 @@ def _read_config_file(path: str | None) -> dict:
         return {}
     if not isinstance(loaded, dict):
         raise CliError(EXIT_USAGE, "config file must be a YAML mapping")
-    unknown = sorted(set(loaded) - set(_CONFIG_KEYS))
+    unknown = sorted(set(loaded) - set(_CONFIG_TYPES))
     if unknown:
         raise CliError(
-            EXIT_USAGE, f"unknown config keys {unknown}; known: {list(_CONFIG_KEYS)}"
+            EXIT_USAGE, f"unknown config keys {unknown}; known: {list(_CONFIG_TYPES)}"
         )
+    for key, value in loaded.items():
+        if type(value) not in _CONFIG_TYPES[key]:
+            kinds = " or ".join("null" if t is type(None) else t.__name__ for t in _CONFIG_TYPES[key])
+            raise CliError(EXIT_USAGE, f"config key {key!r} must be {kinds}, got {value!r}")
     return loaded
 
 
 def _pipeline_config(args) -> PipelineConfig:
     settings = _read_config_file(getattr(args, "config", None))
-    if isinstance(settings.get("steps"), list):
-        settings["steps"] = tuple(settings["steps"])
+    steps = settings.get("steps")  # a list, or a string read as --steps is
+    if steps is not None:
+        settings["steps"] = _parse_steps(steps) if isinstance(steps, str) else tuple(steps)
     if getattr(args, "steps", None) is not None:
         settings["steps"] = _parse_steps(args.steps)
     if getattr(args, "model", None) is not None:
@@ -156,6 +174,8 @@ def _load_records(args) -> tuple[list[DatasetRecord], list[str]]:
         records, warnings = load_dataset(path, lenient=getattr(args, "lenient", False))
     except FileNotFoundError:
         raise CliError(EXIT_DATA, f"dataset not found: {path}")
+    except OSError as exc:  # a directory, say
+        raise CliError(EXIT_DATA, f"cannot read dataset {path}: {exc.strerror}")
     except FormatError as exc:
         raise CliError(EXIT_DATA, f"{path}: {exc}")
     for warning in warnings:
@@ -202,6 +222,8 @@ def _mock_backend(args) -> MockBackend:
         steps = load_script(args.script)
     except FileNotFoundError:
         raise CliError(EXIT_DATA, f"script not found: {args.script}")
+    except OSError as exc:
+        raise CliError(EXIT_DATA, f"cannot read script {args.script}: {exc.strerror}")
     except ValueError as exc:
         raise CliError(EXIT_DATA, f"bad script file: {exc}")
     return MockBackend(steps, default=args.mock_default)
@@ -298,11 +320,13 @@ def _gold_maps(records) -> tuple[dict[str, list[str]], dict[str, dict[str, str |
 
 
 def _read_run(run_dir: str) -> tuple[dict, list[PipelineResult]]:
-    """The run's manifest and results; exit 3 when a run file is missing."""
+    """The run's manifest and results; exit 3 when a run file is missing or unreadable."""
     try:
         return load_run(run_dir)
     except FileNotFoundError:
         raise CliError(EXIT_DATA, f"run directory not found or incomplete: {run_dir}")
+    except OSError as exc:  # a file, say
+        raise CliError(EXIT_DATA, f"cannot read run {run_dir}: {exc.strerror}")
 
 
 def _check_output_dirs(*paths: str | None) -> None:
@@ -378,10 +402,10 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     _check_output_dirs(args.dsv, args.json)
     task = _task(args.task)
+    config = _pipeline_config(args)
     records, _ = _load_records(args)
     gold_values, _ = _gold_maps(records)
     seeds = parse_seeds(args.seeds)
-    config = _pipeline_config(args)
     documents, demo_pool = _documents_and_pool(config, task, records)
     rows = run_ablation(
         lambda: make_backend(args),

@@ -131,12 +131,17 @@ def load_dataset(path: str | Path, lenient: bool = False) -> tuple[list[DatasetR
     """Read a JSONL dataset; returns (records, warnings).
 
     Strict mode raises FormatError/DuplicateDocId on the first bad line;
-    lenient mode skips bad lines and reports each skip as a warning.
+    lenient mode skips bad lines and reports each skip as a warning. A file
+    that is not UTF-8 raises FormatError in either mode.
     """
     records: list[DatasetRecord] = []
     warnings: list[str] = []
     seen: dict[str, int] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(None, str(exc)) from None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         try:

@@ -42,7 +42,7 @@ from bisect import bisect_right
 from operator import itemgetter, sub
 from typing import Collection
 
-from .core import EvidenceSpan, MatchKind, StatusLabel, fold, fold_quote, normalize
+from .core import _LIST_MARKER, _QUOTE_PAIRS, EvidenceSpan, MatchKind, StatusLabel, fold, fold_quote, normalize
 
 # Fuzzy matching accepts a window w for quote q iff
 #   editdist(q, w) / max(|q|, |w|) <= 1/5
@@ -62,7 +62,7 @@ class AmbiguousVerdict(Exception):
         self.text = text
 
 
-_BULLET_LINE_RE = re.compile(r"^\s*(?:[-*•·‣◦]+|\(?\d{1,3}[.)])\s+(.*\S)\s*$")
+_BULLET_LINE_RE = re.compile(r"^\s*" + _LIST_MARKER + r"(.*\S)\s*$")
 
 _SENTINEL_EXACT = {
     "none",
@@ -207,8 +207,8 @@ def parse_status_pairs(text: str) -> tuple[list[tuple[str, StatusLabel]], list[s
     return pairs, warnings
 
 
-_QUOTE_OPENERS = "\"'“‘«`"
-_QUOTE_CLOSERS = "\"'”’»`"
+_QUOTE_OPENERS = "".join(_QUOTE_PAIRS)
+_QUOTE_CLOSERS = "".join(_QUOTE_PAIRS.values())
 
 
 def _unwrap_quote(s: str) -> str:

@@ -15,7 +15,6 @@ the original prompt instead of making follow-up calls.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -72,9 +71,9 @@ ABLATION_PRESETS: dict[str, tuple[str, ...]] = {
 DEFAULT_OMISSION_MIN_ITERS_LONG = 5
 DEFAULT_OMISSION_MAX_ITERS = 10
 
-# A batch starts threads, for documents and prune calls, only once its fastest
-# uncached model call took at least this long. Scripted backends answer in well
-# under a millisecond, so their runs stay on one thread and their order fixed.
+# The first uncached model call of a batch decides: only if it took at least
+# this long does the batch start threads, for documents and prune calls. Scripted
+# backends answer in well under a millisecond, so their runs stay on one thread.
 FAN_OUT_MIN_CALL_S = 0.010
 
 
@@ -171,11 +170,11 @@ class PipelineResult:
 class ExtractionPipeline:
     """Runs the chained extraction steps against one backend.
 
-    `fastest_call_s` is the fastest uncached call over every document run;
-    cache hits never count, so a warm cache cannot hide a slow endpoint.
-    While it is FAN_OUT_MIN_CALL_S or more the backend is slow: prune calls
-    then run concurrently on the `executor`, when given (see `_call_each`),
-    and the first uncached call, if slow, calls `on_slow` once.
+    Prune calls fan out to the `executor`, if any (see `_call_each`). The
+    first uncached call uses up `on_slow`, calling it if it took at least
+    FAN_OUT_MIN_CALL_S; cache hits never count, so a warm cache cannot hide
+    a slow endpoint. No lock is needed: nothing shared is written after that
+    call, and before it a batch runs on its calling thread with no executor.
     """
 
     def __init__(
@@ -186,11 +185,9 @@ class ExtractionPipeline:
         self.config = config or PipelineConfig()
         self.executor = executor
         self.on_slow = on_slow
-        self.fastest_call_s = math.inf
-        self._lock = threading.Lock()
 
     def _call(self, prompt: str, max_tokens: int) -> str:
-        """One model call; an uncached one also times the backend."""
+        """One model call; the first uncached one is timed for `on_slow`."""
         request = LlmRequest.chat(
             self.config.model_id,
             prompt,
@@ -199,24 +196,20 @@ class ExtractionPipeline:
         )
         started = time.perf_counter()
         response = self.backend.complete(request)
-        if not response.from_cache:
-            elapsed = time.perf_counter() - started
-            with self._lock:
-                if self.fastest_call_s == math.inf and elapsed >= FAN_OUT_MIN_CALL_S and self.on_slow:
-                    self.on_slow()
-                self.fastest_call_s = min(self.fastest_call_s, elapsed)
+        if self.on_slow is not None and not response.from_cache:
+            on_slow, self.on_slow = self.on_slow, None
+            if time.perf_counter() - started >= FAN_OUT_MIN_CALL_S:
+                on_slow()
         return response.text
 
     def _call_each(self, prompts: list[str], max_tokens: int) -> list[str]:
         """Answer independent prompts; the replies come back in prompt order.
 
-        They run concurrently on the executor when there are at least two
-        and the backend is slow, and inline otherwise. The calling thread
-        answers the first prompt, then each one no helper has started yet,
-        so it never waits for a helper that is busy with another document.
+        Two or more run concurrently on the executor, if any. The calling
+        thread answers the first prompt, then each one no helper has started
+        yet, so it never waits for a helper that is busy with another document.
         """
-        slow = FAN_OUT_MIN_CALL_S <= self.fastest_call_s < math.inf
-        if self.executor is None or len(prompts) < 2 or not slow:
+        if self.executor is None or len(prompts) < 2:
             return [self._call(prompt, max_tokens) for prompt in prompts]
         futures = [self.executor.submit(self._call, prompt, max_tokens) for prompt in prompts[1:]]
         try:
@@ -456,13 +449,13 @@ def run_batch(
 ) -> list[PipelineResult]:
     """Run every (document, seed) pair, at most `workers` documents at a time.
 
-    The calling thread takes the documents in turn until an uncached model
-    call proves the backend slow (see ExtractionPipeline); then `workers - 1`
-    helper threads join it on the same queue, and prune calls fan out to a
-    pool of the stdlib's default size for I/O work. So fast, scripted and
-    replayed batches start no thread. Results come back in (seed, document)
-    order; the first failure stops the queue and is raised once every
-    running document ends.
+    The calling thread takes the documents in turn; the first uncached model
+    call decides (see ExtractionPipeline). If it was slow, `workers - 1`
+    helper threads join on the same queue, and prune calls fan out to a pool
+    of the stdlib's default size for I/O work. So fast, scripted and replayed
+    batches start no thread. Results come back in (seed, document) order;
+    the first failure stops the queue and is raised once every running
+    document ends.
     """
     jobs = [(seed, doc) for seed in seeds for doc in documents]
     pending, lock = enumerate(jobs), threading.Lock()
@@ -482,12 +475,13 @@ def run_batch(
                 with lock:
                     errors.append(exc)
 
-    def start_drains() -> None:
+    def go_wide() -> None:
+        pipeline.executor = helpers
         for _ in range(workers - 1):
             drains.submit(drain)
 
     with ThreadPoolExecutor() as helpers, ThreadPoolExecutor(max(workers - 1, 1)) as drains:
-        pipeline = ExtractionPipeline(backend, config, executor=helpers, on_slow=start_drains)
+        pipeline = ExtractionPipeline(backend, config, on_slow=go_wide)
         run = pipeline.run_megaprompt if megaprompt else pipeline.run
         drain()
     if errors:

@@ -160,6 +160,48 @@ class TestExitCodes:
         config.write_text("not_a_setting: 1\n", encoding="utf-8")
         assert main(extract_args(tmp_path, extra=["--config", str(config)])) == 2
 
+    @pytest.mark.parametrize("command", ["extract", "ablate"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("temperature: hot", "config key 'temperature' must be int or float, got 'hot'"),
+            ("omission_max_iters: true", "config key 'omission_max_iters' must be int, got True"),
+            ("demonstrations_k: 2.5", "config key 'demonstrations_k' must be int or null, got 2.5"),
+            ("icd_mapping: 1", "config key 'icd_mapping' must be bool or null, got 1"),
+            ("steps: 3", "config key 'steps' must be list or str, got 3"),
+        ],
+    )
+    def test_mistyped_config_value_exits_two_before_any_read(self, tmp_path, capsys, touched, command, line, message):
+        config = tmp_path / "config.yaml"
+        config.write_text(line + "\n", encoding="utf-8")
+        args = {
+            "extract": extract_args(tmp_path, extra=["--config", str(config)]),
+            "ablate": ["ablate", "--task", "medication_status", "--dataset", MED_DATA,
+                       "--script", MED_SCRIPT, "--config", str(config)],
+        }[command]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert touched == [] and not (tmp_path / "run").exists()
+
+    def test_config_steps_string_reads_as_the_flag(self, tmp_path):
+        config = tmp_path / "config.yaml"
+        config.write_text("steps: prune, omission\n", encoding="utf-8")
+        assert main(extract_args(tmp_path, extra=["--config", str(config)])) == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["config"]["steps"] == ["omission", "prune"]
+
+    def test_config_steps_string_with_an_unknown_step_names_it(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("steps: prune, bogus\n", encoding="utf-8")
+        assert main(extract_args(tmp_path, extra=["--config", str(config)])) == 2
+        assert "unknown steps ['bogus']" in capsys.readouterr().err
+
+    def test_config_file_not_utf8_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_bytes(b"temperature: 0.3 \xff\n")
+        assert main(extract_args(tmp_path, extra=["--config", str(config)])) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config file: ")
+
     def test_ablate_demo_shortfall_exits_two_before_any_call(self, monkeypatch, capsys):
         built = []
         make_backend = cli.make_backend
@@ -215,6 +257,38 @@ class TestExitCodes:
         args = extract_args(tmp_path)
         args[args.index(MED_DATA)] = str(bad)
         assert main(args) == 3
+
+    def test_dataset_not_utf8_exits_three(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.jsonl"
+        bad.write_bytes(Path(MED_DATA).read_bytes() + '{"doc_id": "caf\u00e9"}\n'.encode("latin-1"))
+        args = extract_args(tmp_path)
+        args[args.index(MED_DATA)] = str(bad)
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_dataset_directory_exits_three(self, tmp_path, capsys):
+        args = extract_args(tmp_path)
+        args[args.index(MED_DATA)] = str(tmp_path)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: cannot read dataset {tmp_path}: Is a directory\n"
+
+    def test_script_directory_exits_three(self, tmp_path, capsys):
+        args = extract_args(tmp_path)
+        args[args.index(MED_SCRIPT)] = str(tmp_path)
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: cannot read script {tmp_path}: Is a directory\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "report"])
+    def test_run_that_is_a_file_exits_three(self, tmp_path, capsys, command):
+        args = {
+            "evaluate": ["evaluate", "--run", MED_DATA, "--dataset", MED_DATA],
+            "report": ["report", "--run", MED_DATA, "--out", str(tmp_path / "report.html")],
+        }[command]
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"error: cannot read run {MED_DATA}: Not a directory\n"
 
     def test_bad_script_exits_three(self, tmp_path):
         bad = tmp_path / "bad_script.jsonl"

@@ -131,6 +131,14 @@ class TestLoadDataset:
         with pytest.raises(DuplicateDocId):
             load_dataset(path)
 
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_bad_utf8_is_a_format_error_in_either_mode(self, tmp_path, lenient):
+        path = write_jsonl(tmp_path, [GOOD_LINES[0]])
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(FormatError, match="can't decode byte 0xff") as exc_info:
+            load_dataset(path, lenient=lenient)
+        assert exc_info.value.line is None
+
     def test_lenient_skips_and_warns(self, tmp_path):
         path = write_jsonl(tmp_path, [GOOD_LINES[0], "{bad", GOOD_LINES[1], GOOD_LINES[0]])
         records, warnings = load_dataset(path, lenient=True)

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -610,16 +611,18 @@ class SlowBackend(Backend):
     call's interval, its note number, and the most calls in flight at once.
 
     A call sleeps `latency_s`, plus `jitter_s` times its note number mod 3
-    (a per-document latency). With `fail_at_prune=n` the n-th prune call
-    raises instead, and with `fail_at_call=n` the n-th call of any step.
+    (a per-document latency); the first call sleeps `first_latency_s`
+    instead, when given. With `fail_at_prune=n` the n-th prune call raises
+    instead, and with `fail_at_call=n` the n-th call of any step.
     """
 
     def __init__(
         self, inner: Backend, latency_s: float = 0.020, fail_at_prune: int | None = None,
-        jitter_s: float = 0.0, fail_at_call: int | None = None,
+        jitter_s: float = 0.0, fail_at_call: int | None = None, first_latency_s: float | None = None,
     ):
         self.inner = inner
         self.latency_s = latency_s
+        self.first_latency_s = first_latency_s
         self.jitter_s = jitter_s
         self.fail_at_prune = fail_at_prune
         self.fail_at_call = fail_at_call
@@ -641,9 +644,10 @@ class SlowBackend(Backend):
             fail = "prune call failed" if is_prune and self.prune_calls == self.fail_at_prune else None
             if self.calls == self.fail_at_call:
                 fail = f"call {self.calls} failed"
+            first = self.calls == 1 and self.first_latency_s is not None
         start = time.perf_counter()
         try:
-            time.sleep(self.latency_s + self.jitter_s * ((number or 0) % 3))
+            time.sleep(self.first_latency_s if first else self.latency_s + self.jitter_s * ((number or 0) % 3))
             if fail:
                 self.failed = True
                 raise BackendError(fail)
@@ -767,8 +771,8 @@ class TestPruneFanOut:
 
 
 class TestSpeedGate:
-    """A batch runs documents on the calling thread until an uncached model
-    call proves slow; then `workers - 1` helpers join it. Counted in
+    """A batch runs documents on the calling thread, and its first uncached
+    model call decides: if slow, `workers - 1` helpers join it. Counted in
     threads, calls and drains, never in wall time."""
 
     CONFIG = PipelineConfig(demonstrations_k=0)
@@ -859,6 +863,32 @@ class TestSpeedGate:
         assert slow.calls == sum(len(r.traces) for r in results) - len(documents)  # originals were hits
         assert [result_to_record(r) for r in results] == [result_to_record(r) for r in serial]
         assert _overlap(slow.intervals)
+
+    def test_a_slow_first_call_decides_once_for_the_batch(self):
+        """The first call takes 12 ms and every later one 5 ms: the fast
+        calls do not end the fan-out, so each document's prune calls overlap."""
+        document, steps = _many_items_case(8)
+        documents = [replace(document, id=f"many{i}", text=f"Note {i}. {document.text}") for i in range(3)]
+        prune_only = replace(self.CONFIG, steps=("prune",))
+        serial = [ExtractionPipeline(MockBackend(steps), prune_only).run(d) for d in documents]
+        slow = SlowBackend(MockBackend(steps), latency_s=0.005, first_latency_s=0.012)
+        # One worker: any overlap comes from the prune fan-out, document by document.
+        results = run_batch(slow, prune_only, documents, seeds=[0], workers=1)
+        assert [result_to_record(r) for r in results] == [result_to_record(r) for r in serial]
+        for note in range(len(documents)):
+            assert _overlap([iv for n, iv in zip(slow.notes, slow.intervals) if n == note]), note
+
+    def test_a_pipeline_with_an_executor_and_no_hook_fans_out(self):
+        """How `oracles.pool_map_run_batch` runs: the executor is there from
+        the start, and no call is timed, so 5 ms calls fan out too."""
+        document, steps = _many_items_case(8)
+        prune_only = replace(self.CONFIG, steps=("prune",))
+        slow = SlowBackend(MockBackend(steps), latency_s=0.005)
+        with ThreadPoolExecutor() as pool:
+            fanned = ExtractionPipeline(slow, prune_only, executor=pool).run(document)
+        assert _overlap(slow.intervals)
+        serial = ExtractionPipeline(MockBackend(steps), prune_only).run(document)
+        assert result_to_record(fanned) == result_to_record(serial)
 
 
 class TestRunAblation:
