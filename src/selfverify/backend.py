@@ -9,7 +9,6 @@ every request field that affects the completion.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
@@ -24,6 +23,8 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
+
+from .core import decode_json
 
 if TYPE_CHECKING:
     import requests
@@ -286,8 +287,8 @@ def load_script(path: str | Path) -> list[ScriptStep]:
         if not line or line.startswith("#"):
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = decode_json(line)
+        except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from None
         if not isinstance(obj, dict) or "response" not in obj:
             raise ValueError(f"{path}:{lineno}: each step needs a 'response' field")
@@ -436,7 +437,7 @@ class HttpBackend(Backend):
             if resp.status_code != 200:
                 raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
             try:
-                data = resp.json()
+                data = decode_json(resp.text)
             except ValueError as exc:
                 raise BackendError(f"invalid JSON from server: {exc}") from None
             return replace(self._parse_response(data), latency_ms=elapsed_ms)
@@ -616,10 +617,11 @@ class CachingBackend(Backend):
     """Serves from the store when possible, else calls inner and records.
 
     Each key is written at most once; cache hits report from_cache=True and
-    zero latency so replayed timings never leak into fresh runs.
+    zero latency so replayed timings never leak into fresh runs. With no
+    inner model a miss raises ReplayMiss.
     """
 
-    def __init__(self, inner: Backend, store: ResponseStore):
+    def __init__(self, inner: Backend | None, store: ResponseStore):
         self.inner = inner
         self.store = store
 
@@ -628,23 +630,18 @@ class CachingBackend(Backend):
         cached = self.store.get(key)
         if cached is not None:
             return LlmResponse(text=cached, finish_reason=FinishReason.STOP, latency_ms=0.0, from_cache=True)
+        if self.inner is None:
+            raise ReplayMiss(
+                f"no recorded response for key {key[:12]}... "
+                f"(request starts {request.text[:80]!r})"
+            )
         response = self.inner.complete(request)
         self.store.put(key, response.text)
         return response
 
 
-class ReplayBackend(Backend):
-    """Answers only from a store; unknown requests raise ReplayMiss."""
+class ReplayBackend(CachingBackend):
+    """The caching backend with no model: it answers only from the store."""
 
     def __init__(self, store: ResponseStore):
-        self.store = store
-
-    def complete(self, request: LlmRequest) -> LlmResponse:
-        key = cache_key(request)
-        text = self.store.get(key)
-        if text is None:
-            raise ReplayMiss(
-                f"no recorded response for key {key[:12]}... "
-                f"(request starts {request.text[:80]!r})"
-            )
-        return LlmResponse(text=text, finish_reason=FinishReason.STOP, latency_ms=0.0, from_cache=True)
+        super().__init__(None, store)

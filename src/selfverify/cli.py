@@ -27,7 +27,7 @@ from .backend import (
     StoreCorrupt,
     load_script,
 )
-from .core import TASKS, TaskKind, normalize, task_by_name
+from .core import TASKS, normalize
 from .data import (
     DatasetRecord,
     FormatError,
@@ -115,13 +115,6 @@ def parse_seeds(raw: str) -> list[int]:
 def check_workers(workers: int) -> None:
     if workers < 1:
         raise CliError(EXIT_USAGE, "--workers must be at least 1")
-
-
-def _task(name: str) -> TaskKind:
-    try:
-        return task_by_name(name)
-    except KeyError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
 
 
 def _read_config_file(path: str | None) -> dict:
@@ -234,8 +227,6 @@ def make_backend(args) -> Backend:
     kind = args.backend
     if kind == "replay":
         return ReplayBackend(_store(args))
-    if kind not in ("mock", "http", "record"):
-        raise CliError(EXIT_USAGE, f"unknown backend {kind!r}")
     base: Backend
     if kind == "mock" or getattr(args, "script", None):
         base = _mock_backend(args)
@@ -265,12 +256,15 @@ def _documents_and_pool(config, task, records):
 
 
 def cmd_extract(args) -> int:
-    task = _task(args.task)
+    task = TASKS[args.task]
     config = _pipeline_config(args)
     records, _ = _load_records(args)
     out_dir = Path(args.out)
     if out_dir.exists():  # before any model call is paid for
         raise CliError(EXIT_USAGE, f"run directory already exists: {out_dir}")
+    ancestor = next(parent for parent in out_dir.absolute().parents if parent.exists())
+    if not ancestor.is_dir():
+        raise CliError(EXIT_USAGE, f"cannot write {out_dir}: {ancestor} is not a directory")
     backend = make_backend(args)
     seeds = parse_seeds(args.seeds)
     documents, demo_pool = _documents_and_pool(config, task, records)
@@ -303,6 +297,8 @@ def cmd_extract(args) -> int:
         write_run(out_dir, manifest, results, include_traces=not args.no_traces)
     except RunExists:  # made while the run went on
         raise CliError(EXIT_USAGE, f"run directory already exists: {out_dir}")
+    except OSError as exc:
+        raise CliError(EXIT_USAGE, f"cannot write {out_dir}: {exc.strerror or exc}")
     print(f"wrote {len(results)} results to {out_dir}")
     return EXIT_OK
 
@@ -401,7 +397,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     _check_output_dirs(args.dsv, args.json)
-    task = _task(args.task)
+    task = TASKS[args.task]
     config = _pipeline_config(args)
     records, _ = _load_records(args)
     gold_values, _ = _gold_maps(records)

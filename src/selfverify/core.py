@@ -1,13 +1,15 @@
 """Shared domain types: tasks, documents, extracted items, and set semantics.
 
-Everything here is an immutable value object, safe to share across
+Every type here is an immutable value object, safe to share across
 concurrent pipeline workers. Normalization and merge semantics defined in
 this module are the single source of truth for deduplication and for
-case-insensitive exact matching in evaluation.
+case-insensitive exact matching in evaluation; `decode_json` reads every
+JSON input: datasets, scripts, run files and HTTP replies.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -215,41 +217,29 @@ _LIST_MARKERS_RE = re.compile(f"(?:{_LIST_MARKER})+")
 _QUOTE_PAIRS = {'"': '"', "'": "'", "“": "”", "‘": "’", "«": "»", "`": "`"}
 
 
-def _normalize_once(s: str) -> str:
-    s = " ".join(s.split())
-    marker = _LIST_MARKER_RE.match(s)
-    if marker:
-        s = s[marker.end() :]
-    if len(s) >= 2 and _QUOTE_PAIRS.get(s[0]) == s[-1]:
-        s = s[1:-1]
-    s = s.casefold()
-    s = s.rstrip(".")
-    return s.strip()
-
-
 @lru_cache(maxsize=4096)
 def normalize(raw: str) -> str:
     """Canonical form of an extracted value, memoised per process.
 
     Collapses Unicode whitespace, strips list markers and surrounding quote
-    pairs, casefolds, and drops trailing periods: `_normalize_once` applied
-    to a fixpoint, so the result is idempotent by construction.
+    pairs, casefolds, and drops trailing periods, each applied until none
+    changes the text, so the result is idempotent by construction.
 
     A run normalises few distinct values, again on every call (status
     tokens, item values re-checked by `evolve` and the parsers), so a memo
     of 4096 entries serves them; it is bounded because unique inputs, such
     as adversarial replies, only pass through it.
 
-    After one pass the text is casefolded, with single spaces and none at
-    either end, and later passes keep it so; all they still do is strip a
-    list marker, a quote pair, periods and spaces at the ends. So they run
-    on two offsets into that text, which is sliced once at the end. While
-    the text does not end in a period, a pass that strips one marker
+    The text is joined with single spaces and casefolded once, first:
+    casefolding maps no character to or from a list marker, quote, period,
+    digit or whitespace, so it commutes with every strip. The strips then
+    run on two offsets into that text, which is sliced once at the end.
+    While the text does not end in a period, a pass that strips one marker
     leaves the end alone, so the whole leading run of markers goes in one
     match; and nested quote pairs go one after another while both ends
     hold quotes, as the passes between them would change nothing else.
     """
-    s = _normalize_once(raw)
+    s = " ".join(raw.split()).casefold()
     i, j = 0, len(s)
     while True:
         before = i, j
@@ -439,3 +429,21 @@ def merge(
                 f"ignored {addition.status.value if addition.status else None} from {addition.origin}"
             )
     return ExtractionSet(tuple(items)), new_count, warnings
+
+
+def decode_json(raw: str):
+    """json.loads, refusing a string that holds a lone surrogate.
+
+    Such a string (from an unpaired \\ud800-\\udfff escape) cannot be
+    written as UTF-8, so a run file, a report or the response store would
+    fail on it. Only an escape can put one in a decoded string, and run
+    files are written without escapes for non-ASCII text, so only text
+    holding a \\u escape pays for the check.
+    """
+    obj = json.loads(raw)
+    if "\\u" in raw:
+        try:
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("a string holds a lone surrogate, which UTF-8 cannot encode") from None
+    return obj

@@ -27,7 +27,9 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .core import Document, EvidenceSpan, ExtractedItem, ExtractionSet, MatchKind, Origin, StatusLabel, TaskKind
+from .core import (
+    Document, EvidenceSpan, ExtractedItem, ExtractionSet, MatchKind, Origin, StatusLabel, TaskKind, decode_json,
+)
 from .pipeline import PipelineResult, StepTrace
 from .prompts import DemoExample, render_answer
 
@@ -78,9 +80,11 @@ class DatasetRecord:
 
 def _parse_line(line_no: int, raw: str) -> DatasetRecord:
     try:
-        obj = json.loads(raw)
+        obj = decode_json(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(line_no, f"invalid JSON: {exc.msg}") from None
+    except ValueError as exc:
+        raise FormatError(line_no, str(exc)) from None
     if not isinstance(obj, dict):
         raise FormatError(line_no, "line is not a JSON object")
 
@@ -345,23 +349,6 @@ def write_run(
     return run_dir
 
 
-def _decode(raw: str):
-    """json.loads, refusing a string that holds a lone surrogate.
-
-    Such a string (from an unpaired \\ud800-\\udfff escape) cannot be
-    written as UTF-8, so a report would fail on it. Only an escape can put
-    one in a decoded string, and runs are written without escapes for
-    non-ASCII text, so only text holding a \\u escape pays for the check.
-    """
-    obj = json.loads(raw)
-    if "\\u" in raw:
-        try:
-            json.dumps(obj, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError("a string holds a lone surrogate, which UTF-8 cannot encode") from None
-    return obj
-
-
 def load_run(run_dir: str | Path) -> tuple[dict, list[PipelineResult]]:
     """Read a run directory: its manifest, and its results as the values that wrote them.
 
@@ -380,13 +367,13 @@ def load_run(run_dir: str | Path) -> tuple[dict, list[PipelineResult]]:
     run_dir = Path(run_dir)
     path, line_no, results = run_dir / "manifest.json", None, []
     try:
-        manifest = _decode(path.read_text(encoding="utf-8"))
+        manifest = decode_json(path.read_text(encoding="utf-8"))
         if type(manifest) is not dict:
             raise ValueError("not a JSON object")
         path = run_dir / "results.jsonl"
         for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             if raw.strip():
-                results.append(_RESULT.read(_decode(raw), "result"))
+                results.append(_RESULT.read(decode_json(raw), "result"))
     except json.JSONDecodeError as exc:
         raise FormatError(line_no, f"invalid JSON: {exc.msg}", path) from None
     except ValueError as exc:

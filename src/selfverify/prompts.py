@@ -1,18 +1,15 @@
 """Prompt construction from the on-disk template catalog.
 
-Templates live in catalog/<task_family>/<step>.txt and use
-string.Template placeholders (${document}, ${items}, ...), which keeps
-literal braces in clinical text harmless; each is compiled once, on first
-use, to a str.format string that fills in what Template.substitute would,
-in C. The catalog VERSION string is
-recorded in run manifests so result files identify the prompt wording they
-were produced with.
+Templates live in catalog/<task_family>/<step>.txt and are str.format
+strings: {document}, {items}, ... name the fields, and a literal brace is
+written {{ or }}. Values are inserted verbatim, so braces in clinical text
+are harmless. The catalog VERSION string is recorded in run manifests so
+result files identify the prompt wording they were produced with.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -34,28 +31,10 @@ def catalog_version() -> str:
     return (CATALOG_ROOT / "VERSION").read_text(encoding="utf-8").strip()
 
 
-def compile_template(text: str) -> str:
-    """The str.format string that fills `text`'s string.Template placeholders.
-
-    $$, $name and ${name} become what format fills in for them, literal
-    braces are doubled, and any other $ is invalid. The pattern compiles on
-    first use, as import time is start-up time.
-    """
-
-    def token(match: re.Match) -> str:
-        escaped, named, braced, brace = match.groups()
-        if not (escaped or named or braced or brace):
-            raise ValueError(f"invalid placeholder at offset {match.start()} of a prompt template")
-        return brace * 2 if brace else escaped or "{" + (named or braced) + "}"
-
-    pattern = r"\$(?:(\$)|([_a-z][_a-z0-9]*)|\{([_a-z][_a-z0-9]*)\}|)|([{}])"
-    return re.sub(pattern, token, text, flags=re.I | re.A)
-
-
 @lru_cache(maxsize=None)
 def _template(family_dir: str, step: str) -> str:
-    """Read and compile each template once per process; the catalog is fixed at install."""
-    return compile_template((CATALOG_ROOT / family_dir / f"{step}.txt").read_text(encoding="utf-8"))
+    """Read each template once per process; the catalog is fixed at install."""
+    return (CATALOG_ROOT / family_dir / f"{step}.txt").read_text(encoding="utf-8")
 
 
 def family_template(family: TaskFamily, step: str) -> str:

@@ -64,10 +64,6 @@ the exact hit looked up in a dict built once per reply.
 `workers` document threads for every batch, kept as the reference for the
 one that runs documents on the calling thread until a model call is slow.
 
-`template_substitute` is how the prompt builders filled a catalog
-template: `string.Template(text).substitute(values)`. It is the reference
-for the template compiled once to a `str.format` string.
-
 `unmemoised_normalize` is `core.normalize`'s body without its memo, the
 reference for the memoised function.
 
@@ -85,7 +81,6 @@ the reference for the schema's checks: wherever they refuse a line,
 from __future__ import annotations
 
 import re
-import string
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Sequence
@@ -655,10 +650,6 @@ def pool_map_run_batch(backend, config, documents, seeds, demo_pool=None, worker
             return [work(job) for job in jobs]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, jobs))
-
-
-def template_substitute(text: str, values: dict[str, str]) -> str:
-    return string.Template(text).substitute(values)
 
 
 unmemoised_normalize = normalize.__wrapped__

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
 import struct
@@ -41,6 +42,7 @@ from selfverify.backend import (
     cache_key,
     load_script,
 )
+from selfverify.cli import main as cli_main
 from selfverify.pipeline import ExtractionPipeline, PipelineConfig
 from selfverify.synthetic import plan_case
 
@@ -415,16 +417,15 @@ class TestLoadScript:
 
 
 class FakeHttpResponse:
+    """A reply whose body is `text`, or `payload` as JSON with non-ASCII text escaped."""
+
     def __init__(self, status_code=200, payload=None, headers=None, text=""):
         self.status_code = status_code
-        self._payload = payload
         self.headers = headers or {}
-        self.text = text
+        self.text = text if payload is None else json.dumps(payload)
 
     def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+        return json.loads(self.text)
 
 
 class FakeSession:
@@ -631,6 +632,23 @@ class TestHttpBackend:
         backend, _, _ = make_backend([FakeHttpResponse(payload=None)])
         with pytest.raises(BackendError, match="JSON"):
             backend.complete(chat())
+
+    def test_lone_surrogate_in_payload_is_a_backend_error(self):
+        backend, session, _ = make_backend([FakeHttpResponse(payload=chat_payload(text="a \ud800 b"))])
+        with pytest.raises(BackendError, match="lone surrogate"):
+            backend.complete(chat())
+        assert len(session.posts) == 1
+
+    def test_lone_surrogate_in_payload_exits_five(self, tmp_path, monkeypatch, capsys):
+        reply = FakeHttpResponse(payload=chat_payload(text="- aspirin \udc00"))
+        monkeypatch.setattr(requests.Session, "post", lambda session, url, **kwargs: reply)
+        fixtures = Path(__file__).parent.parent / "fixtures"
+        args = ["extract", "--task", "medication_status", "--dataset", str(fixtures / "medication_status.jsonl"),
+                "--backend", "http", "--endpoint", "http://llm.test", "--out", str(tmp_path / "run")]
+        assert cli_main(args) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: backend failure: ") and "lone surrogate" in err
+        assert not (tmp_path / "run").exists()
 
 
 KEY_A = "ab" * 32

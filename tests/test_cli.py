@@ -322,6 +322,53 @@ class TestExitCodes:
         assert main(args) == 5
         assert "backend failure" in capsys.readouterr().err
 
+    def test_dataset_line_with_a_lone_surrogate_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "make_backend", lambda args: pytest.fail("a backend was built"))
+        dataset = tmp_path / "surrogate.jsonl"
+        lines = Path(MED_DATA).read_text(encoding="utf-8").splitlines()
+        dataset.write_text("\n".join(lines) + '\n{"doc_id": "s1", "text": "takes \\ud800 daily", "gold": []}\n',
+                           encoding="utf-8")
+        args = extract_args(tmp_path)
+        args[args.index(MED_DATA)] = str(dataset)
+        assert main(args) == 3
+        message = f"line {len(lines) + 1}: a string holds a lone surrogate, which UTF-8 cannot encode"
+        assert capsys.readouterr().err == f"error: {dataset}: {message}\n"
+        assert not (tmp_path / "run").exists()
+        monkeypatch.undo()
+        assert main(args + ["--lenient"]) == 0
+        assert capsys.readouterr().err == f"warning: {message}\n"
+        assert "s1" not in {result.doc_id for result in load_run(tmp_path / "run")[1]}
+
+    def test_script_line_with_a_lone_surrogate_exits_three(self, tmp_path, capsys):
+        script = tmp_path / "surrogate_script.jsonl"
+        script.write_text(Path(MED_SCRIPT).read_text(encoding="utf-8")
+                          + '{"match": "never asked", "response": "- aspirin \\udfff"}\n', encoding="utf-8")
+        args = extract_args(tmp_path)
+        args[args.index(MED_SCRIPT)] = str(script)
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad script file: {script}:") and "lone surrogate" in err
+        assert err.count("\n") == 1 and not (tmp_path / "run").exists()
+
+    def test_out_under_a_file_exits_two_before_any_backend(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        monkeypatch.setattr(cli, "make_backend", lambda args: pytest.fail("a backend was built"))
+        assert main(extract_args(tmp_path, out="afile/deeper/run")) == 2
+        message = f"cannot write {tmp_path / 'afile/deeper/run'}: {tmp_path / 'afile'} is not a directory"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_out_made_unwritable_during_the_run_exits_two(self, tmp_path, capsys, monkeypatch):
+        make_backend = cli.make_backend
+
+        def then_block_out(args):  # a file appears where the run directory's parent was to go
+            (tmp_path / "late").write_text("", encoding="utf-8")
+            return make_backend(args)
+
+        monkeypatch.setattr(cli, "make_backend", then_block_out)
+        assert main(extract_args(tmp_path, out="late/run")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {tmp_path / 'late/run'}: ") and err.count("\n") == 1
+
     def test_lenient_dataset_warns_and_continues(self, tmp_path, capsys):
         mixed = tmp_path / "mixed.jsonl"
         mixed.write_text(

@@ -952,21 +952,14 @@ class TestNormalizeOnce:
         # was normalised only to drop the empty ones.
         assert calls["normalize"] <= 3.0 * model_calls
 
-    def test_ablation_demo_runs_the_normalize_body_once_per_distinct_value(self, monkeypatch):
-        inputs = []
-        once = core._normalize_once
-
-        def counted_once(s):
-            inputs.append(s)
-            return once(s)
-
+    def test_ablation_demo_runs_the_normalize_body_once_per_distinct_value(self):
         core.normalize.cache_clear()
-        monkeypatch.setattr(core, "_normalize_once", counted_once)
         documents, gold = directional_corpus()
         run_ablation(directional_backend, PipelineConfig(demonstrations_k=0), documents, gold, [0, 1, 2],
                      workers=2, with_megaprompt=True)
         # Every other call of the 8,150 is a memo hit.
-        assert len(inputs) == len(set(inputs)) == 19
+        info = core.normalize.cache_info()
+        assert info.misses == info.currsize == 19
 
 
 def _digest(results) -> str:
