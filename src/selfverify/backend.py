@@ -20,7 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
@@ -58,15 +58,13 @@ class LlmRequest:
     def __post_init__(self) -> None:
         if not self.messages:
             raise ValueError("chat requests need at least one message")
+        # All message text joined, for script matching and debugging; not a
+        # field, so equality and hashing ignore it and `replace` recomputes it.
+        object.__setattr__(self, "text", "\n".join(m.content for m in self.messages))
 
     @classmethod
     def chat(cls, model_id: str, user_text: str, **kwargs) -> "LlmRequest":
         return cls(model_id=model_id, messages=(Message("user", user_text),), **kwargs)
-
-    @cached_property
-    def text(self) -> str:
-        """All message text joined, used for script matching and debugging."""
-        return "\n".join(m.content for m in self.messages)
 
 
 @dataclass(frozen=True)
@@ -84,32 +82,29 @@ class LlmResponse:
     from_cache: bool = False
 
 
+_pack_len = struct.Struct(">I").pack
+# The mode and prompt fields of a removed completion mode, constant; kept so stored keys still hit.
+_CHAT_MODE = b"mode\0" + _pack_len(4) + b"chat" + b"prompt\0" + _pack_len(0)
+
+
 def cache_key(request: LlmRequest) -> str:
     """Content hash of a request: sha256 hex over a canonical encoding.
 
-    Every field is written as (tag, length, utf-8 bytes) in a fixed order,
-    so no combination of values can collide by concatenation and adding a
-    field later changes every key (by design).
+    Every field is written as (tag, NUL, big-endian length, utf-8 bytes) in
+    a fixed order, so no combination of values can collide by concatenation
+    and adding a field later changes every key (by design). The fields are
+    joined first and hashed in one call.
     """
-    h = hashlib.sha256()
-
-    def put(tag: str, value: str) -> None:
-        data = value.encode("utf-8")
-        h.update(tag.encode("ascii"))
-        h.update(b"\x00")
-        h.update(struct.pack(">I", len(data)))
-        h.update(data)
-
-    put("model_id", request.model_id)
-    # Constant tags left from a removed completion mode; kept so stored keys still hit.
-    put("mode", "chat")
-    put("prompt", "")
+    model = request.model_id.encode()
+    parts = [b"model_id\0", _pack_len(len(model)), model, _CHAT_MODE]
     for i, msg in enumerate(request.messages):
-        put(f"message.{i}.role", msg.role)
-        put(f"message.{i}.content", msg.content)
-    put("temperature", repr(request.temperature))
-    put("max_output_tokens", str(request.max_output_tokens))
-    return h.hexdigest()
+        role, content = msg.role.encode(), msg.content.encode()
+        parts += (b"message.%d.role\0" % i, _pack_len(len(role)), role,
+                  b"message.%d.content\0" % i, _pack_len(len(content)), content)
+    temperature, max_tokens = repr(request.temperature).encode(), str(request.max_output_tokens).encode()
+    parts += (b"temperature\0", _pack_len(len(temperature)), temperature,
+              b"max_output_tokens\0", _pack_len(len(max_tokens)), max_tokens)
+    return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
 class BackendError(Exception):
@@ -158,13 +153,15 @@ class ScriptStep:
     response: str | LlmResponse | Callable[[LlmRequest], str]
     once: bool = False
 
+    def __post_init__(self) -> None:
+        m = self.matcher  # read once: a later edit of it is not seen
+        self._needles = None if callable(m) else frozenset((m,) if isinstance(m, str) else m)
+
     def matches(self, request: LlmRequest, found: set[str]) -> bool:
         """Whether the step answers `request`, whose text holds `""` and the script's substrings in `found`."""
-        if callable(self.matcher):
+        if self._needles is None:
             return bool(self.matcher(request))
-        if isinstance(self.matcher, str):
-            return self.matcher in found
-        return all(s in found for s in self.matcher)
+        return self._needles <= found
 
     def render(self, request: LlmRequest) -> LlmResponse:
         r = self.response
@@ -179,16 +176,21 @@ class MockBackend(Backend):
     """Deterministic scripted backend; first matching step wins.
 
     With no matching step, returns `default` when set, otherwise raises
-    ScriptExhausted. Thread-safe; `once` consumption is atomic.
+    ScriptExhausted. Thread-safe: matching and `once` consumption are
+    atomic, and the reply is rendered after, so callable responses of
+    concurrent calls run concurrently.
 
     Each step is filed under the one of its substrings that fewest steps
     share (callable and `[]` matchers under `""`, which every text holds).
     A call finds every substring of the script that its prompt holds in
-    one scan per first character (`_key_finder`, built once per script's
-    substrings), then checks the steps filed under them in script order
-    against that set: the prompt is not read again. The index is built
-    here, so a later edit of a step's `response` is seen but one of its
-    `matcher` is not.
+    one scan per first character (`_key_finder`), then checks the steps
+    filed under them in script order, each by one subset test of its
+    needle set against that set: the prompt is not read again. The index
+    and the finder are built once per script's needle sets
+    (`_script_index`) and shared, read-only, by every backend of equal
+    steps; each backend keeps its own steps, consumption, call log and
+    lock. Needles are read when a step is made, so a later edit of a
+    step's `response` is seen but one of its `matcher` is not.
     """
 
     def __init__(self, steps: list[ScriptStep] | None = None, default: str | None = None):
@@ -197,37 +199,47 @@ class MockBackend(Backend):
         self.calls: list[LlmRequest] = []
         self._consumed: set[int] = set()
         self._lock = threading.Lock()
-        needles = [[m] if isinstance(m, str) else [""] if callable(m) or not m else m
-                   for m in (s.matcher for s in self.steps)]
-        shared = Counter(n for ns in needles for n in set(ns))
-        self._by_key: dict[str, list[int]] = {}
-        for i, ns in enumerate(needles):
-            self._by_key.setdefault(min(ns, key=shared.__getitem__), []).append(i)
-        self._find_keys = _key_finder(tuple(n for n in shared if n))
+        self._by_key, self._find_keys = _script_index(tuple(s._needles for s in self.steps))
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        found = self._find_keys(request.text) | {""}
+        found = self._find_keys(request.text)
+        found.add("")
         candidates = sorted(i for key in found for i in self._by_key.get(key, ()))
+        step = None
         with self._lock:
             self.calls.append(request)
             for i in candidates:
-                if i in self._consumed:
-                    continue
-                step = self.steps[i]
-                if step.matches(request, found):
+                if i not in self._consumed and self.steps[i].matches(request, found):
+                    step = self.steps[i]
                     if step.once:
                         self._consumed.add(i)
-                    return step.render(request)
-            if self.default is not None:
-                return LlmResponse(text=self.default, finish_reason=FinishReason.STOP)
+                    break
+        if step is not None:
+            return step.render(request)
+        if self.default is not None:
+            return LlmResponse(text=self.default, finish_reason=FinishReason.STOP)
         raise ScriptExhausted(
             f"no script step matched request starting {request.text[:120]!r}"
         )
 
 
 @lru_cache
+def _script_index(needles: tuple[frozenset[str] | None, ...]) -> tuple[dict[str, list[int]], Callable]:
+    """The steps filed by key, and the key finder, of a script whose steps have `needles`.
+
+    `None` stands for a callable matcher. Cached: backends of steps with
+    equal needles share the result, which none of them may change.
+    """
+    lists = [sorted(ns) if ns else [""] for ns in needles]  # sorted: ties file the same in every process
+    shared = Counter(n for ns in lists for n in ns)
+    by_key: dict[str, list[int]] = {}
+    for i, ns in enumerate(lists):
+        by_key.setdefault(min(ns, key=shared.__getitem__), []).append(i)
+    return by_key, _key_finder(tuple(n for n in shared if n))
+
+
 def _key_finder(keys: tuple[str, ...]) -> Callable[[str], set[str]]:
-    """A function giving the set of `keys` (distinct, non-empty) that a text holds.
+    """A function giving a fresh set of the `keys` (distinct, non-empty) that a text holds.
 
     The keys no other key holds make one regex per first character, led by
     their common prefix, which `re` seeks at C speed; each `findall` is one
@@ -236,7 +248,7 @@ def _key_finder(keys: tuple[str, ...]) -> Callable[[str], set[str]]:
     key inside another, or one that starts only inside matches of other
     keys of its own first character, which then occurs again in one of
     them: those few get `in` too, as do keys too deep in the trie (see
-    `_trie_branches`). Cached, so the backends of one script share one finder.
+    `_trie_branches`).
     """
     joined = "\0".join(keys)  # a key inside another occurs twice here
     inner = {key for key in keys if "\0" in key or joined.count(key) > 1}

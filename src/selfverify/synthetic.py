@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .backend import MockBackend, ScriptStep
 from .core import Document, StatusLabel, TaskKind, medication_status_task
@@ -80,60 +81,42 @@ def directional_corpus(task: TaskKind | None = None):
     return docs, gold
 
 
-def directional_backend(task: TaskKind | None = None) -> MockBackend:
+@lru_cache(maxsize=None)
+def _directional_script() -> tuple[tuple[list[str] | str, str, bool], ...]:
+    """The (matcher, response, once) of each step of the directional script."""
+    statuses = {m: StatusLabel.ACTIVE for m in REAL_MEDS + FAKE_MEDS[:2]}
+    steps: list[tuple[list[str] | str, str, bool]] = []
+    for i in range(DIRECTIONAL_SIZE):
+        marker = _note_marker(i)
+        _, meds = directional_document(i, medication_status_task())
+        found_first = meds[:3] + [FAKE_MEDS[0]]
+        recovered = [meds[3]] + ([FAKE_MEDS[1]] if i % 2 == 0 else [])
+        steps.append((["List every medication", marker], bullet_lines(found_first, statuses), False))
+        steps.append((["missing from the list above", marker], bullet_lines(recovered, statuses), True))
+        steps.append((["exact quote", marker], evidence_lines(meds), False))
+        for fake in FAKE_MEDS[:2]:
+            steps.append(([f"Candidate medication: {fake}", marker],
+                          "No. This drug is not mentioned anywhere in the note.", False))
+        if i % 10 == 0:
+            steps.append(([f"Candidate medication: {meds[1]}", marker],
+                          "No. On reflection this one looks doubtful.", False))
+        steps.append((["Candidate medication: ", marker],
+                      "Yes. The note clearly mentions this medication.", False))
+    steps.append(("missing from the list above", "None", False))
+    return tuple(steps)
+
+
+def directional_backend() -> MockBackend:
     """A fresh scripted backend answering every prompt for the corpus.
 
     Fresh because the omission steps are consumed on first use; reuse a
     single instance across ablation variants and the second variant
-    would see the wrong omission answers.
+    would see the wrong omission answers. Its steps are fresh too, made
+    from script data built once, so an edit of one backend's step is not
+    seen by another.
     """
-    task = task or medication_status_task()
-    active = {m: StatusLabel.ACTIVE for m in REAL_MEDS}
-    steps: list[ScriptStep] = []
-    for i in range(DIRECTIONAL_SIZE):
-        marker = _note_marker(i)
-        _, meds = directional_document(i, task)
-        found_first = meds[:3] + [FAKE_MEDS[0]]
-        recovered = [meds[3]] + ([FAKE_MEDS[1]] if i % 2 == 0 else [])
-        statuses = dict(active)
-        statuses[FAKE_MEDS[0]] = StatusLabel.ACTIVE
-        statuses[FAKE_MEDS[1]] = StatusLabel.ACTIVE
-        steps.append(
-            ScriptStep(
-                ["List every medication", marker],
-                bullet_lines(found_first, statuses),
-            )
-        )
-        steps.append(
-            ScriptStep(
-                ["missing from the list above", marker],
-                bullet_lines(recovered, statuses),
-                once=True,
-            )
-        )
-        steps.append(ScriptStep(["exact quote", marker], evidence_lines(meds)))
-        for fake in FAKE_MEDS[:2]:
-            steps.append(
-                ScriptStep(
-                    [f"Candidate medication: {fake}", marker],
-                    "No. This drug is not mentioned anywhere in the note.",
-                )
-            )
-        if i % 10 == 0:
-            steps.append(
-                ScriptStep(
-                    [f"Candidate medication: {meds[1]}", marker],
-                    "No. On reflection this one looks doubtful.",
-                )
-            )
-        steps.append(
-            ScriptStep(
-                ["Candidate medication: ", marker],
-                "Yes. The note clearly mentions this medication.",
-            )
-        )
-    steps.append(ScriptStep("missing from the list above", "None"))
-    return MockBackend(steps)
+    return MockBackend([ScriptStep(list(m) if isinstance(m, list) else m, response, once)
+                        for m, response, once in _directional_script()])
 
 
 _KEEP_TEXTS = (

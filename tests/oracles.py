@@ -52,6 +52,11 @@ that now picks the candidate steps. It tests each step with
 reference for deciding a step by membership in the set of substrings one
 scan of the prompt finds.
 
+`per_update_cache_key` is `backend.cache_key` as it was, body unchanged:
+one `hashlib` update through a closure for each tag, NUL, length and
+value. It is the reference for the key hashed in one call over the joined
+fields.
+
 `per_key_filter` is the scripted backend's former key filter, body
 unchanged: one `in` test of the whole prompt for every index key. It is
 the reference for the one regex scan that finds the keys a prompt holds.
@@ -80,7 +85,9 @@ the reference for the schema's checks: wherever they refuse a line,
 
 from __future__ import annotations
 
+import hashlib
 import re
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Sequence
@@ -609,6 +616,34 @@ def substring_matches(step, request) -> bool:
     if isinstance(step.matcher, str):
         return step.matcher in request.text
     return all(s in request.text for s in step.matcher)
+
+
+def per_update_cache_key(request) -> str:
+    """Content hash of a request: sha256 hex over a canonical encoding.
+
+    Every field is written as (tag, length, utf-8 bytes) in a fixed order,
+    so no combination of values can collide by concatenation and adding a
+    field later changes every key (by design).
+    """
+    h = hashlib.sha256()
+
+    def put(tag: str, value: str) -> None:
+        data = value.encode("utf-8")
+        h.update(tag.encode("ascii"))
+        h.update(b"\x00")
+        h.update(struct.pack(">I", len(data)))
+        h.update(data)
+
+    put("model_id", request.model_id)
+    # Constant tags left from a removed completion mode; kept so stored keys still hit.
+    put("mode", "chat")
+    put("prompt", "")
+    for i, msg in enumerate(request.messages):
+        put(f"message.{i}.role", msg.role)
+        put(f"message.{i}.content", msg.content)
+    put("temperature", repr(request.temperature))
+    put("max_output_tokens", str(request.max_output_tokens))
+    return h.hexdigest()
 
 
 def per_key_filter(by_key: dict[str, list[int]], text: str) -> list[int]:

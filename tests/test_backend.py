@@ -10,14 +10,16 @@ import struct
 import subprocess
 import sys
 import threading
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import backend_for_cases
-from oracles import linear_mock_complete, per_key_filter
+from oracles import linear_mock_complete, per_key_filter, per_update_cache_key
 
 from selfverify import backend as backend_module
 from selfverify.backend import (
@@ -44,7 +46,7 @@ from selfverify.backend import (
 )
 from selfverify.cli import main as cli_main
 from selfverify.pipeline import ExtractionPipeline, PipelineConfig
-from selfverify.synthetic import plan_case
+from selfverify.synthetic import directional_backend, plan_case
 
 
 def chat(text: str = "hello", **kwargs) -> LlmRequest:
@@ -100,6 +102,15 @@ class TestLlmRequest:
         req = LlmRequest(model_id="m", messages=(Message("system", "sys"), Message("user", "hi")))
         assert req.text == "sys\nhi"
 
+    def test_text_is_set_at_construction_and_is_not_a_field(self):
+        req = LlmRequest(model_id="m", messages=(Message("system", "sys"), Message("user", "hi")))
+        assert vars(req)["text"] == "sys\nhi"
+        twin = LlmRequest(model_id="m", messages=req.messages)
+        object.__setattr__(twin, "text", "other")
+        assert twin == req and hash(twin) == hash(req)
+        assert "text" not in repr(req)
+        assert replace(req, messages=(Message("user", "new"),)).text == "new"
+
 
 class TestCacheKey:
     def test_deterministic(self):
@@ -132,6 +143,20 @@ class TestCacheKey:
         a = LlmRequest(model_id="m", messages=(Message("user", "x"),))
         b = LlmRequest(model_id="m", messages=(Message("system", "x"),))
         assert cache_key(a) != cache_key(b)
+
+    @given(
+        model=st.text(min_size=1, max_size=20),
+        messages=st.lists(st.tuples(st.sampled_from(["system", "user", "assistant", "r\u00f4le"]),
+                                    st.text(max_size=40)), min_size=1, max_size=4),
+        temperature=st.sampled_from([0.0, -0.0, 1e-07, 0.1, 2.0]) | st.floats(allow_nan=False),
+        max_tokens=st.integers(min_value=0, max_value=2**40),
+    )
+    @example("m\u00e9", [("system", "\u0130\u00df"), ("user", "\U0001f600 \u00fc")], -0.0, 7)
+    @example("m1", [("user", "dose 1e-07")], 1e-07, 1024)
+    @settings(max_examples=300)
+    def test_one_shot_key_matches_per_update_hashing(self, model, messages, temperature, max_tokens):
+        request = LlmRequest(model, tuple(Message(*m) for m in messages), temperature, max_tokens)
+        assert cache_key(request) == per_update_cache_key(request)
 
     @given(
         st.text(max_size=30),
@@ -207,6 +232,119 @@ class TestMockBackend:
         for t in threads:
             t.join()
         assert results.count("winner") == 1
+
+    def test_callable_response_renders_outside_the_lock(self):
+        first_rendering, second_arrived = threading.Event(), threading.Event()
+
+        def wait_for_second(request: LlmRequest) -> str:
+            first_rendering.set()
+            return "first" if second_arrived.wait(timeout=1.0) else "timed out"
+
+        def signal(request: LlmRequest) -> str:
+            second_arrived.set()
+            return "second"
+
+        backend = MockBackend([ScriptStep("one", wait_for_second), ScriptStep("two", signal)])
+        results: dict[str, str] = {}
+        first = threading.Thread(target=lambda: results.update(one=backend.complete(chat("one")).text))
+        first.start()
+        assert first_rendering.wait(timeout=5)
+        second = threading.Thread(target=lambda: results.update(two=backend.complete(chat("two")).text))
+        second.start()
+        for t in (first, second):
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert results == {"one": "first", "two": "second"}
+
+    @pytest.mark.parametrize("matcher, text, want", [
+        ("", "", True), ("", "anything", True),
+        ([], "", True), ([], "anything", True),
+        ("ab", "xaby", True), ("ab", "a b", False),
+        (["ab", "cd"], "cd ab", True), (["ab", "cd"], "ab", False), (["ab", "ab"], "ab", True),
+        (_has_ab, "xab", True), (_has_ab, "ba", False),
+    ])
+    def test_matches_pins_each_matcher_kind(self, matcher, text, want):
+        step = ScriptStep(matcher, "r")
+        request = chat(text)
+        found = MockBackend([step])._find_keys(request.text) | {""}
+        assert step.matches(request, found) is want
+
+    def test_a_matcher_edit_is_not_seen(self):
+        step = ScriptStep("ab", "r")
+        step.matcher = "cd"
+        assert step.matches(chat("ab"), {"", "ab"})
+        assert not step.matches(chat("cd"), {"", "cd"})
+
+    @given(
+        script=st.lists(st.tuples(_matchers, st.booleans()), max_size=12),
+        calls=st.lists(st.tuples(st.booleans(), _texts), min_size=1, max_size=12),
+        default=st.none() | st.just("fallback"),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_backends_of_equal_steps_share_the_index_but_not_their_state(self, script, calls, default):
+        def make():
+            return [ScriptStep(list(m) if isinstance(m, list) else m, f"step {i}", once=once)
+                    for i, (m, once) in enumerate(script)]
+
+        steps = (make(), make())
+        backends = (MockBackend(steps[0], default=default), MockBackend(steps[1], default=default))
+        assert backends[0]._by_key is backends[1]._by_key
+        assert backends[0]._find_keys is backends[1]._find_keys
+        consumed: tuple[set[int], set[int]] = (set(), set())
+        for which, text in calls:
+            request = chat(text)
+            try:
+                want = linear_mock_complete(steps[which], consumed[which], request, default).text
+            except ScriptExhausted:
+                want = ScriptExhausted
+            try:
+                got = backends[which].complete(request).text
+            except ScriptExhausted:
+                got = ScriptExhausted
+            assert got == want, text
+            assert [b._consumed for b in backends] == list(consumed)
+
+    def test_directional_backends_keep_their_own_steps_and_consumption(self):
+        first, second = directional_backend(), directional_backend()
+        assert first._by_key is second._by_key
+        assert not {id(s) for s in first.steps} & {id(s) for s in second.steps}
+        verdict = next(s for s in first.steps if s.matcher == ["Candidate medication: phantomycin", "Note 0."])
+        verdict.response = "Yes. It is in the note."
+        prune = chat("Note 0. ... Candidate medication: phantomycin\n")
+        assert first.complete(prune).text == "Yes. It is in the note."
+        assert second.complete(prune).text.startswith("No.")
+        omission = chat("Note 3. ... missing from the list above")
+        assert first.complete(omission).text == second.complete(omission).text == "- insulin glargine (active)"
+        assert first.complete(omission).text == "None"
+        assert directional_backend().complete(omission).text == "- insulin glargine (active)"
+        assert second.complete(omission).text == "None"
+
+    def test_backends_sharing_an_index_consume_apart_under_contention(self):
+        backends = [directional_backend() for _ in range(2)]
+        omissions = [chat(f"Note {i}. ... missing from the list above") for i in range(1, 50, 2)]
+        answers: list[tuple[int, str, str]] = []
+        lock = threading.Lock()
+
+        def hit(worker: int):
+            for request in omissions:
+                text = backends[worker % 2].complete(request).text
+                with lock:
+                    answers.append((worker % 2, request.text, text))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hit, args=(w,)) for w in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        recovered = Counter((b, text) for b, text, answer in answers if answer != "None")
+        assert recovered == {(b, r.text): 1 for b in (0, 1) for r in omissions}
+        assert len(answers) == 8 * len(omissions)
 
     @given(
         script=st.lists(st.tuples(_matchers, st.booleans()), max_size=12),
