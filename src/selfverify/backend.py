@@ -48,7 +48,12 @@ class Message:
 
 @dataclass(frozen=True)
 class LlmRequest:
-    """One chat request; immutable so it can hash and cross threads."""
+    """One chat request; immutable so it can hash and cross threads.
+
+    `text`, the messages' contents joined by newlines for script matching and
+    debugging, is not a field: equality and hashing ignore it and `replace`
+    recomputes it. One message's content is its `text`, the same string.
+    """
 
     model_id: str
     messages: tuple[Message, ...]
@@ -58,13 +63,15 @@ class LlmRequest:
     def __post_init__(self) -> None:
         if not self.messages:
             raise ValueError("chat requests need at least one message")
-        # All message text joined, for script matching and debugging; not a
-        # field, so equality and hashing ignore it and `replace` recomputes it.
         object.__setattr__(self, "text", "\n".join(m.content for m in self.messages))
 
     @classmethod
-    def chat(cls, model_id: str, user_text: str, **kwargs) -> "LlmRequest":
-        return cls(model_id=model_id, messages=(Message("user", user_text),), **kwargs)
+    def chat(cls, model_id: str, user_text: str, temperature: float = DEFAULT_TEMPERATURE,
+             max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS) -> "LlmRequest":
+        request = object.__new__(cls)  # one message: nothing for the constructor to check or join
+        request.__dict__.update(model_id=model_id, messages=(Message("user", user_text),), temperature=temperature,
+                                max_output_tokens=max_output_tokens, text=user_text)
+        return request
 
 
 @dataclass(frozen=True)
@@ -82,6 +89,7 @@ class LlmResponse:
     from_cache: bool = False
 
 
+_reply = lru_cache(maxsize=1024)(LlmResponse)  # one frozen reply per scripted text, shared by every step
 _pack_len = struct.Struct(">I").pack
 # The mode and prompt fields of a removed completion mode, constant; kept so stored keys still hit.
 _CHAT_MODE = b"mode\0" + _pack_len(4) + b"chat" + b"prompt\0" + _pack_len(0)
@@ -167,9 +175,7 @@ class ScriptStep:
         r = self.response
         if callable(r):
             r = r(request)
-        if isinstance(r, LlmResponse):
-            return r
-        return LlmResponse(text=r, finish_reason=FinishReason.STOP, latency_ms=0.0)
+        return r if isinstance(r, LlmResponse) else _reply(r)
 
 
 class MockBackend(Backend):
@@ -204,7 +210,7 @@ class MockBackend(Backend):
     def complete(self, request: LlmRequest) -> LlmResponse:
         found = self._find_keys(request.text)
         found.add("")
-        candidates = sorted(i for key in found for i in self._by_key.get(key, ()))
+        candidates = sorted([i for key in found for i in self._by_key.get(key, ())])
         step = None
         with self._lock:
             self.calls.append(request)
@@ -217,7 +223,7 @@ class MockBackend(Backend):
         if step is not None:
             return step.render(request)
         if self.default is not None:
-            return LlmResponse(text=self.default, finish_reason=FinishReason.STOP)
+            return _reply(self.default)
         raise ScriptExhausted(
             f"no script step matched request starting {request.text[:120]!r}"
         )

@@ -263,7 +263,10 @@ def normalize(raw: str) -> str:
 
 @dataclass(frozen=True)
 class Origin:
-    """Which pipeline step produced an item (omission carries its iteration)."""
+    """Which pipeline step produced an item (omission carries its iteration).
+
+    The classmethods return one shared, frozen instance per origin.
+    """
 
     step: str
     iteration: int | None = None
@@ -281,15 +284,16 @@ class Origin:
 
     @classmethod
     def original(cls) -> "Origin":
-        return cls("original")
+        return cls.parse("original")
 
     @classmethod
+    @lru_cache(maxsize=256, typed=True)
     def omission(cls, iteration: int) -> "Origin":
         return cls("omission", iteration)
 
     @classmethod
     def megaprompt(cls) -> "Origin":
-        return cls("megaprompt")
+        return cls.parse("megaprompt")
 
     @classmethod
     @lru_cache(maxsize=256)
@@ -312,7 +316,8 @@ class ExtractedItem:
     """One extraction candidate with provenance and optional grounding.
 
     `value` is `normalize(raw_value)`: the constructor (and `replace`) checks
-    it, while `from_raw` and `evolve` compute it once per new `raw_value`.
+    it, while `from_raw` and `evolve` compute it once per new `raw_value`
+    and set each field directly: no instance dict, unchanged fields shared.
     """
 
     raw_value: str
@@ -342,13 +347,12 @@ class ExtractedItem:
 
     def evolve(self, **changes) -> "ExtractedItem":
         """A copy with `changes`; `value` follows `raw_value`, so it is not one of them."""
-        unknown = changes.keys() - _EVOLVABLE
-        if unknown:
-            raise TypeError(f"cannot evolve {sorted(unknown)} of an ExtractedItem")
         item = object.__new__(type(self))  # skips the constructor's normalize
-        item.__dict__.update(self.__dict__, **changes)
-        if "raw_value" in changes:
-            item.__dict__["value"] = normalize(item.raw_value)
+        for name in _EVOLVABLE:
+            _set(item, name, changes.pop(name, getattr(self, name)))
+        if changes:
+            raise TypeError(f"cannot evolve {sorted(changes)} of an ExtractedItem")
+        _set(item, "value", self.value if item.raw_value is self.raw_value else normalize(item.raw_value))
         item.check_pruned()
         return item
 
@@ -359,8 +363,8 @@ class ExtractedItem:
         return self.value
 
 
-_EVOLVABLE = frozenset(f.name for f in fields(ExtractedItem)) - {"value"}
-_BLANK_ITEM = ExtractedItem("", "")
+_EVOLVABLE = tuple(f.name for f in fields(ExtractedItem) if f.name != "value")
+_BLANK_ITEM, _set = ExtractedItem("", ""), object.__setattr__
 
 
 @dataclass(frozen=True)

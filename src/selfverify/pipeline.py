@@ -188,12 +188,7 @@ class ExtractionPipeline:
 
     def _call(self, prompt: str, max_tokens: int) -> str:
         """One model call; the first uncached one is timed for `on_slow`."""
-        request = LlmRequest.chat(
-            self.config.model_id,
-            prompt,
-            temperature=self.config.temperature,
-            max_output_tokens=max_tokens,
-        )
+        request = LlmRequest.chat(self.config.model_id, prompt, self.config.temperature, max_tokens)
         started = time.perf_counter()
         response = self.backend.complete(request)
         if self.on_slow is not None and not response.from_cache:
@@ -362,15 +357,9 @@ class ExtractionPipeline:
         self, document: Document, current: ExtractionSet, log: list[StepTrace]
     ) -> tuple[ExtractionSet, tuple[ExtractedItem, ...]]:
         items = list(current)
-        prompts = [
-            build_prune_prompt(
-                document.task,
-                document.text,
-                item.value,
-                item.evidence.quote if item.evidence and item.evidence.quote else None,
-            )
-            for item in items
-        ]
+        prompts = [build_prune_prompt(document.task, document.text, item.value,
+                                      item.evidence.quote if item.evidence and item.evidence.quote else None)
+                   for item in items]
         responses = self._call_each(prompts, self.config.max_output_tokens_prune)
         kept: list[ExtractedItem] = []
         pruned: list[ExtractedItem] = []
@@ -484,6 +473,7 @@ def run_batch(
         pipeline = ExtractionPipeline(backend, config, on_slow=go_wide)
         run = pipeline.run_megaprompt if megaprompt else pipeline.run
         drain()
+    pipeline.on_slow = None  # unused when no call was uncached; it would hold a cycle through the results
     if errors:
         raise errors[0]
     return [results[index] for index in range(len(jobs))]

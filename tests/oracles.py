@@ -81,6 +81,24 @@ a results line before the run-record schema, bodies unchanged: the fields
 that `evaluate` and the report read, each with its JSON types. They are
 the reference for the schema's checks: wherever they refuse a line,
 `load_run` refuses it with the same message.
+
+`constructed_chat` is `backend.LlmRequest.chat` as it was, body unchanged:
+it goes through the constructor, whose text joined every message, as
+`joined_request_text` does. They are the reference for the chat request
+whose fields are set directly and for the one-message text taken unjoined.
+
+`per_call_render` is `ScriptStep.render` as it was, body unchanged: a new
+`LlmResponse` for every call. It is the reference for the reply built once
+per text.
+
+`new_origin` is `Origin.original()`, `omission(i)` and `megaprompt()` as
+they were: a new instance for every call. It is the reference for the
+shared instances those now return.
+
+`dict_update_evolve` and `dict_update_from_raw` are `ExtractedItem.evolve`
+and `from_raw` as they were, bodies unchanged: a set difference of the
+changed keys, and one `__dict__.update` that gives both items an instance
+dict. They are the reference for the items whose fields are set directly.
 """
 
 from __future__ import annotations
@@ -89,13 +107,14 @@ import hashlib
 import re
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from selfverify.backend import FinishReason, LlmResponse, ScriptExhausted
-from selfverify.core import EvidenceSpan, MatchKind, _fold_char, normalize
+from selfverify.backend import FinishReason, LlmRequest, LlmResponse, Message, ScriptExhausted
+from selfverify.core import EvidenceSpan, ExtractedItem, MatchKind, Origin, _fold_char, normalize
 from selfverify.evaluation import AblationRow, MacroMetrics, sem
 from selfverify.parsing import (
     _BULLET_LINE_RE,
@@ -748,3 +767,45 @@ def _check_result(record) -> None:
                 _check_fields(item["evidence"], _SPAN_FIELDS, f"{key}[{i}].evidence")
                 if item["evidence"]["match_kind"] not in _MATCH_KINDS:
                     raise ValueError(f"{key}[{i}].evidence has an unknown match_kind")
+
+
+def constructed_chat(model_id: str, user_text: str, **kwargs) -> LlmRequest:
+    return LlmRequest(model_id=model_id, messages=(Message("user", user_text),), **kwargs)
+
+
+def joined_request_text(request: LlmRequest) -> str:
+    return "\n".join(m.content for m in request.messages)
+
+
+def per_call_render(step, request: LlmRequest) -> LlmResponse:
+    r = step.response
+    if callable(r):
+        r = r(request)
+    if isinstance(r, LlmResponse):
+        return r
+    return LlmResponse(text=r, finish_reason=FinishReason.STOP, latency_ms=0.0)
+
+
+def new_origin(step: str, *iteration) -> Origin:
+    """`Origin.original()`, `Origin.omission(*iteration)` or `Origin.megaprompt()`, built anew."""
+    return Origin(step, *iteration)
+
+
+_EVOLVABLE = frozenset(f.name for f in fields(ExtractedItem)) - {"value"}
+
+
+def dict_update_from_raw(raw_value: str, **kwargs) -> ExtractedItem:
+    return dict_update_evolve(ExtractedItem("", ""), raw_value=raw_value, **kwargs)
+
+
+def dict_update_evolve(self: ExtractedItem, **changes) -> ExtractedItem:
+    """A copy with `changes`; `value` follows `raw_value`, so it is not one of them."""
+    unknown = changes.keys() - _EVOLVABLE
+    if unknown:
+        raise TypeError(f"cannot evolve {sorted(unknown)} of an ExtractedItem")
+    item = object.__new__(type(self))  # skips the constructor's normalize
+    item.__dict__.update(self.__dict__, **changes)
+    if "raw_value" in changes:
+        item.__dict__["value"] = normalize(item.raw_value)
+    item.check_pruned()
+    return item

@@ -11,7 +11,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,10 @@ import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import backend_for_cases
-from oracles import linear_mock_complete, per_key_filter, per_update_cache_key
+from oracles import (
+    constructed_chat, joined_request_text, linear_mock_complete, per_call_render, per_key_filter,
+    per_update_cache_key,
+)
 
 from selfverify import backend as backend_module
 from selfverify.backend import (
@@ -111,6 +114,35 @@ class TestLlmRequest:
         assert "text" not in repr(req)
         assert replace(req, messages=(Message("user", "new"),)).text == "new"
 
+    @given(model_id=st.text(max_size=6), text=st.text(max_size=40),
+           kwargs=st.fixed_dictionaries({}, optional={
+               "temperature": st.floats(allow_nan=False) | st.integers(-2, 2),
+               "max_output_tokens": st.integers(-1, 2**40)}))
+    @example(model_id="m", text=" two\nlines ", kwargs={})
+    def test_chat_matches_the_constructed_request(self, model_id, text, kwargs):
+        got, want = LlmRequest.chat(model_id, text, **kwargs), constructed_chat(model_id, text, **kwargs)
+        assert [getattr(got, f.name) for f in fields(LlmRequest)] == [getattr(want, f.name) for f in fields(LlmRequest)]
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert got.text == want.text == joined_request_text(want) and got.text is text
+        assert cache_key(got) == cache_key(want)
+
+    def test_chat_refuses_what_the_constructor_refuses(self):
+        for make in (LlmRequest.chat, constructed_chat):
+            with pytest.raises(TypeError, match="stream"):
+                make("m", "hi", stream=True)
+
+    @given(st.lists(st.tuples(st.sampled_from(["system", "user"]), st.text(max_size=8)), max_size=4))
+    def test_text_is_the_joined_contents(self, messages):
+        messages = tuple(Message(role, content) for role, content in messages)
+        if not messages:
+            with pytest.raises(ValueError, match="at least one message"):
+                LlmRequest("m", messages)
+            return
+        request = LlmRequest("m", messages)
+        assert request.text == joined_request_text(request)
+        if len(messages) == 1:
+            assert request.text is messages[0].content
+
 
 class TestCacheKey:
     def test_deterministic(self):
@@ -196,6 +228,31 @@ class TestMockBackend:
             [ScriptStep(lambda r: "x" in r.text, lambda r: f"saw {len(r.text)} chars")]
         )
         assert backend.complete(chat("xyz")).text == "saw 3 chars"
+
+    def test_an_edited_response_is_answered_and_two_backends_of_one_script_answer_apart(self):
+        prompt = chat("Candidate medication: phantomycin\nNote 0.")
+        one, two = directional_backend(), directional_backend()
+        first = one.complete(prompt).text
+        assert first.startswith("No.") and two.complete(prompt).text == first
+        step = next(s for s in one.steps if s.matcher == ["Candidate medication: phantomycin", "Note 0."])
+        step.response = "Yes. It is in the note."
+        assert one.complete(prompt).text == "Yes. It is in the note."
+        assert two.complete(prompt).text == first
+        step.response = first
+        assert one.complete(prompt).text == first
+
+    @given(replies=st.lists(st.text(max_size=12) | st.sampled_from(["None", "Yes."]), min_size=1, max_size=5))
+    def test_render_matches_a_new_reply_per_call_and_shares_one_per_text(self, replies):
+        step, request = ScriptStep("a", replies[0]), chat("a")
+        for reply in replies:
+            step.response = reply
+            got, want = step.render(request), per_call_render(step, request)
+            assert got == want and got.text == reply
+            assert step.render(request) is got is ScriptStep("b", reply).render(request)
+        built = LlmResponse("x", FinishReason.LENGTH)
+        for response in (built, lambda r: built, lambda r: r.text + "!"):
+            step.response = response
+            assert step.render(request) == per_call_render(step, request)
 
     def test_exhausted(self):
         backend = MockBackend([ScriptStep("specific", "resp")])

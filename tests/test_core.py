@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
-from dataclasses import replace
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -31,7 +33,10 @@ from selfverify import core
 from selfverify.parsing import locate_quote
 
 from helpers import fuzz_text
-from oracles import fixpoint_normalize, normalized_distance_of_span, unmemoised_normalize
+from oracles import (
+    dict_update_evolve, dict_update_from_raw, fixpoint_normalize, new_origin, normalized_distance_of_span,
+    unmemoised_normalize,
+)
 
 
 class TestTaskKind:
@@ -332,6 +337,71 @@ class TestOrigin:
             Origin("original", 1)
         with pytest.raises(ValueError):
             Origin("bogus")
+
+    def test_factories_return_one_shared_instance_per_origin(self):
+        assert Origin.original() is Origin.original() is Origin.parse("original")
+        assert Origin.megaprompt() is Origin.megaprompt() is Origin.parse("megaprompt")
+        assert Origin.omission(4) is Origin.omission(4) is not Origin.omission(5)
+        assert ExtractedItem("a", "a").origin is Origin.original()
+
+    @given(st.integers(-3, 600) | st.booleans() | st.none() | st.floats(allow_nan=False) | st.text(max_size=2))
+    def test_factories_match_new_instances(self, iteration):
+        assert_same_outcome(lambda: Origin.omission(iteration), lambda: new_origin("omission", iteration))
+        for step in ("original", "megaprompt"):
+            assert_same_outcome(getattr(Origin, step), lambda: new_origin(step))
+
+
+def assert_same_outcome(got, want) -> None:
+    """`got()` and `want()` give equal values of one type, field for field, or raise alike."""
+    outcomes = []
+    for make in (got, want):
+        try:
+            value = make()
+        except Exception as exc:  # compared below
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((type(value), [(f.name, getattr(value, f.name)) for f in fields(value)], str(value)))
+    assert outcomes[0] == outcomes[1]
+
+
+def has_instance_dict(obj) -> bool:
+    return any(type(referent) is dict for referent in gc.get_referents(obj))
+
+
+_STATUSES = st.none() | st.sampled_from(StatusLabel)
+_SPANS = st.none() | st.builds(EvidenceSpan.not_found, st.text(max_size=5))
+_ORIGINS = st.sampled_from([Origin.original(), Origin.omission(2), Origin.megaprompt()])
+_CHANGES = st.fixed_dictionaries({}, optional={
+    "raw_value": st.text(max_size=12) | st.sampled_from(["- Aspirin.", "aspirin", " 'I10' "]),
+    "status": _STATUSES, "evidence": _SPANS, "origin": _ORIGINS, "pruned": st.booleans(),
+    "prune_reason": st.none() | st.text(max_size=5), "icd_code": st.none() | st.text(max_size=5),
+    "flags": st.lists(st.sampled_from(["no_evidence_line", "unmapped_code"]), max_size=2).map(tuple),
+    "value": st.text(max_size=3), "colour": st.just("red"),
+})
+
+
+class TestItemsBuiltDirectly:
+    """`from_raw` and `evolve` against their former `__dict__` updates."""
+
+    @given(raw=st.text(max_size=12), changes=_CHANGES)
+    def test_from_raw_matches_the_dict_update(self, raw, changes):
+        changes.pop("raw_value", None)
+        assert_same_outcome(lambda: ExtractedItem.from_raw(raw, **changes),
+                            lambda: dict_update_from_raw(raw, **changes))
+
+    @given(raw=st.text(max_size=12), first=_CHANGES, changes=_CHANGES)
+    def test_evolve_matches_the_dict_update(self, raw, first, changes):
+        first = {k: v for k, v in first.items() if k not in ("value", "colour", "raw_value", "pruned")}
+        item = ExtractedItem.from_raw(raw, **first)
+        assert_same_outcome(lambda: item.evolve(**changes), lambda: dict_update_evolve(item, **changes))
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="every instance has a dict before 3.11")
+    def test_no_instance_dict_is_made(self):
+        item = ExtractedItem.from_raw("- Aspirin.", status=StatusLabel.ACTIVE, origin=Origin.omission(1))
+        copies = [item.evolve(flags=("a",)), item.evolve(raw_value="I10", icd_code="I10"), item.evolve()]
+        assert not any(map(has_instance_dict, [item, *copies]))
+        assert has_instance_dict(dict_update_evolve(item))  # what the former copy did, to the source too
+        assert has_instance_dict(item)
 
 
 class TestExtractedItem:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
@@ -19,12 +21,14 @@ from pathlib import Path
 import pytest
 
 import selfverify
+from selfverify import backend as backend_module
 from selfverify import core, evaluation, parsing
 from selfverify import pipeline as pipeline_module
 from selfverify.backend import (
     Backend,
     BackendError,
     CachingBackend,
+    LlmResponse,
     MockBackend,
     ReplayBackend,
     ResponseStore,
@@ -35,6 +39,7 @@ from selfverify.core import (
     Document,
     ExtractionSet,
     MatchKind,
+    Origin,
     StatusLabel,
     clinical_trial_arm_task,
     icd_task,
@@ -604,6 +609,41 @@ class TestRunBatch:
         config = PipelineConfig(demonstrations_k=0)
         results = run_batch(backend, config, docs, seeds=[0], megaprompt=True)
         assert results[0].megaprompt
+
+    def test_an_all_cached_batch_frees_its_results_without_the_collector(self, tmp_path):
+        # Replay answers every call from the store, so the speed-gate hook is
+        # never used up; it closes over the pipeline and the results.
+        documents, _ = directional_corpus()
+        store, config = ResponseStore(tmp_path / "store.bin"), PipelineConfig(demonstrations_k=0)
+        run_batch(CachingBackend(directional_backend(), store), config, documents[:4], [0], workers=2)
+        gc.collect()
+        gc.disable()
+        try:
+            results = run_batch(ReplayBackend(store), config, documents[:4], [0], workers=2)
+            survivors = [weakref.ref(results[0]), weakref.ref(results[-1].final.items[0])]
+            del results
+            assert [ref() for ref in survivors] == [None, None]
+        finally:
+            gc.enable()
+
+
+class TestBuiltOnce:
+    def test_a_full_sv_batch_builds_one_reply_per_text_and_one_origin_per_origin(self, monkeypatch):
+        built = Counter()
+        for cls in (LlmResponse, Origin):
+            def counted(self, *args, _init=cls.__init__, **kwargs):
+                built[type(self)] += 1
+                _init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", counted)
+        backend_module._reply.cache_clear()
+        Origin.omission.cache_clear()
+        Origin.parse.cache_clear()
+        documents, _ = directional_corpus()
+        backend = directional_backend()
+        results = run_batch(backend, PipelineConfig(demonstrations_k=0), documents, [0], workers=2)
+        texts = {step.response for step in backend.steps}
+        assert 0 < built[LlmResponse] <= len(texts) < len(backend.calls)
+        assert 0 < built[Origin] <= 1 + max(r.omission_iters for r in results)
 
 
 class SlowBackend(Backend):
