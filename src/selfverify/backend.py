@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import re
 import struct
@@ -300,7 +301,7 @@ def load_script(path: str | Path) -> list[ScriptStep]:
     skipped.
     """
     steps: list[ScriptStep] = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -343,9 +344,9 @@ class HttpBackend(Backend):
     """Talks to /v1/chat/completions with retry/backoff.
 
     Transient failures (connection errors, 5xx) retry with exponential
-    backoff up to max_attempts. 429 responses honor Retry-After through a
-    cooldown shared by all threads using this backend instance. Each retry
-    and each cooldown is logged at DEBUG.
+    backoff up to max_attempts. 429 responses honor Retry-After, capped at
+    backoff_cap_s, through a cooldown shared by all threads using this
+    backend instance. Each retry and each cooldown is logged at DEBUG.
     """
 
     def __init__(
@@ -441,7 +442,7 @@ class HttpBackend(Backend):
                 continue
             elapsed_ms = (self._clock() - started) * 1000.0
             if resp.status_code == 429:
-                retry_after = _parse_retry_after(resp.headers.get("Retry-After"))
+                retry_after = _parse_retry_after(resp.headers.get("Retry-After"), self.config.backoff_cap_s)
                 cooldown = retry_after if retry_after is not None else min(
                     self.config.backoff_base_s * 2**attempt, self.config.backoff_cap_s
                 )
@@ -462,13 +463,13 @@ class HttpBackend(Backend):
         raise last_error if last_error else BackendError("no attempts made")
 
 
-def _parse_retry_after(value: str | None) -> float | None:
-    if value is None:
-        return None
+def _parse_retry_after(value: str | None, cap: float) -> float | None:
+    """Retry-After in seconds, clamped to [0, cap]; None when absent or not a finite number."""
     try:
-        return max(0.0, float(value))
-    except ValueError:
+        seconds = float(value)
+    except (TypeError, ValueError):
         return None
+    return min(max(0.0, seconds), cap) if math.isfinite(seconds) else None
 
 
 _STORE_HEADER_LEN = 32 + 8 + 4  # digest + timestamp + text length

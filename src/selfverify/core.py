@@ -27,7 +27,7 @@ class TaskKind:
     """One extraction task: what to pull out of the text and how to treat it.
 
     `long_input` drives the omission-loop and demonstration defaults; ICD
-    tasks default to long and the others to short.
+    tasks are long and the others short.
     """
 
     family: TaskFamily
@@ -49,31 +49,31 @@ class TaskKind:
         return self.family is TaskFamily.MEDICATION_STATUS
 
 
-def clinical_trial_arm_task(long_input: bool = False) -> TaskKind:
+def clinical_trial_arm_task() -> TaskKind:
     return TaskKind(
         family=TaskFamily.CLINICAL_TRIAL_ARM,
         name="clinical_trial_arm",
-        long_input=long_input,
+        long_input=False,
         item_noun="clinical trial arms",
         source_noun="abstract",
     )
 
 
-def medication_status_task(long_input: bool = False) -> TaskKind:
+def medication_status_task() -> TaskKind:
     return TaskKind(
         family=TaskFamily.MEDICATION_STATUS,
         name="medication_status",
-        long_input=long_input,
+        long_input=False,
         item_noun="medications",
         source_noun="patient note",
     )
 
 
-def icd_task(version: int, long_input: bool = True) -> TaskKind:
+def icd_task(version: int) -> TaskKind:
     return TaskKind(
         family=TaskFamily.ICD_CODE,
         name=f"icd{version}",
-        long_input=long_input,
+        long_input=True,
         icd_version=version,
         item_noun="diagnoses",
         source_noun="clinical note",
@@ -89,13 +89,6 @@ TASKS: dict[str, TaskKind] = {
         icd_task(10),
     )
 }
-
-
-def task_by_name(name: str) -> TaskKind:
-    try:
-        return TASKS[name]
-    except KeyError:
-        raise KeyError(f"unknown task {name!r}; known: {sorted(TASKS)}") from None
 
 
 @dataclass(frozen=True)
@@ -166,8 +159,7 @@ class EvidenceSpan:
     """A model-returned quote located at character offsets in the source text.
 
     Offsets count Unicode scalar values (Python string indices), never bytes.
-    NOT_FOUND spans carry start = end = 0 and must never be used for overlap
-    scoring.
+    NOT_FOUND spans carry start = end = 0: they claim no offsets in the text.
     """
 
     quote: str

@@ -1,10 +1,11 @@
 """Datasets on disk, run persistence, and the audit report.
 
-Datasets are JSONL, one document per line:
+Datasets are JSONL, one document per line. Lines of datasets and of
+results.jsonl end at "\n" alone ("\r\n" reads the same), so U+2028, U+2029
+and U+0085 in a string are text:
 
     {"doc_id": "...", "text": "...",
      "gold": [{"value": "...", "status": "active"?}, ...],
-     "gold_spans": [[start, end] | null, ...]?,     # parallel to gold
      "split": "demo-pool" | "eval"}
 
 A run directory holds manifest.json (run metadata, timing, effective
@@ -71,7 +72,6 @@ class DatasetRecord:
     doc_id: str
     text: str
     gold: tuple[GoldItem, ...]
-    gold_spans: tuple[tuple[int, int] | None, ...]
     split: str
 
     def gold_values(self) -> list[str]:
@@ -113,22 +113,7 @@ def _parse_line(line_no: int, raw: str) -> DatasetRecord:
                 raise FormatError(line_no, f"gold[{i}] has unknown status {g['status']!r}") from None
         gold.append(GoldItem(value=g["value"], status=status))
 
-    raw_spans = obj.get("gold_spans")
-    spans: list[tuple[int, int] | None] = [None] * len(gold)
-    if raw_spans is not None:
-        if not isinstance(raw_spans, list) or len(raw_spans) != len(gold):
-            raise FormatError(line_no, "gold_spans must be a list parallel to gold")
-        for i, s in enumerate(raw_spans):
-            if s is None:
-                continue
-            ok = isinstance(s, list) and len(s) == 2 and all(type(x) is int for x in s)
-            if not (ok and 0 <= s[0] <= s[1] <= len(text)):
-                raise FormatError(line_no, f"gold_spans[{i}] must be [start, end] within the text")
-            spans[i] = (s[0], s[1])
-
-    return DatasetRecord(
-        doc_id=doc_id, text=text, gold=tuple(gold), gold_spans=tuple(spans), split=split
-    )
+    return DatasetRecord(doc_id=doc_id, text=text, gold=tuple(gold), split=split)
 
 
 def load_dataset(path: str | Path, lenient: bool = False) -> tuple[list[DatasetRecord], list[str]]:
@@ -145,7 +130,7 @@ def load_dataset(path: str | Path, lenient: bool = False) -> tuple[list[DatasetR
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(None, str(exc)) from None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         try:
@@ -371,7 +356,7 @@ def load_run(run_dir: str | Path) -> tuple[dict, list[PipelineResult]]:
         if type(manifest) is not dict:
             raise ValueError("not a JSON object")
         path = run_dir / "results.jsonl"
-        for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        for line_no, raw in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
             if raw.strip():
                 results.append(_RESULT.read(decode_json(raw), "result"))
     except json.JSONDecodeError as exc:

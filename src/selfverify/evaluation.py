@@ -1,4 +1,4 @@
-"""Set-based extraction metrics, span scoring, and ablation tables.
+"""Set-based extraction metrics and ablation tables.
 
 Values are compared by case-insensitive exact match after normalization
 (see core.normalize). Per-document precision/recall/F1 are macro-averaged:
@@ -128,59 +128,6 @@ def top_k_codes(gold_lists: Iterable[Iterable[str]], k: int = 50) -> list[str]:
 def filter_values(values: Iterable[str], allowed: set[str]) -> list[str]:
     """Keep values whose normalized form is in `allowed`, preserving order."""
     return [v for v in values if normalize(v) in allowed]
-
-
-def intervals_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """True when half-open character intervals share at least one position."""
-    return max(a[0], b[0]) < min(a[1], b[1])
-
-
-def span_token_length(text: str, span: tuple[int, int]) -> int:
-    """Span length counted in whitespace-separated tokens."""
-    return len(text[span[0] : span[1]].split())
-
-
-@dataclass(frozen=True)
-class SpanCase:
-    """One scored span: where the model grounded an item vs. where gold says.
-
-    predicted is None when the item had no locatable quote; such cases stay
-    in the denominator and count as non-overlapping.
-    """
-
-    text: str
-    predicted: tuple[int, int] | None
-    gold: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class SpanEvalReport:
-    considered: int
-    overlapping: int
-    accuracy: float
-    mean_predicted_tokens: float
-    mean_gold_tokens: float
-
-
-def evaluate_spans(cases: Sequence[SpanCase]) -> SpanEvalReport:
-    if not cases:
-        return SpanEvalReport(0, 0, 1.0, 0.0, 0.0)
-    overlapping = 0
-    pred_tokens: list[int] = []
-    gold_tokens: list[int] = []
-    for case in cases:
-        gold_tokens.append(span_token_length(case.text, case.gold))
-        if case.predicted is not None:
-            pred_tokens.append(span_token_length(case.text, case.predicted))
-            if intervals_overlap(case.predicted, case.gold):
-                overlapping += 1
-    return SpanEvalReport(
-        considered=len(cases),
-        overlapping=overlapping,
-        accuracy=overlapping / len(cases),
-        mean_predicted_tokens=(sum(pred_tokens) / len(pred_tokens)) if pred_tokens else 0.0,
-        mean_gold_tokens=sum(gold_tokens) / len(gold_tokens),
-    )
 
 
 @dataclass(frozen=True)

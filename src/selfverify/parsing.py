@@ -289,14 +289,16 @@ def parse_verdict(text: str) -> bool:
     raise AmbiguousVerdict(text)
 
 
-_ICD9_RE = re.compile(r"(?<![0-9A-Za-z.])(\d{2,3}(?:\.\d{1,2})?)(?!\.?\d)(?![A-Za-z])")
+_ICD9_RE = re.compile(
+    r"(?<![0-9A-Za-z.])(\d{2,3}(?:\.\d{1,2})?|[Vv]\d{2}(?:\.\d{1,2})?|[Ee]\d{3}(?:\.\d)?)(?!\.?\d)(?![A-Za-z])"
+)
 _ICD10_RE = re.compile(
     r"(?<![0-9A-Za-z.])([A-Za-z]\d[0-9A-Za-z](?:\.[0-9A-Za-z]{1,4})?)(?!\.?[0-9A-Za-z])"
 )
 
 
 def parse_icd_codes(text: str, version: int) -> list[str]:
-    """Scan free text for ICD-9 (nnn.nn) or ICD-10 (Ann.xxxx) codes.
+    """Scan free text for ICD-9 (nnn.nn, Vnn.nn, Ennn.n) or ICD-10 (Ann.xxxx) codes.
 
     Codes are uppercased and deduplicated preserving first occurrence.
     """

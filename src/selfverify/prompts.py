@@ -89,16 +89,13 @@ def sample_demonstrations(
     return random.Random(seed).sample(pool, k)
 
 
-def _items_block(items: ExtractionSet | list[str], with_status: bool = False) -> str:
+def _items_block(items: ExtractionSet, with_status: bool = False) -> str:
     lines: list[str] = []
-    if isinstance(items, ExtractionSet):
-        for item in items:
-            if with_status and item.status is not None:
-                lines.append(f"- {item.value}: {item.status.value.capitalize()}")
-            else:
-                lines.append(f"- {item.value}")
-    else:
-        lines.extend(f"- {v}" for v in items)
+    for item in items:
+        if with_status and item.status is not None:
+            lines.append(f"- {item.value}: {item.status.value.capitalize()}")
+        else:
+            lines.append(f"- {item.value}")
     return "\n".join(lines) if lines else "(none)"
 
 
@@ -113,14 +110,14 @@ def build_original_prompt(
     )
 
 
-def build_omission_prompt(task: TaskKind, document_text: str, items: ExtractionSet | list[str]) -> str:
+def build_omission_prompt(task: TaskKind, document_text: str, items: ExtractionSet) -> str:
     return family_template(task.family, "omission").format(
         document=document_text,
         items=_items_block(items, with_status=task.wants_status),
     )
 
 
-def build_evidence_prompt(task: TaskKind, document_text: str, items: ExtractionSet | list[str]) -> str:
+def build_evidence_prompt(task: TaskKind, document_text: str, items: ExtractionSet) -> str:
     return family_template(task.family, "evidence").format(
         document=document_text,
         items=_items_block(items),
@@ -138,7 +135,7 @@ def build_prune_prompt(task: TaskKind, document_text: str, item_value: str, quot
     )
 
 
-def build_icd_map_prompt(task: TaskKind, items: ExtractionSet | list[str]) -> str:
+def build_icd_map_prompt(task: TaskKind, items: ExtractionSet) -> str:
     if task.family is not TaskFamily.ICD_CODE:
         raise ValueError("code mapping only applies to ICD tasks")
     return family_template(task.family, "icd_map").format(

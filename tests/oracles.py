@@ -590,11 +590,6 @@ def oracle_prf(pred: set[str], gold: set[str]) -> tuple[Fraction, Fraction, Frac
     return (p, r, f1)
 
 
-def oracle_intervals_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    """Brute-force half-open interval intersection by position enumeration."""
-    return bool(set(range(a[0], a[1])) & set(range(b[0], b[1])))
-
-
 def normalized_distance_of_span(text: str, quote: str, start: int, end: int) -> Fraction:
     """Exact normalized distance between the folded quote and a folded text slice.
 

@@ -1,4 +1,4 @@
-"""Ten end-to-end acceptance checks, one test per criterion.
+"""Nine end-to-end acceptance checks, one test per criterion.
 
 Each test prints a single verdict line (visible with -s, or in the
 captured output of a failing run) and then asserts. Tolerances are
@@ -34,11 +34,8 @@ from selfverify.data import (
     write_run,
 )
 from selfverify.evaluation import (
-    SpanCase,
     evaluate_doc,
-    evaluate_spans,
     filter_values,
-    intervals_overlap,
     macro_average,
     top_k_codes,
 )
@@ -61,7 +58,7 @@ from selfverify.prompts import DemoExample, catalog_version, sample_demonstratio
 from selfverify.synthetic import directional_backend, directional_corpus, plan_case
 
 from helpers import backend_for_cases, fuzz_text
-from oracles import oracle_intervals_overlap, oracle_locate, oracle_prf
+from oracles import oracle_locate, oracle_prf
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -312,45 +309,6 @@ def test_05_locator_agrees_with_window_oracle():
         f"case={mismatches['case']}/{totals['case']} "
         f"fuzzy={mismatches['fuzzy']}/{totals['fuzzy']}, "
         f"span re-check failures={contract_failures}",
-    )
-
-
-def test_06_span_overlap_evaluator():
-    text = "zero one two three four five six seven eight nine ten eleven twelve"
-    # Hand-enumerated: six of ten predictions intersect their gold span.
-    cases = [
-        SpanCase(text, (0, 8), (4, 12)),      # overlap
-        SpanCase(text, (0, 4), (4, 12)),      # touch, half-open: no overlap
-        SpanCase(text, (10, 20), (15, 18)),   # containment: overlap
-        SpanCase(text, (15, 18), (10, 20)),   # containment: overlap
-        SpanCase(text, (5, 6), (5, 6)),       # identical: overlap
-        SpanCase(text, None, (0, 10)),        # unlocated: counts against
-        SpanCase(text, (30, 40), (41, 50)),   # disjoint
-        SpanCase(text, (41, 50), (30, 40)),   # disjoint, reversed roles
-        SpanCase(text, (12, 30), (29, 33)),   # one-char overlap
-        SpanCase(text, (0, 68), (60, 68)),    # whole text: overlap
-    ]
-    report = evaluate_spans(cases)
-    hand_ok = (
-        report.considered == 10
-        and report.overlapping == 6
-        and report.accuracy == 0.6
-    )
-
-    rng = random.Random(6)
-    disagreements = 0
-    for _ in range(10_000):
-        a = tuple(sorted((rng.randint(0, 50), rng.randint(0, 50))))
-        b = tuple(sorted((rng.randint(0, 50), rng.randint(0, 50))))
-        if intervals_overlap(a, b) != oracle_intervals_overlap(a, b):
-            disagreements += 1
-    ok = hand_ok and disagreements == 0
-    _verdict(
-        6,
-        "span-overlap evaluator",
-        ok,
-        f"hand corpus accuracy={report.accuracy}, "
-        f"interval property disagreements={disagreements}/10000",
     )
 
 

@@ -578,6 +578,14 @@ class TestLoadScript:
         assert backend.complete(chat("alpha")).text == "A"
         assert backend.complete(chat("anything")).text == "default-ish"
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_unicode_line_separator_is_text(self, tmp_path, separator):
+        path = tmp_path / "script.jsonl"
+        step = json.dumps({"match": f"a{separator}b", "response": f"A{separator}B"}, ensure_ascii=False)
+        path.write_text("# comment\r\n" + step + "\r\n\r\n", encoding="utf-8")
+        (loaded,) = load_script(path)
+        assert MockBackend([loaded]).complete(chat(f"xa{separator}by")).text == f"A{separator}B"
+
     def test_bad_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("{nope}\n", encoding="utf-8")
@@ -763,6 +771,21 @@ class TestHttpBackend:
         with pytest.raises(RateLimited) as exc_info:
             backend.complete(chat())
         assert exc_info.value.retry_after == 1.0
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-5", "1e9"])
+    def test_retry_after_is_bounded(self, value):
+        class BoundedClock(FakeClock):
+            def sleep(self, seconds):
+                assert len(self.sleeps) < 100, "still cooling down"
+                super().sleep(seconds)
+
+        clock = BoundedClock()
+        session = FakeSession([FakeHttpResponse(status_code=429, headers={"Retry-After": value}),
+                               FakeHttpResponse(payload=chat_payload())])
+        config = HttpConfig(base_url="http://llm.test")
+        backend = HttpBackend(config, session=session, sleep=clock.sleep, clock=clock)
+        assert backend.complete(chat()).text == "the answer"
+        assert clock.t <= config.backoff_cap_s + config.backoff_base_s
 
     def test_cooldown_shared_across_threads(self):
         backend, _, clock = make_backend(

@@ -27,7 +27,6 @@ from selfverify.core import (
     medication_status_task,
     merge,
     normalize,
-    task_by_name,
 )
 from selfverify import core
 from selfverify.parsing import locate_quote
@@ -44,12 +43,12 @@ class TestTaskKind:
         assert set(TASKS) == {"clinical_trial_arm", "medication_status", "icd9", "icd10"}
 
     def test_icd_tasks_default_long_input(self):
-        assert task_by_name("icd9").long_input is True
-        assert task_by_name("icd10").long_input is True
+        assert TASKS["icd9"].long_input is True
+        assert TASKS["icd10"].long_input is True
 
     def test_short_tasks_default(self):
-        assert task_by_name("clinical_trial_arm").long_input is False
-        assert task_by_name("medication_status").long_input is False
+        assert TASKS["clinical_trial_arm"].long_input is False
+        assert TASKS["medication_status"].long_input is False
 
     def test_icd_version_required(self):
         with pytest.raises(ValueError):
@@ -65,10 +64,6 @@ class TestTaskKind:
                 long_input=False,
                 icd_version=9,
             )
-
-    def test_unknown_task_name(self):
-        with pytest.raises(KeyError):
-            task_by_name("nope")
 
     def test_wants_status(self):
         assert medication_status_task().wants_status is True

@@ -36,6 +36,10 @@ from selfverify.data import (
 from selfverify.pipeline import PipelineResult, StepTrace
 
 
+# Characters that str.splitlines() ends a line at, and JSON keeps in a string.
+SEPARATORS = ["\u2028", "\u2029", "\x85"]
+
+
 def write_jsonl(tmp_path, lines, name="data.jsonl"):
     path = tmp_path / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -48,7 +52,6 @@ GOOD_LINES = [
             "doc_id": "d1",
             "text": "Patient takes aspirin daily.",
             "gold": [{"value": "aspirin", "status": "active"}],
-            "gold_spans": [[8, 21]],
             "split": "eval",
         }
     ),
@@ -69,8 +72,6 @@ class TestLoadDataset:
         assert warnings == []
         assert [r.doc_id for r in records] == ["d1", "d2"]
         assert records[0].gold == (GoldItem("aspirin", StatusLabel.ACTIVE),)
-        assert records[0].gold_spans == ((8, 21),)
-        assert records[1].gold_spans == ()
         assert records[1].split == "demo-pool"
         assert records[0].gold_values() == ["aspirin"]
 
@@ -93,32 +94,25 @@ class TestLoadDataset:
                 '{"doc_id": "d", "text": "x", "gold": [{"value": "a", "status": "sometimes"}]}',
                 "status",
             ),
-            (
-                '{"doc_id": "d", "text": "x", "gold": [{"value": "a"}], "gold_spans": []}',
-                "parallel",
-            ),
-            (
-                '{"doc_id": "d", "text": "x", "gold": [{"value": "a"}], "gold_spans": [[0, 99]]}',
-                "within the text",
-            ),
-            (
-                '{"doc_id": "d", "text": "xy", "gold": [{"value": "a"}], "gold_spans": [[2, 1]]}',
-                "within the text",
-            ),
-            (
-                '{"doc_id": "d", "text": "xy", "gold": [{"value": "a"}], "gold_spans": [[false, true]]}',
-                "within the text",
-            ),
-            (
-                '{"doc_id": "d", "text": "xy", "gold": [{"value": "a"}], "gold_spans": [[0, true]]}',
-                "within the text",
-            ),
         ],
     )
     def test_format_errors(self, tmp_path, line, fragment):
         path = write_jsonl(tmp_path, [line])
         with pytest.raises(FormatError, match=fragment):
             load_dataset(path)
+
+    def test_unknown_keys_are_ignored(self, tmp_path):
+        line = '{"doc_id": "d", "text": "xy", "gold": [{"value": "a"}], "gold_spans": [[2, 1]], "note": 1}'
+        records, _ = load_dataset(write_jsonl(tmp_path, [line]))
+        assert records == [DatasetRecord("d", "xy", (GoldItem("a"),), "eval")]
+
+    @pytest.mark.parametrize("separator", SEPARATORS)
+    def test_unicode_line_separator_is_text(self, tmp_path, separator):
+        line = json.dumps({"doc_id": "d", "text": f"a{separator}b", "gold": []}, ensure_ascii=False)
+        path = tmp_path / "data.jsonl"
+        path.write_text(line + "\r\n" + GOOD_LINES[1] + "\r\n", encoding="utf-8")
+        records, _ = load_dataset(path)
+        assert [(r.doc_id, r.text) for r in records] == [("d", f"a{separator}b"), ("d2", "No meds today.")]
 
     def test_error_carries_line_number(self, tmp_path):
         path = write_jsonl(tmp_path, [GOOD_LINES[0], "{bad"])
@@ -151,15 +145,14 @@ class TestLoadDataset:
 class TestConversions:
     def make_records(self):
         return [
-            DatasetRecord("e1", "eval text", (GoldItem("a"),), (None,), "eval"),
+            DatasetRecord("e1", "eval text", (GoldItem("a"),), "eval"),
             DatasetRecord(
                 "p1",
                 "pool text",
                 (GoldItem("aspirin", StatusLabel.ACTIVE), GoldItem("statin", StatusLabel.NEITHER)),
-                (None, None),
                 "demo-pool",
             ),
-            DatasetRecord("p2", "pool empty", (), (), "demo-pool"),
+            DatasetRecord("p2", "pool empty", (), "demo-pool"),
         ]
 
     def test_records_to_documents_filters_split(self):
@@ -240,6 +233,18 @@ class TestRunPersistence:
         assert result.final.get("aspirin").origin == Origin.original()
         assert result.pruned[0].prune_reason == "not in the note"
         assert result.traces[0].step == "original"
+
+    @pytest.mark.parametrize("separator", SEPARATORS)
+    def test_roundtrip_keeps_unicode_line_separators(self, tmp_path, separator):
+        result = replace(make_result(), text=TEXT + separator + "Next line.")
+        _, results = load_run(make_run(tmp_path, [result]))
+        assert results == [result]
+
+    def test_crlf_results_file_loads(self, tmp_path):
+        run_dir = make_run(tmp_path)
+        results_path = run_dir / "results.jsonl"
+        results_path.write_bytes(results_path.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_run(run_dir)[1] == [make_result()]
 
     def test_refuses_to_overwrite(self, tmp_path):
         make_run(tmp_path)

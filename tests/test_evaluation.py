@@ -1,4 +1,4 @@
-"""Tests for metrics, span scoring, top-k filtering, and ablation tables."""
+"""Tests for metrics, top-k filtering, and ablation tables."""
 
 from __future__ import annotations
 
@@ -10,22 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import aggregate_variants, oracle_intervals_overlap, oracle_prf
+from oracles import aggregate_variants, oracle_prf
 from selfverify.evaluation import (
     AblationRow,
     DocMetrics,
-    SpanCase,
     evaluate_doc,
-    evaluate_spans,
     filter_values,
-    intervals_overlap,
     macro_average,
     render_dsv,
     render_text_table,
     rows_to_records,
     score_run,
     sem,
-    span_token_length,
     status_accuracy,
     top_k_codes,
 )
@@ -168,73 +164,6 @@ class TestTopKCodes:
     def test_filter_values(self):
         allowed = {"i10", "j44.1"}
         assert filter_values(["J44.1", "A00", "I10"], allowed) == ["J44.1", "I10"]
-
-
-class TestIntervalsOverlap:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [
-            ((0, 5), (3, 8), True),
-            ((0, 5), (5, 8), False),
-            ((5, 8), (0, 5), False),
-            ((0, 10), (2, 3), True),
-            ((2, 3), (0, 10), True),
-            ((0, 0), (0, 5), False),
-            ((1, 2), (1, 2), True),
-        ],
-    )
-    def test_cases(self, a, b, expected):
-        assert intervals_overlap(a, b) is expected
-
-    @given(
-        st.integers(0, 50), st.integers(0, 20), st.integers(0, 50), st.integers(0, 20)
-    )
-    @settings(max_examples=500)
-    def test_matches_enumeration_oracle(self, a0, alen, b0, blen):
-        a = (a0, a0 + alen)
-        b = (b0, b0 + blen)
-        assert intervals_overlap(a, b) == oracle_intervals_overlap(a, b)
-
-
-class TestEvaluateSpans:
-    TEXT = "alpha beta gamma delta epsilon zeta"
-
-    def test_token_length(self):
-        assert span_token_length(self.TEXT, (0, 10)) == 2
-        assert span_token_length(self.TEXT, (0, 0)) == 0
-
-    def test_mixed_cases(self):
-        cases = [
-            SpanCase(self.TEXT, (0, 10), (6, 16)),    # overlaps
-            SpanCase(self.TEXT, (0, 5), (6, 16)),     # disjoint
-            SpanCase(self.TEXT, None, (0, 5)),        # not located
-        ]
-        report = evaluate_spans(cases)
-        assert report.considered == 3
-        assert report.overlapping == 1
-        assert report.accuracy == pytest.approx(1 / 3)
-
-    def test_not_located_counts_in_denominator(self):
-        report = evaluate_spans([SpanCase(self.TEXT, None, (0, 5))])
-        assert report.considered == 1
-        assert report.accuracy == 0.0
-        assert report.mean_predicted_tokens == 0.0
-        assert report.mean_gold_tokens == 1.0
-
-    def test_token_means(self):
-        report = evaluate_spans(
-            [
-                SpanCase(self.TEXT, (0, 10), (0, 16)),   # 2 pred tokens, 3 gold
-                SpanCase(self.TEXT, (0, 5), (0, 5)),     # 1 pred token, 1 gold
-            ]
-        )
-        assert report.mean_predicted_tokens == pytest.approx(1.5)
-        assert report.mean_gold_tokens == pytest.approx(2.0)
-
-    def test_empty(self):
-        report = evaluate_spans([])
-        assert report.accuracy == 1.0
-        assert report.considered == 0
 
 
 def _seed_scores(per_seed: list[tuple[float, float, float]]) -> list[tuple[int, DocMetrics]]:

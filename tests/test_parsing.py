@@ -313,6 +313,10 @@ class TestParseIcdCodes:
     def test_icd9_rejects_long_numbers(self):
         assert parse_icd_codes("in 1950 there were 10.555 cases", 9) == []
 
+    def test_icd9_v_and_e_codes(self):
+        text = "Codes V58.61, v45.81 and E878.8; not V58.611, E878.81 or xV45"
+        assert parse_icd_codes(text, 9) == ["V58.61", "V45.81", "E878.8"]
+
     def test_icd10_not_matched_inside_words(self):
         assert parse_icd_codes("abcJ44.1 xyzI10", 10) == []
 

@@ -255,13 +255,13 @@ class TestBuildPrompts:
 
     def test_icd_map_embeds_version(self):
         for version in (9, 10):
-            prompt = build_icd_map_prompt(icd_task(version), ["copd exacerbation"])
+            prompt = build_icd_map_prompt(icd_task(version), ExtractionSet((ExtractedItem.from_raw("copd exacerbation"),)))
             assert f"ICD-{version}" in prompt
             assert "- copd exacerbation" in prompt
 
     def test_icd_map_rejects_other_tasks(self):
         with pytest.raises(ValueError):
-            build_icd_map_prompt(medication_status_task(), ["x"])
+            build_icd_map_prompt(medication_status_task(), ExtractionSet((ExtractedItem.from_raw("x"),)))
 
     def test_document_with_template_chars_is_safe(self):
         tricky = "Cost was ${high} and $variable amounts of 5{units}."
