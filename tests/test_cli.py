@@ -27,6 +27,12 @@ ICD_DATA = str(FIXTURES / "icd10_notes.jsonl")
 ICD_SCRIPT = str(FIXTURES / "icd10_script.jsonl")
 
 
+def _write_dataset(tmp_path, records):
+    path = tmp_path / "data.jsonl"
+    path.write_text("".join(json.dumps(record, ensure_ascii=False) + "\n" for record in records), encoding="utf-8")
+    return path
+
+
 def extract_args(tmp_path, out="run", extra=()):
     return [
         "extract",
@@ -258,6 +264,15 @@ class TestExitCodes:
         args[args.index(MED_DATA)] = str(bad)
         assert main(args) == 3
 
+    def test_malformed_gold_spans_is_ignored(self, tmp_path, capsys):
+        records = [json.loads(line) for line in Path(MED_DATA).read_text(encoding="utf-8").splitlines()]
+        data = _write_dataset(tmp_path, [{**record, "gold_spans": [[2, 1]]} for record in records])
+        args = extract_args(tmp_path)
+        args[args.index(MED_DATA)] = str(data)
+        assert main(args) == 0
+        assert main(["evaluate", "--run", str(tmp_path / "run"), "--dataset", str(data)]) == 0
+        assert "1.000" in capsys.readouterr().out
+
     def test_dataset_not_utf8_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "latin1.jsonl"
         bad.write_bytes(Path(MED_DATA).read_bytes() + '{"doc_id": "caf\u00e9"}\n'.encode("latin-1"))
@@ -426,6 +441,19 @@ class TestEvaluate:
         assert main(args) == 2  # not 3: the missing run is never read
         captured = capsys.readouterr()
         assert captured.out == "" and str(out_file) in captured.err
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_run_over_notes_with_a_unicode_line_separator_reads_back(self, tmp_path, capsys, separator):
+        records = [json.loads(line) for line in Path(MED_DATA).read_text(encoding="utf-8").splitlines()]
+        data = _write_dataset(tmp_path, [{**record, "text": record["text"] + separator + "Recheck in one month."}
+                                         for record in records])
+        args = extract_args(tmp_path)
+        args[args.index(MED_DATA)] = str(data)
+        assert main(args) == 0
+        run_dir = str(tmp_path / "run")
+        assert main(["evaluate", "--run", run_dir, "--dataset", str(data)]) == 0
+        assert "1.000" in capsys.readouterr().out
+        assert main(["report", "--run", run_dir, "--out", str(tmp_path / "report.html")]) == 0
 
     def test_top_k_filter(self, tmp_path, capsys):
         code, out = self.run_and_evaluate(tmp_path, capsys, extra=["--top-k", "1"])

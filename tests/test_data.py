@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,8 @@ from selfverify.data import (
 )
 from selfverify.pipeline import PipelineResult, StepTrace
 
+
+FIXTURES = Path(__file__).parent.parent / "fixtures"
 
 # Characters that str.splitlines() ends a line at, and JSON keeps in a string.
 SEPARATORS = ["\u2028", "\u2029", "\x85"]
@@ -105,6 +108,12 @@ class TestLoadDataset:
         line = '{"doc_id": "d", "text": "xy", "gold": [{"value": "a"}], "gold_spans": [[2, 1]], "note": 1}'
         records, _ = load_dataset(write_jsonl(tmp_path, [line]))
         assert records == [DatasetRecord("d", "xy", (GoldItem("a"),), "eval")]
+
+    def test_fixture_with_gold_spans_still_loads(self):
+        records, warnings = load_dataset(FIXTURES / "trial_arms.jsonl")
+        assert warnings == []
+        assert [r.doc_id for r in records] == ["trial-1", "trial-2"]
+        assert records[0].gold_values() == ["placebo arm", "high dose arm"]
 
     @pytest.mark.parametrize("separator", SEPARATORS)
     def test_unicode_line_separator_is_text(self, tmp_path, separator):

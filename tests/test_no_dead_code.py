@@ -13,12 +13,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "selfverify"
+CALLERS = (ROOT / "scripts", ROOT / "benchmark")
 
 
-def uncalled_definitions() -> list[str]:
-    sources = {path: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+def uncalled_definitions(package: Path = PACKAGE, callers: tuple[Path, ...] = CALLERS) -> list[str]:
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     outside = "\n".join(path.read_text(encoding="utf-8")
-                        for folder in ("scripts", "benchmark") for path in sorted((ROOT / folder).rglob("*.py")))
+                        for folder in callers for path in sorted(folder.rglob("*.py")))
     dead = []
     for path, source in sources.items():
         lines = source.splitlines(keepends=True)
@@ -35,3 +36,21 @@ def uncalled_definitions() -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert uncalled_definitions() == []
+
+
+def test_scan_names_what_only_its_own_definition_mentions(tmp_path):
+    package, scripts = tmp_path / "pkg", tmp_path / "scripts"
+    package.mkdir()
+    scripts.mkdir()
+    (package / "a.py").write_text(
+        "def used():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n\n"
+        "@functools.cache\ndef decorated():\n    pass\n\n\n"
+        "class Orphan:\n    pass\n\n\n"
+        "def scripted():\n    pass\n",
+        encoding="utf-8",
+    )
+    (package / "b.py").write_text("from a import used\n\nused()\n", encoding="utf-8")
+    (scripts / "run.py").write_text("from pkg.a import scripted\n", encoding="utf-8")
+    assert uncalled_definitions(package, (scripts,)) == ["a.py: recursive", "a.py: decorated", "a.py: Orphan"]
